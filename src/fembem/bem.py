@@ -14,6 +14,8 @@ behaviour of the outer integrand subtracted analytically and the
 remainder integrated on a geometrically graded composite Gauss rule.
 Double-layer integrals of affine densities and the tangential
 derivatives of both potentials are closed-form per panel.
+:class:`BemOperators` evaluates all of these in one pass over the
+panel geometry and keeps them as matrices of the boundary mesh.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .mesh import BoundaryMesh, RefinementRelation
 __all__ = [
     "BemDensity",
     "BoundaryTrace",
+    "BemOperators",
     "trace_of",
     "nodal_interpolate_u0",
     "assemble_single_layer",
@@ -245,26 +248,17 @@ def _wedge_double_integrals(e1, L1, e2, L2):
     return gauss + exact
 
 
-def assemble_single_layer(bmesh: BoundaryMesh, n_gauss: int = 4) -> np.ndarray:
-    """Dense Galerkin matrix of the single-layer operator on P0.
+def _single_layer_from_gauss(J, p0, p1, d, n, L, same):
+    """Galerkin single-layer matrix from its outer-Gauss double integrals ``J``.
 
-    Exactly symmetric; positive definite whenever diam(domain) < 1.
-    ``n_gauss`` controls the outer quadrature for well-separated pairs.
+    Symmetrizes, replaces same-line pairs by their closed form and
+    corner pairs by the graded wedge rule.  Exactly symmetric; positive
+    definite whenever diam(domain) < 1.
     """
-    p0, d, n, L = _frames(bmesh)
-    p1 = p0 + L[:, None] * d
-    ns = bmesh.num_segments
-
-    pts, wts = bmesh.gauss_points(n_gauss)
-    J = np.empty((ns, ns))
-    for r0, r1 in _blocks(ns, ns * n_gauss):
-        inner = _log_inner(pts[r0:r1].reshape(-1, 2), p0, d, n, L)
-        J[r0:r1] = np.einsum("iq,iqj->ij", wts[r0:r1],
-                             inner.reshape(r1 - r0, n_gauss, ns))
+    ns = len(L)
     J = 0.5 * (J + J.T)
 
     # panels on a common straight line: fully closed form
-    same = _same_line_matrix(p0, p1, d, n, L)
     ii, jj = np.nonzero(same)
     if len(ii):
         # coordinates of panel j in the arclength frame of panel i
@@ -287,7 +281,7 @@ def assemble_single_layer(bmesh: BoundaryMesh, n_gauss: int = 4) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# double layer and residual derivative
+# pointwise double layer (reference for the operators below)
 
 
 def _dl_panel_terms(points, p0, d, n, L, g0, g1):
@@ -340,71 +334,180 @@ def integrate_trace(bmesh: BoundaryMesh, g: BoundaryTrace) -> np.ndarray:
     return 0.5 * bmesh.lengths() * (g0 + g1)
 
 
+# ----------------------------------------------------------------------------
+# operators of one boundary mesh
+
+# entries of one (Gauss nodes x panels) block of the assembly pass; a block
+# keeps about 25 temporaries of this size alive, and larger blocks only
+# raise the peak memory without building faster
+_BLOCK_ENTRIES = 50_000
+
+
+def _node_panel_geometry(x, p0, d, n, L):
+    """Coordinates of points ``x`` in every panel frame, with the shared kernels.
+
+    Returns ``(s0, H, h, a, b, qa, qb, span, la, lb)``: tangential
+    coordinate, signed and absolute distance to the panel line, offsets
+    of the panel ends, their squared distances, the angle the panel
+    subtends and ``log qa``, ``log qb``; each of shape (m, ns).
+    """
+    s0, H = _panel_coords(x, p0, d, n)
+    h = np.abs(H)
+    a = -s0
+    b = L[None, :] - s0
+    qa = a * a + h * h
+    qb = b * b + h * h
+    span = _atan_span(h, L[None, :], a, b)
+    return s0, H, h, a, b, qa, qb, span, _safe_log(qa), _safe_log(qb)
+
+
+def _onto_vertices(c0, c1, L):
+    """Vertex-value columns of panel coefficients of ``g0`` and the slope ``mu``.
+
+    On panel p the affine trace is ``g0 + mu * s`` with ``g0 = g[p]`` and
+    ``mu = (g[p+1] - g[p]) / L[p]``; this splits ``c0 * g0 + c1 * mu``
+    onto the columns p and p + 1.
+    """
+    c1 = c1 / L[None, :]
+    return c0 - c1 + np.roll(c1, 1, axis=1)
+
+
+def _single_layer_block(geo, L):
+    """Closed-form ``int_panel log|x-y| ds(y)`` on one block, as ``_log_inner``."""
+    s0, H, h, a, b, qa, qb, span, la, lb = geo
+    return 0.5 * (b * lb - a * la) - L[None, :] + h * span
+
+
+def _dl_block(geo, L):
+    """Vertex-value coefficients of ``2 pi K g`` on one block.
+
+    Same panel terms as ``_dl_panel_terms``; panels whose line contains
+    the point contribute zero.
+    """
+    s0, H, h, a, b, qa, qb, span, la, lb = geo
+    # H * A0 and H * A1 stay finite as h -> 0
+    HA0 = np.sign(H) * span
+    HA1 = 0.5 * H * (lb - la) + s0 * HA0
+    on_line = h <= _LINE_TOL * np.maximum(L[None, :], 1.0)
+    return _onto_vertices(np.where(on_line, 0.0, HA0), np.where(on_line, 0.0, HA1), L)
+
+
+def _derivative_block(geo, L, td, tn, on_line):
+    """Rows of ``MK`` and ``MV`` on one block.
+
+    ``td`` and ``tn`` are the products of the tangent at each point with
+    the direction and the normal of each panel.  Panels on the line of
+    the point (``on_line``) add nothing to dK/ds: their kernel vanishes
+    there, and only there do the antiderivatives degenerate.
+    """
+    s0, H, h, a, b, qa, qb, span, la, lb = geo
+    log_ratio = la - lb
+    dV = -(0.5 * td * log_ratio + tn * np.sign(H) * span) / TWO_PI
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A0 = span / h
+        A1 = -0.5 * log_ratio + s0 * A0
+        B1u = 0.5 * (1.0 / qa - 1.0 / qb)
+        B0 = 0.5 * (b / qb - a / qa) / (h * h) + 0.5 * span / h ** 3
+        B2u = 0.5 * (a / qa - b / qb) + 0.5 * span / h
+        # tn (g0 A0 + mu A1) + 2 H td (gs B1u + mu B2u) - 2 H^2 tn (gs B0 + mu B1u)
+        # with gs = g0 + mu * s0, split into the g0 and the mu coefficient
+        tdH = 2.0 * H * td
+        tnH2 = 2.0 * H * H * tn
+        c0 = tn * A0 + tdH * B1u - tnH2 * B0
+        c1 = tn * A1 + tdH * (s0 * B1u + B2u) - tnH2 * (s0 * B0 + B1u)
+    dK = _onto_vertices(np.where(on_line, 0.0, c0), np.where(on_line, 0.0, c1), L)
+    return dK / TWO_PI, dV
+
+
+class BemOperators:
+    """Geometry-only BEM matrices of one boundary mesh.
+
+    One blocked pass over the (Gauss node x panel) pairs computes the
+    panel coordinates, the atan span and the logarithms once and fills
+
+    * ``V`` (ns, ns): single-layer Galerkin matrix on P0;
+    * ``DL`` (ns, ns): ``DL @ g`` is ``int_E (K - 1/2) g ds`` per segment
+      for the vertex values g of an affine trace;
+    * ``MK``, ``MV`` (ns*q, ns): at the Gauss nodes the arclength
+      derivative of ``(K - 1/2) g - V psi`` is
+      ``MK @ g - MV @ psi - 1/2 dg/ds``.
+
+    Nothing depends on data, so one object serves every density and
+    trace while the boundary is not refined.  ``n_gauss`` is the outer
+    quadrature of all of them.  Rows are built in segment-aligned blocks
+    of at most ``_BLOCK_ENTRIES`` entries, so only one block of
+    temporaries is alive at a time.
+    """
+
+    def __init__(self, bmesh: BoundaryMesh, n_gauss: int = 4):
+        p0, d, n, L = _frames(bmesh)
+        p1 = p0 + L[:, None] * d
+        ns, q = bmesh.num_segments, n_gauss
+        self.n_gauss = q
+        self.points, self.weights = bmesh.gauss_points(q)
+        tangents = bmesh.tangents()
+        same = _same_line_matrix(p0, p1, d, n, L)
+
+        J = np.empty((ns, ns))
+        DL = np.empty((ns, ns))
+        self.MK = np.empty((ns * q, ns))
+        self.MV = np.empty((ns * q, ns))
+        for r0, r1 in _blocks(ns, ns * q, _BLOCK_ENTRIES):
+            rows = slice(r0 * q, r1 * q)
+            shape = (r1 - r0, q, ns)
+            geo = _node_panel_geometry(self.points[r0:r1].reshape(-1, 2), p0, d, n, L)
+            w = self.weights[r0:r1]
+            J[r0:r1] = np.einsum("iq,iqj->ij", w, _single_layer_block(geo, L).reshape(shape))
+            DL[r0:r1] = np.einsum("iq,iqj->ij", w, _dl_block(geo, L).reshape(shape))
+            tau = np.repeat(tangents[r0:r1], q, axis=0)
+            self.MK[rows], self.MV[rows] = _derivative_block(
+                geo, L, tau @ d.T, tau @ n.T, np.repeat(same[r0:r1], q, axis=0))
+        self.V = _single_layer_from_gauss(J, p0, p1, d, n, L, same)
+        k = np.arange(ns)
+        DL /= TWO_PI
+        DL[k, k] -= 0.25 * L
+        DL[k, np.roll(k, -1)] -= 0.25 * L
+        self.DL = DL
+
+    def dl_rhs(self, g: BoundaryTrace) -> np.ndarray:
+        """Galerkin right-hand side ``int_E (K - 1/2) g ds`` per segment."""
+        return self.DL @ g.values
+
+    def residual_derivative(self, psi, g: BoundaryTrace):
+        """Arclength derivative of ``(K - 1/2) g - V psi`` at the Gauss nodes.
+
+        Returns ``(values, points, weights)`` with shapes (ns, q),
+        (ns, q, 2), (ns, q).  This is the integrand of the boundary
+        residual indicator; Gauss nodes are interior, where the
+        derivative is defined (it jumps at panel ends).
+        """
+        psi_v = psi.values if isinstance(psi, BemDensity) else np.asarray(psi, float)
+        vals = (self.MK @ g.values - self.MV @ psi_v
+                - 0.5 * np.repeat(g.slopes(), self.n_gauss))
+        return vals.reshape(-1, self.n_gauss), self.points, self.weights
+
+
+def assemble_single_layer(bmesh: BoundaryMesh, n_gauss: int = 4) -> np.ndarray:
+    """Dense Galerkin matrix of the single-layer operator on P0.
+
+    Exactly symmetric; positive definite whenever diam(domain) < 1.
+    ``n_gauss`` controls the outer quadrature for well-separated pairs.
+    """
+    return BemOperators(bmesh, n_gauss).V
+
+
 def assemble_dl_rhs(bmesh: BoundaryMesh, g: BoundaryTrace, n_gauss: int = 4) -> np.ndarray:
     """Galerkin right-hand side ``int_E (K - 1/2) g ds`` per segment."""
-    return integrate_double_layer(bmesh, g, n_gauss) - 0.5 * integrate_trace(bmesh, g)
+    return BemOperators(bmesh, n_gauss).dl_rhs(g)
 
 
 def eval_residual_derivative(bmesh: BoundaryMesh, psi, g: BoundaryTrace,
                              n_gauss: int = 4):
     """Arclength derivative of ``(K - 1/2) g - V psi`` at panel Gauss nodes.
 
-    Returns ``(values, points, weights)`` with shapes (ns, n_gauss),
-    (ns, n_gauss, 2), (ns, n_gauss).  This is the integrand of the
-    boundary residual indicator.  Evaluation exactly at panel endpoints
-    is not defined (the derivative jumps there); Gauss nodes are always
-    interior.
+    See :meth:`BemOperators.residual_derivative`.
     """
-    psi_v = psi.values if isinstance(psi, BemDensity) else np.asarray(psi, float)
-    p0, d, n, L = _frames(bmesh)
-    p1 = p0 + L[:, None] * d
-    ns = bmesh.num_segments
-    pts, wts = bmesh.gauss_points(n_gauss)
-    x = pts.reshape(-1, 2)
-    tau_all = np.repeat(bmesh.tangents(), n_gauss, axis=0)     # (m, 2)
-
-    same = _same_line_matrix(p0, p1, d, n, L)
-    seg_of_node = np.repeat(np.arange(ns), n_gauss)
-    g0, g1 = g.endpoint_values()
-    mu = (g1 - g0) / L
-
-    out = np.empty(len(x))
-    for i0, i1 in _blocks(len(x), ns):
-        tau = tau_all[i0:i1]
-        s0, H = _panel_coords(x[i0:i1], p0, d, n)
-        h = np.abs(H)
-        a = -s0
-        b = L[None, :] - s0
-        qa = a * a + h * h
-        qb = b * b + h * h
-        span = _atan_span(h, L[None, :], a, b)
-        log_ratio = _safe_log(qa) - _safe_log(qb)
-
-        td = np.einsum("md,pd->mp", tau, d)
-        tn = np.einsum("md,pd->mp", tau, n)
-
-        # tangential derivative of the single-layer potential of psi
-        dV = -(0.5 * td * log_ratio + tn * np.sign(H) * span) @ psi_v / TWO_PI
-
-        # tangential derivative of the double-layer potential of g; panels
-        # on the evaluation line contribute zero (their kernel vanishes
-        # there, and only there do the antiderivatives degenerate)
-        mask = same[seg_of_node[i0:i1]]                        # (rows, ns)
-        gs = g0[None, :] + mu[None, :] * s0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            A0 = span / h
-            A1 = -0.5 * log_ratio + s0 * A0
-            B1u = 0.5 * (1.0 / qa - 1.0 / qb)
-            B0 = 0.5 * (b / qb - a / qa) / (h * h) + 0.5 * span / h ** 3
-            B2u = 0.5 * (a / qa - b / qb) + 0.5 * span / h
-            dK = (tn * (g0[None, :] * A0 + mu[None, :] * A1)
-                  - 2.0 * H * td * (-gs * B1u - mu[None, :] * B2u)
-                  - 2.0 * H * H * tn * (gs * B0 + mu[None, :] * B1u))
-        dK = np.where(mask, 0.0, dK).sum(axis=1) / TWO_PI
-        out[i0:i1] = dK - dV
-
-    vals = out - 0.5 * np.repeat(g.slopes(), n_gauss)
-    return vals.reshape(ns, n_gauss), pts, wts
+    return BemOperators(bmesh, n_gauss).residual_derivative(psi, g)
 
 
 # ----------------------------------------------------------------------------

@@ -87,7 +87,8 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     return eta2
 
 
-def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None, n_gauss: int = 4) -> np.ndarray:
+def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None, n_gauss: int = 4,
+           operators: bem.BemOperators | None = None) -> np.ndarray:
     """Squared boundary indicators, one per segment.
 
     mu(E)^2 = |E| * || d/ds [ (K - 1/2) g - V psi ] ||_{L2(E)}^2
@@ -95,9 +96,14 @@ def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None, n_gauss: int = 4) -> np.nda
 
     where Pi is the panel-mean projection; the second term is the data
     oscillation of the interface jump and is skipped when ``du0_ds`` is
-    None.
+    None.  ``operators`` are prebuilt :class:`~fembem.bem.BemOperators`
+    of the geometry of ``bmesh``, whose quadrature then replaces
+    ``n_gauss``; without them they are built here.
     """
-    vals, pts, wts = bem.eval_residual_derivative(bmesh, psi, g, n_gauss=n_gauss)
+    if operators is None:
+        operators = bem.BemOperators(bmesh, n_gauss)
+    n_gauss = operators.n_gauss
+    vals, pts, wts = operators.residual_derivative(psi, g)
     lengths = bmesh.lengths()
     mu2 = lengths * np.einsum("sq,sq->s", wts, vals ** 2)
     if du0_ds is not None:
@@ -118,6 +124,8 @@ def doerfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
     an exact floating-point target.  Returns ascending indices.
     """
     ind = np.asarray(indicators, dtype=float)
+    if not np.all(np.isfinite(ind)):
+        raise ValueError("indicators must be finite")
     if np.any(ind < 0.0):
         raise ValueError("indicators must be non-negative")
     total = ind.sum()

@@ -118,6 +118,7 @@ class FactorizedPreconditioner:
 @dataclass(frozen=True)
 class _Level:
     prolongation: sp.csr_matrix | None  # from the previous level; None on level 0
+    restriction: sp.csr_matrix | None   # its transpose, stored as CSR
     inverse_diagonal: np.ndarray        # of the Riesz matrix, active vertices only
     active: np.ndarray                  # bool mask of locally refined vertices
     coarse_factor: CholeskyFactor | None = None
@@ -139,7 +140,7 @@ class LocalMultilevelDiagonal:
     def apply(self, r):
         residuals = [np.asarray(r, dtype=float)]
         for level in reversed(self.levels[1:]):
-            residuals.append(level.prolongation.T @ residuals[-1])
+            residuals.append(level.restriction @ residuals[-1])
         residuals.reverse()
         z = self.levels[0].coarse_factor.solve(residuals[0])
         for level, res in zip(self.levels[1:], residuals[1:]):
@@ -152,7 +153,8 @@ class MeshHierarchy:
     """Nested mesh sequence feeding the multilevel preconditioner.
 
     Grown with :meth:`push` as the adaptive loop refines; every level
-    caches its prolongation, Riesz diagonal, and active vertex set.
+    caches its prolongation and restriction, Riesz diagonal, and active
+    vertex set.
     """
 
     def __init__(self, mesh: Mesh):
@@ -160,7 +162,7 @@ class MeshHierarchy:
 
         self.meshes = [mesh]
         d = riesz_diagonal(mesh)
-        self._levels = [_Level(None, 1.0 / d, np.ones(mesh.num_vertices, bool),
+        self._levels = [_Level(None, None, 1.0 / d, np.ones(mesh.num_vertices, bool),
                                CholeskyFactor(assemble_riesz(mesh).toarray()))]
 
     @property
@@ -179,8 +181,9 @@ class MeshHierarchy:
             touched = fine.triangles[np.concatenate(refined)]
             active[touched.ravel()] = True
         d = riesz_diagonal(fine)
+        prolongation = relation.vertex_prolongation_matrix().tocsr()
         self._levels.append(
-            _Level(relation.vertex_prolongation_matrix().tocsr(), 1.0 / d, active)
+            _Level(prolongation, prolongation.T.tocsr(), 1.0 / d, active)
         )
         self.meshes.append(fine)
 

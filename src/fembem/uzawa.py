@@ -16,7 +16,9 @@ The tolerances contract geometrically, either with a fixed factor or
 with the measured update-norm ratio (clamped below one).  Everything a
 later step reuses - the iterate, the latest update, the density - is
 carried through every refinement by prolongation, and the volume mesh
-hierarchy feeds the multilevel preconditioner.
+hierarchy feeds the multilevel preconditioner.  The BEM operators of the
+boundary mesh are built once and kept until a refinement splits a
+boundary segment.
 """
 
 from __future__ import annotations
@@ -125,6 +127,8 @@ class UzawaDriver:
         self.u = FeFunction(self.mesh, np.zeros(nv))
         self.w_carry = FeFunction(self.mesh, np.zeros(nv))
         self.psi_vals = np.zeros(ns)
+        self.bem_ops = None            # BemOperators of self.bm and their Jacobi scaling
+        self.bem_precond = None
         self.eps = config.eps1
         self.prev_w_norm = None
         self.flags: set = set()
@@ -139,6 +143,8 @@ class UzawaDriver:
         self.u = prolongate(self.u, rel)
         self.w_carry = prolongate(self.w_carry, rel)
         self.psi_vals = self.psi_vals[rel.seg_father]
+        if not np.array_equal(rel.seg_father, np.arange(self.bm.num_segments)):
+            self.bem_ops = self.bem_precond = None
         self.mesh = fine
         self.bm = boundary_trace(fine)
 
@@ -162,6 +168,9 @@ class UzawaDriver:
         r = rhs - matrix @ x0
         z = precond.apply(r)
         e0 = float(r @ z)
+        if not np.isfinite(e0):
+            # no iteration can help; the caller's estimator test sees the NaN
+            return np.array(x0, dtype=float), e0
         if e0 <= 0.0:
             return np.array(x0, dtype=float), 0.0
         rel = min(self.config.tau_rel ** 2, 0.5 * abs_cap / e0)
@@ -176,16 +185,21 @@ class UzawaDriver:
         rounds = 0
         while True:
             rounds += 1
-            V = bem.assemble_single_layer(self.bm)
+            if self.bem_ops is None:
+                self.bem_ops = bem.BemOperators(self.bm, n_gauss=self.config.mu_gauss)
+                self.bem_precond = JacobiPreconditioner.of(self.bem_ops.V)
             g = self._interface_gap()
-            rhs = bem.assemble_dl_rhs(self.bm, g)
             self.psi_vals, alg2 = self._solve_spd(
-                V, rhs, self.psi_vals, JacobiPreconditioner.of(V), tol ** 2)
+                self.bem_ops.V, self.bem_ops.dl_rhs(g), self.psi_vals,
+                self.bem_precond, tol ** 2)
             psi = bem.BemDensity(self.bm, self.psi_vals)
             mu2 = mu_bem(self.bm, psi, g, du0_ds=self.problem.du0_ds,
-                         n_gauss=self.config.mu_gauss)
+                         operators=self.bem_ops)
             if self.observer is not None:
                 self.observer(self, "bem", dict(mu2=mu2, alg2=alg2, psi=psi, g=g))
+            if not np.isfinite(mu2.sum() + alg2):
+                self.flags.add("nonfinite")
+                return mu2, alg2, rounds
             if mu2.sum() + alg2 <= tol ** 2:
                 return mu2, alg2, rounds
             if self.mesh.num_triangles > self._inner_cap:
@@ -211,6 +225,9 @@ class UzawaDriver:
                            self.problem.phi0, self.psi_vals, self.problem.operator)
             if self.observer is not None:
                 self.observer(self, "fem", dict(eta2=eta2, alg2=alg2, w=w))
+            if not np.isfinite(eta2.sum() + alg2):
+                self.flags.add("nonfinite")
+                return w, eta2, alg2, rounds
             if eta2.sum() + alg2 <= tol ** 2:
                 return w, eta2, alg2, rounds
             if self.mesh.num_triangles > self._inner_cap:
@@ -275,6 +292,9 @@ class UzawaDriver:
             records.append(rec)
             if cfg.target_nu > 0.0 and rec.est_total <= cfg.target_nu:
                 reason = "target"
+                break
+            if "nonfinite" in self.flags:
+                reason = "nonfinite"
                 break
             if "inner_budget_exceeded" in self.flags:
                 reason = "inner_budget"

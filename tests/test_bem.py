@@ -178,6 +178,40 @@ def test_dl_rhs_zero_trace_and_quadrature_refinement(lbm):
 
 
 # ---------------------------------------------------------------------------
+# operators of one boundary mesh against the pointwise references
+
+
+@pytest.fixture(scope="module")
+def graded_lbm():
+    """L-shape trace graded towards the re-entrant corner (the origin).
+
+    Only boundary segments are marked: each round splits the two
+    segments touching the corner.
+    """
+    mesh = make_initial_mesh("lshape")
+    bm = boundary_trace(mesh)
+    for _ in range(6):
+        mid = 0.5 * np.add(*bm.endpoints())
+        near = np.argsort(np.linalg.norm(mid, axis=1))[:2]
+        mesh, _ = refine_nvb(mesh, (), marked_segments=near, bmesh=bm)
+        bm = boundary_trace(mesh)
+    return bm
+
+
+def test_dl_operator_matches_pointwise_double_layer(graded_lbm, rng):
+    bm = graded_lbm
+    L = bm.lengths()
+    assert L.max() / L.min() >= 32
+    ops = bem.BemOperators(bm)
+    for _ in range(3):
+        g = bem.BoundaryTrace(bm, rng.standard_normal(bm.num_segments))
+        ref = bem.integrate_double_layer(bm, g) - 0.5 * bem.integrate_trace(bm, g)
+        np.testing.assert_allclose(ops.DL @ g.values, ref, rtol=1e-12,
+                                   atol=1e-15 * np.abs(ref).max())
+        assert np.array_equal(ops.dl_rhs(g), ops.DL @ g.values)
+
+
+# ---------------------------------------------------------------------------
 # residual derivative (drives the boundary estimator)
 
 

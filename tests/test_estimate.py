@@ -153,6 +153,9 @@ def test_doerfler_validates_input():
     for theta in (0.0, 1.2, -0.1):
         with pytest.raises(ValueError, match="theta"):
             doerfler_mark(np.array([1.0, 1.0]), theta)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            doerfler_mark(np.array([1.0, bad, 2.0]), 0.5)
 
 
 def test_doerfler_minimality_exhaustive(rng):

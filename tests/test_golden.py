@@ -1,0 +1,72 @@
+"""Golden trajectories: every shipped config at a reduced element budget.
+
+Each ``golden/<config>.csv`` is the table ``fembem run`` writes for the
+config with ``budget_elements = GOLDEN_BUDGET``.  A rerun must reproduce
+the integer columns (outer step, element count, inner rounds) exactly
+and the float columns to ``FLOAT_RTOL``; the stop line and the flags
+must match too.  The float tolerance leaves room for operators that sum
+the same quadrature terms in another order: PCG then stops on a
+right-hand side that differs in the last bits, which moves the
+estimators by a few 1e-6 relative (more under adaptive contraction,
+which feeds the update-norm ratio back into the tolerances).
+
+Regenerate after a change that moves the trajectory on purpose:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import dataclasses
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fembem.cli import parse_config, read_csv, write_csv
+from fembem.uzawa import run_experiment_config
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.cfg"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_BUDGET = 1500
+INT_COLUMNS = ("iterUZ", "nE", "kBEM", "kFEM")
+FLOAT_COLUMNS = ("errUZAWAH1", "errUZAWABEM", "estFEM", "estBEM", "estTOT",
+                 "gamma", "epsilon")
+FLOAT_RTOL = 1e-4
+
+
+def write_golden_run(cfg_path: Path, out: Path) -> None:
+    config = dataclasses.replace(parse_config(cfg_path), budget_elements=GOLDEN_BUDGET)
+    write_csv(run_experiment_config(config), config, out)
+
+
+def trailer(path: Path):
+    return [line for line in path.read_text().splitlines()
+            if line.startswith(("# flag:", "# stop:"))]
+
+
+def test_every_config_has_a_golden():
+    assert CONFIGS
+    assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == [p.stem for p in CONFIGS]
+
+
+@pytest.mark.parametrize("cfg_path", CONFIGS, ids=lambda p: p.stem)
+def test_trajectory_matches_golden(cfg_path, tmp_path):
+    out = tmp_path / "run.csv"
+    write_golden_run(cfg_path, out)
+    ref_path = GOLDEN / f"{cfg_path.stem}.csv"
+    got, ref = read_csv(out), read_csv(ref_path)
+    assert len(got["iterUZ"]) == len(ref["iterUZ"])
+    for name in INT_COLUMNS:
+        assert np.array_equal(got[name], ref[name]), name
+    for name in FLOAT_COLUMNS:
+        np.testing.assert_allclose(got[name], ref[name], rtol=FLOAT_RTOL,
+                                   atol=0.0, equal_nan=True, err_msg=name)
+    assert trailer(out) == trailer(ref_path)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for cfg in CONFIGS:
+        write_golden_run(cfg, GOLDEN / f"{cfg.stem}.csv")
+        print(f"wrote {cfg.stem}", file=sys.stderr)

@@ -238,6 +238,15 @@ def test_multilevel_apply_is_linear_and_symmetric(lshape, rng):
     assert abs(s1 - s2) <= 1e-12 * max(abs(s1), abs(s2))
 
 
+def test_hierarchy_caches_restriction_as_transpose(lshape, rng):
+    hierarchy = MeshHierarchy(lshape)
+    mesh, rel = refine_nvb(lshape, np.array([0, 1, 5]))
+    hierarchy.push(rel)
+    level = hierarchy.preconditioner().levels[-1]
+    r = rng.standard_normal(mesh.num_vertices)
+    assert np.array_equal(level.restriction @ r, level.prolongation.T @ r)
+
+
 def test_multilevel_preconditioned_pcg_converges(lshape, rng):
     hierarchy = MeshHierarchy(lshape)
     mesh = lshape

@@ -1,8 +1,11 @@
 """Outer saddle-point iteration: tolerances, records, stopping, transfer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fembem import bem
 from fembem.fem import h1_norm
 from fembem.model import make_problem
 from fembem.uzawa import (UzawaConfig, UzawaDriver, UzawaResult,
@@ -184,6 +187,47 @@ def test_inner_budget_flag_on_tiny_cap():
     assert res.stop_reason == "inner_budget"
     assert res.num_outer == 1
     assert res.mesh.num_triangles > 4 * 30
+
+
+def test_nonfinite_load_stops_with_its_own_reason():
+    def nan_load(points):
+        return np.full(len(points), np.nan)
+
+    problem = dataclasses.replace(make_problem("laplace_lshape"), f=nan_load)
+    res = UzawaDriver(problem, small_config(solver="pcg", budget_elements=200)).run()
+    assert res.stop_reason == "nonfinite"
+    assert "nonfinite" in res.flags
+    assert "inner_budget_exceeded" not in res.flags
+    assert res.num_outer == 1
+    assert res.records[0].k_fem == 1
+    assert np.isnan(res.records[0].est_fem)
+
+
+def test_bem_operators_built_once_per_boundary_geometry(monkeypatch):
+    builds = []
+
+    class CountingOperators(bem.BemOperators):
+        def __init__(self, bmesh, n_gauss=4):
+            builds.append(bmesh.num_segments)
+            super().__init__(bmesh, n_gauss)
+
+    monkeypatch.setattr(bem, "BemOperators", CountingOperators)
+    geometries = set()
+    rounds = 0
+
+    def observer(driver, phase, payload):
+        nonlocal rounds
+        if phase == "bem":
+            rounds += 1
+            a, b = driver.bm.endpoints()
+            geometries.add(np.stack([a, b]).tobytes())
+
+    cfg = small_config(gamma=0.95, eps1=5.0, c_bem=0.1, solver="pcg",
+                       budget_elements=300)
+    res = run_experiment_config(cfg, observer=observer)
+    assert res.stop_reason == "budget"
+    assert len(builds) == len(geometries)
+    assert len(builds) < rounds
 
 
 # ---------------------------------------------------------------------------
