@@ -106,9 +106,7 @@ def prolongate_density(psi: BemDensity, relation: RefinementRelation,
     if psi.bmesh.num_segments != len(relation.seg_sons):
         raise ValueError("density does not live on the coarse trace of the relation")
     if bmesh_fine is None:
-        from .mesh import boundary_trace
-
-        bmesh_fine = boundary_trace(relation.fine)
+        bmesh_fine = relation.fine_trace
     return BemDensity(bmesh_fine, psi.values[relation.seg_father])
 
 

@@ -236,7 +236,10 @@ def h1_error(u_h: FeFunction, u_exact, grad_exact, rule: TriangleRule = TRI_P5) 
     return float(np.sqrt(total))
 
 
-def h1_norm(u: FeFunction) -> float:
-    """Full H^1 norm (exact for P1, via the Riesz matrix)."""
-    S = assemble_riesz(u.mesh)
+def h1_norm(u: FeFunction, riesz=None) -> float:
+    """Full H^1 norm (exact for P1, via the Riesz matrix).
+
+    ``riesz`` may pass the already assembled Riesz matrix of ``u.mesh``.
+    """
+    S = assemble_riesz(u.mesh) if riesz is None else riesz
     return float(np.sqrt(u.values @ (S @ u.values)))

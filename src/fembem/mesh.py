@@ -11,7 +11,7 @@ sons and the new midpoint vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "refine_nvb",
     "boundary_trace",
     "shape_regularity",
-    "write_mesh",
-    "read_mesh",
 ]
 
 
@@ -91,7 +89,11 @@ class Mesh:
         with sorted vertex pairs, ``tri2edge`` is (nt, 3) with local edge
         k = (t[k], t[(k+1)%3]), and ``edge2tri`` is (ne, 2) holding the
         adjacent element ids (-1 on the second slot for boundary edges).
+        Built on the first call and kept, read-only, on the mesh.
         """
+        cached = self.__dict__.get("_edge_structure")
+        if cached is not None:
+            return cached
         t = self.triangles
         raw = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
         und = np.sort(raw, axis=1)
@@ -112,7 +114,9 @@ class Mesh:
         edge2tri[:, 0] = tri_sorted[first]
         has2 = counts == 2
         edge2tri[has2, 1] = tri_sorted[last[has2] - 1]
-        return edges, tri2edge, edge2tri
+        cached = (_frozen(edges), _frozen(tri2edge), _frozen(edge2tri))
+        object.__setattr__(self, "_edge_structure", cached)
+        return cached
 
     def validate(self) -> None:
         """Cheap structural checks used by the test-suite."""
@@ -193,8 +197,9 @@ class RefinementRelation:
     fine: Mesh
     tri_sons: tuple            # tuple of int arrays, sons of each coarse element
     new_vertex_parents: np.ndarray  # (n_new, 2) endpoints of each bisected edge
-    seg_sons: tuple = ()       # sons of each coarse boundary segment
-    seg_father: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    seg_sons: tuple            # sons of each coarse boundary segment
+    seg_father: np.ndarray     # (ns_fine,) coarse segment of each fine segment
+    fine_trace: BoundaryMesh   # boundary_trace(fine)
 
     def vertex_prolongation_matrix(self):
         """Sparse (nv_fine, nv_coarse) interpolation of P1 functions."""
@@ -320,6 +325,12 @@ def shape_regularity(mesh: Mesh) -> float:
 # newest vertex bisection
 
 
+def _split_runs(a: np.ndarray, counts: np.ndarray) -> tuple:
+    """Consecutive runs of ``a`` with the given lengths, as views."""
+    ends = np.cumsum(counts).tolist()
+    return tuple(a[s:e] for s, e in zip([0] + ends[:-1], ends))
+
+
 def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = None):
     """Refine by newest vertex bisection with conforming closure.
 
@@ -372,7 +383,6 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     nt_new = int(offset[-1])
     tris = np.empty((nt_new, 3), dtype=np.int64)
     gen = np.empty(nt_new, dtype=np.int64)
-    father = np.empty(nt_new, dtype=np.int64)
 
     t = mesh.triangles
     m0 = new_vertex_of_edge[tri2edge[:, 0]]
@@ -409,65 +419,34 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
         put(offset[sel] + 2, (m0[sel], b[sel], m1[sel]), g[sel] + 2)
         put(offset[sel] + 3, (c[sel], m0[sel], m1[sel]), g[sel] + 2)
 
-    for i in range(mesh.num_triangles):
-        father[offset[i]:offset[i + 1]] = i
+    father = np.repeat(np.arange(mesh.num_triangles), n_sons)
     fine = Mesh(vertices, tris, gen, father)
-    tri_sons = tuple(np.arange(offset[i], offset[i + 1]) for i in range(mesh.num_triangles))
+    tri_sons = _split_runs(np.arange(nt_new), n_sons)
 
-    # boundary segment genealogy
+    # boundary segment genealogy: a coarse segment (v0, v1) keeps its
+    # start vertex, and a bisected one gains the son starting at its midpoint
     if bmesh is None:
         bmesh = boundary_trace(mesh)
     fine_trace = boundary_trace(fine)
-    lookup = {(int(p), int(q)): k for k, (p, q) in enumerate(fine_trace.segments)}
-    seg_sons = []
+    seg_of_start = np.empty(len(vertices), dtype=np.int64)
+    seg_of_start[fine_trace.segments[:, 0]] = np.arange(fine_trace.num_segments)
+    seg_edge = tri2edge[bmesh.owner, bmesh.owner_edge]
+    split = edge_marked[seg_edge]
+    starts = np.stack([bmesh.segments[:, 0], new_vertex_of_edge[seg_edge]], axis=1)
+    keep = np.stack([np.ones_like(split), split], axis=1)
+    sons = seg_of_start[starts[keep]]   # row-major: the sons of each segment in walk order
+    n_seg_sons = 1 + split
     seg_father = np.empty(fine_trace.num_segments, dtype=np.int64)
-    for k in range(bmesh.num_segments):
-        v0, v1 = map(int, bmesh.segments[k])
-        e = tri2edge[bmesh.owner[k], bmesh.owner_edge[k]]
-        if edge_marked[e]:
-            m = int(new_vertex_of_edge[e])
-            sons = np.array([lookup[(v0, m)], lookup[(m, v1)]], dtype=np.int64)
-        else:
-            sons = np.array([lookup[(v0, v1)]], dtype=np.int64)
-        seg_sons.append(sons)
-        seg_father[sons] = k
+    seg_father[sons] = np.repeat(np.arange(bmesh.num_segments), n_seg_sons)
+    seg_sons = _split_runs(sons, n_seg_sons)
 
     relation = RefinementRelation(
         coarse=mesh,
         fine=fine,
         tri_sons=tri_sons,
         new_vertex_parents=edges[hit],
-        seg_sons=tuple(seg_sons),
+        seg_sons=seg_sons,
         seg_father=seg_father,
+        fine_trace=fine_trace,
     )
     return fine, relation
-
-
-# ----------------------------------------------------------------------------
-# plain-text dumps
-
-
-def write_mesh(mesh: Mesh, path) -> None:
-    """Dump a mesh as plain text (vertex lines, then connectivity lines).
-
-    Format: first line ``nv nt``, followed by ``nv`` lines ``x y`` and
-    ``nt`` lines ``v0 v1 v2 refedge``.  The reference edge index is
-    always 0 under the storage normalization.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for v0, v1, v2 in mesh.triangles:
-            fh.write(f"{v0} {v1} {v2} 0\n")
-
-
-def read_mesh(path) -> Mesh:
-    with open(path) as fh:
-        nv, nt = map(int, fh.readline().split())
-        vertices = np.array([[float(v) for v in fh.readline().split()] for _ in range(nv)])
-        rows = [fh.readline().split() for _ in range(nt)]
-    tris = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in rows], dtype=np.int64)
-    ref = np.array([int(r[3]) for r in rows])
-    tris = _normalize_reference_edges(vertices, tris, ref)
-    return Mesh(vertices, tris)

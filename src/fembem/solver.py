@@ -176,10 +176,8 @@ class MeshHierarchy:
         nvc = relation.coarse.num_vertices
         active = np.zeros(fine.num_vertices, dtype=bool)
         active[nvc:] = True
-        refined = [sons for sons in relation.tri_sons if len(sons) > 1]
-        if refined:
-            touched = fine.triangles[np.concatenate(refined)]
-            active[touched.ravel()] = True
+        n_sons = np.bincount(fine.father, minlength=relation.coarse.num_triangles)
+        active[fine.triangles[n_sons[fine.father] > 1].ravel()] = True
         d = riesz_diagonal(fine)
         prolongation = relation.vertex_prolongation_matrix().tocsr()
         self._levels.append(

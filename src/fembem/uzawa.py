@@ -122,6 +122,11 @@ class UzawaDriver:
         self.observer = observer
         self.mesh = make_initial_mesh(self.problem.domain)
         self.bm = boundary_trace(self.mesh)
+        corners = self.mesh.vertices[self.bm.boundary_vertices]
+        diam = float(np.max(np.linalg.norm(corners[:, None] - corners[None], axis=-1)))
+        if diam >= 1.0:
+            raise ValueError(f"domain diameter {diam:.6g} is not below 1: the "
+                             "single-layer operator V is not elliptic")
         self.hierarchy = MeshHierarchy(self.mesh)
         nv, ns = self.mesh.num_vertices, self.bm.num_segments
         self.u = FeFunction(self.mesh, np.zeros(nv))
@@ -146,7 +151,7 @@ class UzawaDriver:
         if not np.array_equal(rel.seg_father, np.arange(self.bm.num_segments)):
             self.bem_ops = self.bem_precond = None
         self.mesh = fine
-        self.bm = boundary_trace(fine)
+        self.bm = rel.fine_trace
 
     # -- pieces of one outer step --------------------------------------------
 
@@ -209,7 +214,10 @@ class UzawaDriver:
             self._refine(np.zeros(0, dtype=np.int64), marked)
 
     def _fem_step(self, tol: float):
-        """Step [ii]: adaptive Riesz solve of the residual representer."""
+        """Step [ii]: adaptive Riesz solve of the residual representer.
+
+        Also returns the Riesz matrix of the final mesh, for ``h1_norm``.
+        """
         rounds = 0
         w_guess = self.w_carry
         while True:
@@ -227,12 +235,12 @@ class UzawaDriver:
                 self.observer(self, "fem", dict(eta2=eta2, alg2=alg2, w=w))
             if not np.isfinite(eta2.sum() + alg2):
                 self.flags.add("nonfinite")
-                return w, eta2, alg2, rounds
+                return w, eta2, alg2, rounds, R
             if eta2.sum() + alg2 <= tol ** 2:
-                return w, eta2, alg2, rounds
+                return w, eta2, alg2, rounds, R
             if self.mesh.num_triangles > self._inner_cap:
                 self.flags.add("inner_budget_exceeded")
-                return w, eta2, alg2, rounds
+                return w, eta2, alg2, rounds, R
             marked = doerfler_mark(eta2, self.config.theta)
             self.w_carry = w
             self._refine(marked, np.zeros(0, dtype=np.int64))
@@ -245,11 +253,11 @@ class UzawaDriver:
         step_flags = []
 
         mu2, bem_alg2, k_bem = self._bem_step(cfg.c_bem * self.eps)
-        w, eta2, fem_alg2, k_fem = self._fem_step(cfg.c_fem * self.eps)
+        w, eta2, fem_alg2, k_fem, riesz = self._fem_step(cfg.c_fem * self.eps)
 
         self.u = FeFunction(self.mesh, self.u.values + cfg.alpha * w.values)
         self.w_carry = w
-        w_norm = h1_norm(w)
+        w_norm = h1_norm(w, riesz=riesz)
 
         # contraction of the next tolerance
         if cfg.adaptive_gamma and self.prev_w_norm is not None and self.prev_w_norm > 0:

@@ -247,3 +247,9 @@ def test_energy_identity(lshape, rng):
         + (area * (grads ** 2).sum(axis=1)).sum()
     assert abs(energy - quad) <= 1e-12 * energy
     assert abs(h1_norm(u) - np.sqrt(energy)) <= 1e-13 * np.sqrt(energy)
+
+
+def test_h1_norm_with_prebuilt_riesz_matrix_is_bitwise_equal(lshape, rng):
+    mesh = uniform_refine(lshape, 2)
+    u = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
+    assert h1_norm(u, riesz=assemble_riesz(mesh)) == h1_norm(u)

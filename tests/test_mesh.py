@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import uniform_refine
-from fembem.mesh import (Mesh, boundary_trace, make_initial_mesh, read_mesh,
-                         refine_nvb, shape_regularity, write_mesh)
+from fembem.mesh import (Mesh, boundary_trace, make_initial_mesh, refine_nvb,
+                         shape_regularity)
 
 
 def single_triangle():
@@ -292,19 +292,72 @@ def test_vertex_prolongation_matrix_structure(lshape):
         assert row.sum() == 1.0
 
 
-def test_write_read_roundtrip(tmp_path, lshape):
+def test_edge_structure_is_cached_and_read_only(lshape):
     mesh = uniform_refine(lshape, 1)
-    path = tmp_path / "mesh.txt"
-    write_mesh(mesh, path)
-    back = read_mesh(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(np.sort(back.triangles, axis=1),
-                          np.sort(mesh.triangles, axis=1))
-    back.validate()
-    # refinement after the roundtrip stays well-posed
-    fine, _ = refine_nvb(back, np.arange(back.num_triangles))
-    fine.validate()
-    assert abs(fine.areas().sum() - mesh.areas().sum()) < 1e-14
+    first = mesh.edge_structure()
+    assert mesh.edge_structure() is first
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_edge_structure_rejects_nonconforming_mesh_on_every_call():
+    # three triangles sharing the edge 0--1
+    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]]),
+                np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-conforming"):
+            mesh.edge_structure()
+
+
+def _genealogy_by_loops(coarse, bm, fine, fine_trace):
+    """Fathers and sons found by geometry, one element or segment at a time."""
+    p = coarse.corners()
+    inv = np.linalg.inv(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2))
+    father = np.empty(fine.num_triangles, dtype=np.int64)
+    for s, x in enumerate(fine.corners().mean(axis=1)):
+        lam = np.einsum("tij,tj->ti", inv, x - p[:, 0])
+        inside = (lam.min(axis=1) > 0) & (lam.sum(axis=1) < 1)
+        (father[s],) = np.flatnonzero(inside)
+    tri_sons = [np.flatnonzero(father == t) for t in range(coarse.num_triangles)]
+    lookup = {(int(a), int(b)): k for k, (a, b) in enumerate(fine_trace.segments)}
+    seg_sons = []
+    seg_father = np.empty(fine_trace.num_segments, dtype=np.int64)
+    for k, (v0, v1) in enumerate(bm.segments.tolist()):
+        if (v0, v1) in lookup:
+            sons = [lookup[(v0, v1)]]
+        else:
+            mid = 0.5 * (fine.vertices[v0] + fine.vertices[v1])
+            (m,) = np.flatnonzero((fine.vertices == mid).all(axis=1))
+            sons = [lookup[(v0, int(m))], lookup[(int(m), v1)]]
+        seg_sons.append(np.array(sons, dtype=np.int64))
+        seg_father[sons] = k
+    return father, tri_sons, seg_sons, seg_father
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+def test_refinement_relation_matches_loop_reference(domain):
+    rng = np.random.default_rng(7)
+    mesh = make_initial_mesh(domain)
+    bm = boundary_trace(mesh)
+    for step in range(8):
+        marked = rng.choice(mesh.num_triangles, size=1 + mesh.num_triangles // 5,
+                            replace=False)
+        msegs = (rng.choice(bm.num_segments, size=2, replace=False)
+                 if step % 2 else ())
+        fine, rel = refine_nvb(mesh, marked, marked_segments=msegs, bmesh=bm)
+        ref = boundary_trace(fine)
+        assert rel.fine_trace.mesh is fine
+        for name in ("segments", "owner", "owner_edge", "boundary_vertices"):
+            assert np.array_equal(getattr(rel.fine_trace, name), getattr(ref, name))
+        father, tri_sons, seg_sons, seg_father = _genealogy_by_loops(mesh, bm, fine, ref)
+        assert np.array_equal(fine.father, father)
+        assert len(rel.tri_sons) == len(tri_sons)
+        assert all(np.array_equal(a, b) for a, b in zip(rel.tri_sons, tri_sons))
+        assert len(rel.seg_sons) == len(seg_sons)
+        assert all(np.array_equal(a, b) for a, b in zip(rel.seg_sons, seg_sons))
+        assert np.array_equal(rel.seg_father, seg_father)
+        mesh, bm = fine, rel.fine_trace
 
 
 @settings(max_examples=25, deadline=None)

@@ -203,6 +203,19 @@ def test_nonfinite_load_stops_with_its_own_reason():
     assert np.isnan(res.records[0].est_fem)
 
 
+def test_domain_of_diameter_one_or_more_is_rejected(monkeypatch):
+    import fembem.uzawa as uzawa
+    from fembem.mesh import Mesh, make_initial_mesh
+
+    def scaled_mesh(domain):
+        base = make_initial_mesh(domain)
+        return Mesh(4.0 * base.vertices, base.triangles)
+
+    monkeypatch.setattr(uzawa, "make_initial_mesh", scaled_mesh)
+    with pytest.raises(ValueError, match=r"diameter 2\.828"):
+        UzawaDriver(make_problem("laplace_lshape"), small_config())
+
+
 def test_bem_operators_built_once_per_boundary_geometry(monkeypatch):
     builds = []
 
