@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoundaryMesh, RefinementRelation
+from .mesh import BoundaryMesh
 
 __all__ = [
     "BemDensity",
     "BoundaryTrace",
     "BemOperators",
-    "trace_of",
     "nodal_interpolate_u0",
     "assemble_single_layer",
     "assemble_dl_rhs",
@@ -38,9 +37,7 @@ __all__ = [
     "integrate_trace",
     "double_layer_pointwise",
     "single_layer_pointwise",
-    "eval_residual_derivative",
     "hminushalf_error_surrogate",
-    "prolongate_density",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -89,25 +86,10 @@ class BoundaryTrace:
         return (g1 - g0) / self.bmesh.lengths()
 
 
-def trace_of(u, bmesh: BoundaryMesh) -> BoundaryTrace:
-    """Boundary trace of a P1 volume function."""
-    return BoundaryTrace(bmesh, np.asarray(u.values)[bmesh.boundary_vertices])
-
-
 def nodal_interpolate_u0(bmesh: BoundaryMesh, u0) -> BoundaryTrace:
     """Nodal interpolant of transmission data in the boundary vertices."""
     pts = bmesh.mesh.vertices[bmesh.boundary_vertices]
     return BoundaryTrace(bmesh, u0(pts))
-
-
-def prolongate_density(psi: BemDensity, relation: RefinementRelation,
-                       bmesh_fine: BoundaryMesh | None = None) -> BemDensity:
-    """Carry a piecewise-constant density to the refined trace (exact)."""
-    if psi.bmesh.num_segments != len(relation.seg_sons):
-        raise ValueError("density does not live on the coarse trace of the relation")
-    if bmesh_fine is None:
-        bmesh_fine = relation.fine_trace
-    return BemDensity(bmesh_fine, psi.values[relation.seg_father])
 
 
 # ----------------------------------------------------------------------------
@@ -115,11 +97,8 @@ def prolongate_density(psi: BemDensity, relation: RefinementRelation,
 
 
 def _frames(bmesh: BoundaryMesh):
-    a, b = bmesh.endpoints()
-    L = bmesh.lengths()
-    d = (b - a) / L[:, None]
-    n = np.stack([d[:, 1], -d[:, 0]], axis=1)
-    return a, d, n, L
+    """Start point, unit direction, unit normal and length of each panel."""
+    return bmesh.endpoints()[0], bmesh.tangents(), bmesh.normals(), bmesh.lengths()
 
 
 def _panel_coords(points, p0, d, n):
@@ -443,7 +422,6 @@ class BemOperators:
         ns, q = bmesh.num_segments, n_gauss
         self.n_gauss = q
         self.points, self.weights = bmesh.gauss_points(q)
-        tangents = bmesh.tangents()
         same = _same_line_matrix(p0, p1, d, n, L)
 
         J = np.empty((ns, ns))
@@ -457,7 +435,7 @@ class BemOperators:
             w = self.weights[r0:r1]
             J[r0:r1] = np.einsum("iq,iqj->ij", w, _single_layer_block(geo, L).reshape(shape))
             DL[r0:r1] = np.einsum("iq,iqj->ij", w, _dl_block(geo, L).reshape(shape))
-            tau = np.repeat(tangents[r0:r1], q, axis=0)
+            tau = np.repeat(d[r0:r1], q, axis=0)
             self.MK[rows], self.MV[rows] = _derivative_block(
                 geo, L, tau @ d.T, tau @ n.T, np.repeat(same[r0:r1], q, axis=0))
         self.V = _single_layer_from_gauss(J, p0, p1, d, n, L, same)
@@ -497,15 +475,6 @@ def assemble_single_layer(bmesh: BoundaryMesh, n_gauss: int = 4) -> np.ndarray:
 def assemble_dl_rhs(bmesh: BoundaryMesh, g: BoundaryTrace, n_gauss: int = 4) -> np.ndarray:
     """Galerkin right-hand side ``int_E (K - 1/2) g ds`` per segment."""
     return BemOperators(bmesh, n_gauss).dl_rhs(g)
-
-
-def eval_residual_derivative(bmesh: BoundaryMesh, psi, g: BoundaryTrace,
-                             n_gauss: int = 4):
-    """Arclength derivative of ``(K - 1/2) g - V psi`` at panel Gauss nodes.
-
-    See :meth:`BemOperators.residual_derivative`.
-    """
-    return BemOperators(bmesh, n_gauss).residual_derivative(psi, g)
 
 
 # ----------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +60,7 @@ def parse_config(path) -> UzawaConfig:
     number; a missing ``example`` key is an error.  Defaults follow the
     dataclass (theta 0.25, tau_rel 1e-3, ...).
     """
-    fields = {f.name: f for f in dataclasses.fields(UzawaConfig)}
-    types = {"alpha": float, "gamma": float, "eps1": float, "theta": float,
-             "tau_rel": float, "c_bem": float, "c_fem": float,
-             "target_nu": float, "budget_elements": int, "max_outer": int,
-             "mu_gauss": int, "adaptive_gamma": bool, "example": str,
-             "solver": str}
+    types = typing.get_type_hints(UzawaConfig)
     values = {}
     text = Path(path).read_text()
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -74,7 +70,7 @@ def parse_config(path) -> UzawaConfig:
         if "=" not in body:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {body!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in fields or key == "seed_values":
+        if key not in types:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
@@ -97,8 +93,6 @@ def write_csv(result: UzawaResult, config: UzawaConfig, path) -> None:
     """Deterministic convergence table; same run, same bytes."""
     lines = [f"# fembem experiment table, schema {SCHEMA_VERSION}"]
     for f in dataclasses.fields(UzawaConfig):
-        if f.name == "seed_values":
-            continue
         lines.append(f"# {f.name} = {getattr(config, f.name)}")
     lines.append(",".join(CSV_COLUMNS))
     for r in result.records:

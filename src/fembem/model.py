@@ -10,7 +10,7 @@ a pole inside the domain, so the exact interface density is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,7 +73,6 @@ class ProblemSpec:
     phi0: Callable                    # jump of fluxes, (points, normals) -> (n,)
     du0_ds: Callable                  # arclength derivative of u0, (points, tangents) -> (n,)
     exact: Optional[ExactData] = None
-    c_rad: float = 1.0
 
 
 # ----------------------------------------------------------------------------

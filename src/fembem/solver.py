@@ -21,15 +21,9 @@ __all__ = [
     "NotSpdError",
     "SolverBreakdownError",
     "CholeskyFactor",
-    "cholesky_solve",
     "PcgResult",
     "pcg",
-    "lambda_threshold",
-    "relative_threshold",
-    "algebraic_error_surrogate",
-    "IdentityPreconditioner",
     "JacobiPreconditioner",
-    "FactorizedPreconditioner",
     "MeshHierarchy",
     "LocalMultilevelDiagonal",
 ]
@@ -75,19 +69,8 @@ class CholeskyFactor:
         return self._solve(np.asarray(b, dtype=float))
 
 
-def cholesky_solve(matrix, rhs):
-    """One-shot SPD solve; raises :class:`NotSpdError` if not positive."""
-    return CholeskyFactor(matrix).solve(rhs)
-
-
 # ----------------------------------------------------------------------------
 # preconditioners
-
-
-@dataclass(frozen=True)
-class IdentityPreconditioner:
-    def apply(self, r):
-        return r
 
 
 @dataclass(frozen=True)
@@ -103,16 +86,6 @@ class JacobiPreconditioner:
 
     def apply(self, r):
         return self.inverse_diagonal * r
-
-
-class FactorizedPreconditioner:
-    """Exact application of the inverse; turns PCG into a direct method."""
-
-    def __init__(self, matrix):
-        self._factor = CholeskyFactor(matrix)
-
-    def apply(self, r):
-        return self._factor.solve(r)
 
 
 @dataclass(frozen=True)
@@ -206,29 +179,21 @@ class PcgResult:
         return self.p_energies[-1]
 
 
-def lambda_threshold(lam: float) -> float:
-    """Stop when the preconditioned residual energy drops by ``lam``."""
-    return float(lam)
-
-def relative_threshold(tau_rel: float) -> float:
-    """Stop at relative preconditioned residual ``tau_rel`` (energy ``tau^2``)."""
-    return float(tau_rel) ** 2
-
-
 def pcg(matrix, rhs, x0=None, preconditioner=None, rel_threshold=1e-12,
         max_iterations=10_000, record_iterates=False) -> PcgResult:
     """Preconditioned conjugate gradients with energy bookkeeping.
 
     Stops once ``r' P^{-1} r <= rel_threshold * (r0' P^{-1} r0)``; the
     recorded ``p_energies`` drive both stopping criteria of the inexact
-    outer iteration.  ``matrix`` may be dense, sparse, or a callable.
+    outer iteration.  ``matrix`` is a dense array or a sparse matrix;
+    ``preconditioner`` is any object with ``apply(r)``, the identity if
+    None.
     """
-    matvec = matrix if callable(matrix) else (lambda v: matrix @ v)
     b = np.asarray(rhs, dtype=float)
-    precond = preconditioner if preconditioner is not None else IdentityPreconditioner()
+    apply = preconditioner.apply if preconditioner is not None else (lambda v: v)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - matvec(x)
-    z = precond.apply(r)
+    r = b - matrix @ x
+    z = apply(r)
     rz = float(r @ z)
     if rz < 0.0:
         raise SolverBreakdownError("preconditioner is not positive definite")
@@ -239,14 +204,14 @@ def pcg(matrix, rhs, x0=None, preconditioner=None, rel_threshold=1e-12,
     threshold = rel_threshold * rz
     p = z.copy()
     for k in range(1, max_iterations + 1):
-        ap = matvec(p)
+        ap = matrix @ p
         curvature = float(p @ ap)
         if curvature <= 0.0:
             raise SolverBreakdownError("matrix is not positive definite along a search direction")
         alpha = rz / curvature
         x += alpha * p
         r -= alpha * ap
-        z = precond.apply(r)
+        z = apply(r)
         rz_new = float(r @ z)
         if rz_new < 0.0:
             raise SolverBreakdownError("preconditioner is not positive definite")
@@ -258,8 +223,3 @@ def pcg(matrix, rhs, x0=None, preconditioner=None, rel_threshold=1e-12,
         p = z + (rz_new / rz) * p
         rz = rz_new
     return PcgResult(x, max_iterations, energies, False, iterates)
-
-
-def algebraic_error_surrogate(result: PcgResult) -> float:
-    """Computable stand-in for the algebraic error: sqrt of ``r' P^{-1} r``."""
-    return float(np.sqrt(max(result.final_energy, 0.0)))

@@ -23,7 +23,7 @@ boundary segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,7 +64,6 @@ class UzawaConfig:
     target_nu: float = 0.0         # 0 disables the error-based stop
     max_outer: int = 1000
     mu_gauss: int = 4
-    seed_values: Optional[dict] = None
 
     def __post_init__(self):
         if self.solver not in ("pcg", "exact"):
@@ -73,8 +72,16 @@ class UzawaConfig:
             raise ValueError("theta out of (0, 1]")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma out of (0, 1)")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.tau_rel < 1.0:
+            raise ValueError("tau_rel out of (0, 1)")
+        for name in ("alpha", "eps1", "c_bem", "c_fem"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("budget_elements", "max_outer", "mu_gauss"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not self.target_nu >= 0.0:
+            raise ValueError("target_nu must not be negative")
 
 
 @dataclass

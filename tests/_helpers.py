@@ -4,6 +4,7 @@ import numpy as np
 
 from fembem.fem import FeFunction
 from fembem.mesh import boundary_trace, refine_nvb
+from fembem.solver import CholeskyFactor
 
 
 def uniform_refine(mesh, times=1):
@@ -33,6 +34,13 @@ def uniform_refine_boundary(mesh, times=1):
         bm = boundary_trace(mesh)
         relations.append(rel)
     return mesh, bm, relations
+
+
+class FactorizedPreconditioner:
+    """Exact application of the inverse; turns PCG into a direct method."""
+
+    def __init__(self, matrix):
+        self.apply = CholeskyFactor(matrix).solve
 
 
 def zero_fe(mesh):

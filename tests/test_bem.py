@@ -219,7 +219,7 @@ def test_residual_derivative_matches_finite_differences(lbm, rng):
     ns = lbm.num_segments
     psi = bem.BemDensity(lbm, rng.standard_normal(ns))
     g = bem.BoundaryTrace(lbm, rng.standard_normal(ns))
-    vals, rpts, _ = bem.eval_residual_derivative(lbm, psi, g, n_gauss=4)
+    vals, rpts, _ = bem.BemOperators(lbm, n_gauss=4).residual_derivative(psi, g)
     tgt = lbm.tangents()
     slopes = g.slopes()
     eps = 1e-6
@@ -240,9 +240,8 @@ def test_residual_derivative_matches_finite_differences(lbm, rng):
 
 def test_residual_derivative_constant_trace_vanishes(lbm):
     ns = lbm.num_segments
-    vals, _, _ = bem.eval_residual_derivative(
-        lbm, bem.BemDensity(lbm, np.zeros(ns)),
-        bem.BoundaryTrace(lbm, np.full(ns, 3.7)))
+    vals, _, _ = bem.BemOperators(lbm).residual_derivative(
+        bem.BemDensity(lbm, np.zeros(ns)), bem.BoundaryTrace(lbm, np.full(ns, 3.7)))
     assert np.abs(vals).max() <= 1e-12
 
 
@@ -303,7 +302,7 @@ def test_galerkin_solution_converges_for_interior_source():
 
 
 # ---------------------------------------------------------------------------
-# traces, densities, transfer, error surrogate
+# traces, densities, error surrogate
 
 
 def test_trace_containers_validate_length(lbm):
@@ -318,31 +317,12 @@ def test_trace_of_and_nodal_interpolation(lbm):
     mesh = lbm.mesh
     affine = lambda p: 1.0 + 2.0 * p[:, 0] - 0.5 * p[:, 1]
     u = FeFunction(mesh, affine(mesh.vertices))
-    tr = bem.trace_of(u, lbm)
+    tr = bem.BoundaryTrace(lbm, u.values[lbm.boundary_vertices])
     ni = bem.nodal_interpolate_u0(lbm, affine)
     assert np.array_equal(tr.values, ni.values)
     g0, g1 = tr.endpoint_values()
     assert np.array_equal(bem.integrate_trace(lbm, tr),
                           0.5 * lbm.lengths() * (g0 + g1))
-
-
-def test_prolongate_density_copies_father_values(rng):
-    mesh = make_initial_mesh("lshape")
-    bm = boundary_trace(mesh)
-    psi = bem.BemDensity(bm, rng.standard_normal(bm.num_segments))
-    fine, rel = refine_nvb(mesh, (), marked_segments=np.array([0, 3]), bmesh=bm)
-    bmf = boundary_trace(fine)
-    out = bem.prolongate_density(psi, rel, bmf)
-    assert len(rel.seg_sons) == bm.num_segments
-    assert bmf.num_segments > bm.num_segments
-    assert np.array_equal(out.values, psi.values[rel.seg_father])
-    # both sons of a split segment inherit the father value
-    for k, sons in enumerate(rel.seg_sons):
-        for s in sons:
-            assert out.values[s] == psi.values[k]
-    assert out.bmesh is bmf
-    with pytest.raises(ValueError, match="coarse trace"):
-        bem.prolongate_density(out, rel)
 
 
 def test_error_surrogate_exact_cases(lbm):

@@ -98,6 +98,16 @@ mu_gauss = 6
     ("example = laplace_lshape\ngamma = 1.0\n", r"gamma out of \(0, 1\)"),
     ("example = laplace_lshape\nsolver = foo\n",
      r"solver must be 'pcg' or 'exact'"),
+    ("example = laplace_lshape\neps1 = -1\n", r"eps1 must be positive"),
+    ("example = laplace_lshape\nc_bem = 0\n", r"c_bem must be positive"),
+    ("example = laplace_lshape\nc_fem = -0.5\n", r"c_fem must be positive"),
+    ("example = laplace_lshape\ntau_rel = 0\n", r"tau_rel out of \(0, 1\)"),
+    ("example = laplace_lshape\ntau_rel = 1\n", r"tau_rel out of \(0, 1\)"),
+    ("example = laplace_lshape\nmu_gauss = 0\n", r"mu_gauss must be at least 1"),
+    ("example = laplace_lshape\nbudget_elements = 0\n",
+     r"budget_elements must be at least 1"),
+    ("example = laplace_lshape\nmax_outer = 0\n", r"max_outer must be at least 1"),
+    ("example = laplace_lshape\ntarget_nu = -1\n", r"target_nu must not be negative"),
     ("alpha = 0.05\n", r"missing key: example"),
 ])
 def test_parse_config_error_messages(tmp_path, text, message):

@@ -149,7 +149,6 @@ def test_registry_names():
     for name in EXAMPLES:
         prob = make_problem(name)
         assert prob.name == name
-        assert prob.c_rad == 1.0
 
 
 def test_registry_rejects_unknown_name():

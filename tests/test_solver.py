@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _helpers import uniform_refine
+from _helpers import FactorizedPreconditioner, uniform_refine
 from fembem.fem import assemble_riesz, assemble_stiffness
 from fembem.mesh import refine_nvb
-from fembem.solver import (CholeskyFactor, FactorizedPreconditioner,
-                           IdentityPreconditioner, JacobiPreconditioner,
+from fembem.solver import (CholeskyFactor, JacobiPreconditioner,
                            LocalMultilevelDiagonal, MeshHierarchy, NotSpdError,
-                           PcgResult, SolverBreakdownError,
-                           algebraic_error_surrogate, cholesky_solve,
-                           lambda_threshold, pcg, relative_threshold)
+                           SolverBreakdownError, pcg)
 
 
 def random_spd(n, rng):
@@ -26,7 +23,7 @@ def random_spd(n, rng):
 
 def test_cholesky_solve_small_system():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    x = cholesky_solve(A, np.array([1.0, 1.0]))
+    x = CholeskyFactor(A).solve(np.array([1.0, 1.0]))
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
 
@@ -74,13 +71,6 @@ def test_pcg_exact_initial_guess_returns_immediately():
     assert res.final_energy == 0.0
 
 
-def test_pcg_callable_matvec(rng):
-    A = random_spd(12, rng)
-    b = rng.standard_normal(12)
-    res = pcg(lambda v: A @ v, b, rel_threshold=1e-24)
-    assert np.allclose(res.x, np.linalg.solve(A, b), rtol=1e-9)
-
-
 def test_pcg_max_iterations_reports_nonconvergence(rng):
     A = random_spd(30, rng)
     res = pcg(A, rng.standard_normal(30), max_iterations=2)
@@ -117,15 +107,10 @@ def test_pcg_breakdown_on_indefinite_preconditioner():
 # stopping rules
 
 
-def test_threshold_helpers_are_plain_numbers():
-    assert lambda_threshold(0.75) == 0.75
-    assert relative_threshold(1e-3) == 1e-6
-
-
 def test_relative_threshold_controls_residual_energy(rng):
     A = random_spd(40, rng)
     b = rng.standard_normal(40)
-    res = pcg(A, b, rel_threshold=relative_threshold(1e-3))
+    res = pcg(A, b, rel_threshold=1e-3 ** 2)
     assert res.converged
     assert res.final_energy <= 1e-6 * res.p_energies[0]
     assert res.p_energies[-2] > 1e-6 * res.p_energies[0]
@@ -143,7 +128,7 @@ def test_lambda_threshold_single_sweep_on_mass_matrix(lshape, rng):
     assert abs(ev[-1] / ev[0] - 4.0) <= 1e-12 * 4.0
     res = pcg(M, rng.standard_normal(mesh.num_vertices),
               preconditioner=JacobiPreconditioner.of(M),
-              rel_threshold=lambda_threshold(1.0 - ev[0] / ev[-1]))
+              rel_threshold=1.0 - ev[0] / ev[-1])
     assert res.converged and res.iterations == 1
     assert res.final_energy <= 0.75 * res.p_energies[0]
 
@@ -163,7 +148,7 @@ def test_exact_preconditioner_one_iteration_and_exact_surrogate(rng):
                max_iterations=0)
     x_star = np.linalg.solve(A, b)
     energy0 = float(x_star @ (A @ x_star))
-    assert abs(algebraic_error_surrogate(res0) ** 2 - energy0) <= 1e-10 * energy0
+    assert abs(res0.final_energy - energy0) <= 1e-10 * energy0
 
     # one step with the exact preconditioner drops both the true error
     # and the surrogate to roundoff level
@@ -171,7 +156,7 @@ def test_exact_preconditioner_one_iteration_and_exact_surrogate(rng):
                rel_threshold=0.0, max_iterations=1)
     e1 = x_star - res1.x
     assert float(e1 @ (A @ e1)) <= 1e-20 * energy0
-    assert algebraic_error_surrogate(res1) ** 2 <= 1e-20 * energy0
+    assert res1.final_energy <= 1e-20 * energy0
 
 
 def test_jacobi_surrogate_within_spectral_sandwich(lshape, rng):
@@ -187,14 +172,8 @@ def test_jacobi_surrogate_within_spectral_sandwich(lshape, rng):
         energy = float(e @ (A @ e))
         d = np.sqrt(A.diagonal())
         ev = np.linalg.eigvalsh(A.toarray() / (d[:, None] * d[None, :]))
-        s2 = algebraic_error_surrogate(res) ** 2
+        s2 = res.final_energy
         assert ev[0] * energy * (1 - 1e-10) <= s2 <= ev[-1] * energy * (1 + 1e-10)
-
-
-def test_identity_preconditioner_is_noop(rng):
-    r = rng.standard_normal(7)
-    assert np.array_equal(IdentityPreconditioner().apply(r), r)
-    assert isinstance(PcgResult(r, 0, [0.0], True), PcgResult)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +235,7 @@ def test_multilevel_preconditioned_pcg_converges(lshape, rng):
     A = assemble_riesz(mesh)
     b = rng.standard_normal(mesh.num_vertices)
     res = pcg(A, b, preconditioner=hierarchy.preconditioner(),
-              rel_threshold=relative_threshold(1e-8))
+              rel_threshold=1e-8 ** 2)
     assert res.converged and res.iterations <= 40
     x_direct = CholeskyFactor(A).solve(b)
     assert np.linalg.norm(res.x - x_direct) <= 1e-5 * np.linalg.norm(x_direct)

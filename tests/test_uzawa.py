@@ -1,6 +1,10 @@
 """Outer saddle-point iteration: tolerances, records, stopping, transfer."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,3 +282,20 @@ def test_result_containers():
                         rec.est_total, rec.w_norm]).all()
     assert res.psi.values.shape == (res.bmesh.num_segments,)
     assert res.u.values.shape == (res.mesh.num_vertices,)
+
+
+def test_benchmark_hooks_find_every_wrapped_name():
+    """``perfbench/spans.py`` wraps fembem callables by attribute name.
+
+    Installing its tracer fails with ``AttributeError`` as soon as one of
+    those names is deleted or renamed.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+        cwd=root / "perfbench", env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
