@@ -34,7 +34,7 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
             n_gauss: int = 2) -> np.ndarray:
     """Squared volume indicators, one per element.
 
-    eta(T)^2 = |T| * || f - b - c - w ||_{L2(T)}^2
+    eta(T)^2 = |T| * || f - w ||_{L2(T)}^2
              + |T|^(1/2) * sum_{E in dT \\ Gamma} || [(A grad u_prev + grad w) . n] ||_{L2(E)}^2
              + |T|^(1/2) * sum_{E in dT cap Gamma} || phi0 + phi_j - (A grad u_prev + grad w) . n ||_{L2(E)}^2
 
@@ -46,18 +46,12 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
 
     pts = rule.points(mesh).reshape(-1, 2)
     dens = f(pts).reshape(mesh.num_triangles, nq)
-    if operator.b_lower is not None:
-        gq = np.repeat(u_prev.element_gradients(), nq, axis=0)
-        dens = dens - operator.b_lower(pts, gq).reshape(dens.shape)
-    if operator.c_react is not None:
-        uq = u_prev.at_barycentric(rule.barycentric)
-        dens = dens - operator.c_react(pts, uq.reshape(-1)).reshape(dens.shape)
     dens = dens - w.at_barycentric(rule.barycentric)
     eta2 = area ** 2 * np.einsum("q,tq->t", rule.weights, dens ** 2)
 
     # total discrete flux, constant per element
     centroids = mesh.corners().mean(axis=1)
-    sigma = operator.a_flux(centroids, u_prev.element_gradients()) + w.element_gradients()
+    sigma = operator(centroids, u_prev.element_gradients()) + w.element_gradients()
 
     edges, tri2edge, edge2tri = mesh.edge_structure()
     evec = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
@@ -80,8 +74,7 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     nrm = np.repeat(bmesh.normals()[:, None, :], n_gauss, axis=1)
     rho = phi0(pts_b.reshape(-1, 2), nrm.reshape(-1, 2)).reshape(bmesh.num_segments, n_gauss)
     rho = rho + np.asarray(phi_j, float)[:, None]
-    rho = rho - np.einsum("sd,sqd->sq", sigma[bmesh.owner],
-                          np.repeat(bmesh.normals()[:, None, :], n_gauss, axis=1))
+    rho = rho - np.einsum("sd,sqd->sq", sigma[bmesh.owner], nrm)
     per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
     np.add.at(eta2, bmesh.owner, sqrt_area[bmesh.owner] * per_seg)
     return eta2

@@ -26,6 +26,7 @@ __all__ = [
     "riesz_diagonal",
     "volume_load",
     "boundary_load",
+    "apply_interior_operator",
     "assemble_w_rhs",
     "prolongate",
     "h1_error",
@@ -188,17 +189,32 @@ def boundary_load(bmesh: BoundaryMesh, values: np.ndarray, n_gauss: int = 4) -> 
     return out
 
 
+def apply_interior_operator(operator, u: FeFunction) -> np.ndarray:
+    """Vector of ``a(u; hat_i) = (A(grad u), grad hat_i)`` for a flux map ``A``.
+
+    ``operator(points (n,2), grads (n,2))`` returns the fluxes (n, 2).  P1
+    gradients are constant per element, so the flux is evaluated once at
+    each centroid and the form is exact.
+    """
+    mesh = u.mesh
+    area = mesh.areas()
+    centroids = mesh.corners().mean(axis=1)
+    flux = operator(centroids, u.element_gradients())     # (nt, 2), constant per element
+    contrib = np.einsum("td,tkd->tk", flux, _hat_gradients(mesh)) * area[:, None]
+    out = np.zeros(mesh.num_vertices)
+    np.add.at(out, mesh.triangles.reshape(-1), contrib.reshape(-1))
+    return out
+
+
 def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFunction,
                    operator, rule: TriangleRule = TRI_P5, n_gauss: int = 4) -> np.ndarray:
     """Right-hand side of the Riesz update problem.
 
     Functional ``v -> (f, v) + (phi0 + phi_j, v)_Gamma - a(u_prev; v)``
-    where ``a`` applies the (possibly nonlinear) interior operator.
+    where ``a`` applies the (possibly nonlinear) flux map ``operator``.
     ``phi_j`` is a piecewise-constant boundary density given by one value
     per segment of ``bmesh``; ``phi0`` is a callback ``(points, normals)``.
     """
-    from .model import apply_interior_operator
-
     if u_prev.mesh is not mesh and u_prev.mesh.num_vertices != mesh.num_vertices:
         raise ValueError("u_prev does not live on the given mesh")
     phi_j = np.asarray(phi_j, dtype=float)
@@ -210,7 +226,7 @@ def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFu
     vals = phi0(pts.reshape(-1, 2), nrm.reshape(-1, 2)).reshape(bmesh.num_segments, n_gauss)
     vals = vals + phi_j[:, None]
     rhs += boundary_load(bmesh, vals, n_gauss)
-    rhs -= apply_interior_operator(operator, u_prev, rule=rule)
+    rhs -= apply_interior_operator(operator, u_prev)
     return rhs
 
 

@@ -39,22 +39,18 @@ class Mesh:
     vertices    -- (nv, 2) float coordinates
     triangles   -- (nt, 3) int vertex ids, counterclockwise, reference
                    edge between the first two vertices
-    generation  -- (nt,) bisection generation of each element
     father      -- (nt,) element id in the previous mesh (-1 for roots)
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    generation: np.ndarray = None
     father: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _frozen(np.asarray(self.vertices, dtype=float)))
         object.__setattr__(self, "triangles", _frozen(np.asarray(self.triangles, dtype=np.int64)))
         nt = len(self.triangles)
-        gen = np.zeros(nt, dtype=np.int64) if self.generation is None else np.asarray(self.generation, dtype=np.int64)
         fat = np.full(nt, -1, dtype=np.int64) if self.father is None else np.asarray(self.father, dtype=np.int64)
-        object.__setattr__(self, "generation", _frozen(gen))
         object.__setattr__(self, "father", _frozen(fat))
 
     @property
@@ -382,45 +378,42 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     offset = np.concatenate([[0], np.cumsum(n_sons)])
     nt_new = int(offset[-1])
     tris = np.empty((nt_new, 3), dtype=np.int64)
-    gen = np.empty(nt_new, dtype=np.int64)
 
     t = mesh.triangles
     m0 = new_vertex_of_edge[tri2edge[:, 0]]
     m1 = new_vertex_of_edge[tri2edge[:, 1]]
     m2 = new_vertex_of_edge[tri2edge[:, 2]]
     a, b, c = t[:, 0], t[:, 1], t[:, 2]
-    g = mesh.generation
 
-    def put(rows, cols_abc, gens):
+    def put(rows, cols_abc):
         tris[rows] = np.stack(cols_abc, axis=1)
-        gen[rows] = gens
 
     sel = np.flatnonzero(pattern == 0)
     if len(sel):
-        put(offset[sel], (a[sel], b[sel], c[sel]), g[sel])
+        put(offset[sel], (a[sel], b[sel], c[sel]))
     sel = np.flatnonzero(pattern == 1)          # bisec1
     if len(sel):
-        put(offset[sel], (c[sel], a[sel], m0[sel]), g[sel] + 1)
-        put(offset[sel] + 1, (b[sel], c[sel], m0[sel]), g[sel] + 1)
+        put(offset[sel], (c[sel], a[sel], m0[sel]))
+        put(offset[sel] + 1, (b[sel], c[sel], m0[sel]))
     sel = np.flatnonzero(pattern == 3)          # edges 0 and 1
     if len(sel):
-        put(offset[sel], (c[sel], a[sel], m0[sel]), g[sel] + 1)
-        put(offset[sel] + 1, (m0[sel], b[sel], m1[sel]), g[sel] + 2)
-        put(offset[sel] + 2, (c[sel], m0[sel], m1[sel]), g[sel] + 2)
+        put(offset[sel], (c[sel], a[sel], m0[sel]))
+        put(offset[sel] + 1, (m0[sel], b[sel], m1[sel]))
+        put(offset[sel] + 2, (c[sel], m0[sel], m1[sel]))
     sel = np.flatnonzero(pattern == 5)          # edges 0 and 2
     if len(sel):
-        put(offset[sel], (m0[sel], c[sel], m2[sel]), g[sel] + 2)
-        put(offset[sel] + 1, (a[sel], m0[sel], m2[sel]), g[sel] + 2)
-        put(offset[sel] + 2, (b[sel], c[sel], m0[sel]), g[sel] + 1)
+        put(offset[sel], (m0[sel], c[sel], m2[sel]))
+        put(offset[sel] + 1, (a[sel], m0[sel], m2[sel]))
+        put(offset[sel] + 2, (b[sel], c[sel], m0[sel]))
     sel = np.flatnonzero(pattern == 7)          # all three edges
     if len(sel):
-        put(offset[sel], (m0[sel], c[sel], m2[sel]), g[sel] + 2)
-        put(offset[sel] + 1, (a[sel], m0[sel], m2[sel]), g[sel] + 2)
-        put(offset[sel] + 2, (m0[sel], b[sel], m1[sel]), g[sel] + 2)
-        put(offset[sel] + 3, (c[sel], m0[sel], m1[sel]), g[sel] + 2)
+        put(offset[sel], (m0[sel], c[sel], m2[sel]))
+        put(offset[sel] + 1, (a[sel], m0[sel], m2[sel]))
+        put(offset[sel] + 2, (m0[sel], b[sel], m1[sel]))
+        put(offset[sel] + 3, (c[sel], m0[sel], m1[sel]))
 
     father = np.repeat(np.arange(mesh.num_triangles), n_sons)
-    fine = Mesh(vertices, tris, gen, father)
+    fine = Mesh(vertices, tris, father)
     tri_sons = _split_runs(np.arange(nt_new), n_sons)
 
     # boundary segment genealogy: a coarse segment (v0, v1) keeps its

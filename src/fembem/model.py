@@ -1,4 +1,4 @@
-"""Problem data: interior operators, manufactured solutions, registry.
+"""Problem data: interior flux maps, manufactured solutions, registry.
 
 Every example couples an interior problem ``-div A(grad u) = f`` on a
 polygonal domain with an exterior Laplace field through transmission
@@ -15,37 +15,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fem import TRI_P5, FeFunction, TriangleRule, assemble_stiffness
+from .fem import FeFunction, apply_interior_operator, assemble_stiffness
 
 __all__ = [
-    "InteriorOperator",
     "ExactData",
     "ProblemSpec",
     "chi",
     "chi_prime",
     "make_problem",
     "EXAMPLES",
-    "apply_interior_operator",
     "monotonicity_probe",
 ]
 
 _POLE = np.array([-0.125, 0.125])
-
-
-@dataclass(frozen=True)
-class InteriorOperator:
-    """Flux map ``g -> A(x, g)`` plus optional lower-order terms.
-
-    All callbacks are vectorized: ``a_flux(points (n,2), grads (n,2))``
-    returns (n, 2); ``b_lower`` and ``c_react`` return (n,) and may be
-    None.  ``monotone`` / ``lipschitz`` record the constants of the map.
-    """
-
-    a_flux: Callable
-    b_lower: Optional[Callable] = None
-    c_react: Optional[Callable] = None
-    monotone: float = 1.0
-    lipschitz: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -67,7 +49,7 @@ class ProblemSpec:
 
     name: str
     domain: str
-    operator: InteriorOperator
+    operator: Callable                # flux map A, (points (n,2), grads (n,2)) -> (n,2)
     f: Callable                       # volume load, (n,2) -> (n,)
     u0: Callable                      # jump of traces, (n,2) -> (n,)
     phi0: Callable                    # jump of fluxes, (points, normals) -> (n,)
@@ -171,22 +153,28 @@ def _transmission_callbacks(exact: ExactData, flux_of_grad):
 
 def _laplace_lshape() -> ProblemSpec:
     exact = _exact_data(2.0 / 3.0)
-    op = InteriorOperator(a_flux=lambda x, g: np.asarray(g, float),
-                          monotone=1.0, lipschitz=1.0)
-    u0, phi0, du0 = _transmission_callbacks(exact, lambda x, g: g)
+
+    # A = I: strongly monotone and Lipschitz, both with constant 1
+    def a_flux(points, grads):
+        return np.asarray(grads, float)
+
+    u0, phi0, du0 = _transmission_callbacks(exact, a_flux)
     return ProblemSpec(
-        name="laplace_lshape", domain="lshape", operator=op,
+        name="laplace_lshape", domain="lshape", operator=a_flux,
         f=lambda x: np.zeros(len(np.atleast_2d(x))),
         u0=u0, phi0=phi0, du0_ds=du0, exact=exact)
 
 
 def _scaled_laplace_lshape() -> ProblemSpec:
     exact = _exact_data(2.0 / 3.0)
-    op = InteriorOperator(a_flux=lambda x, g: 0.1 * np.asarray(g, float),
-                          monotone=0.1, lipschitz=0.1)
-    u0, phi0, du0 = _transmission_callbacks(exact, lambda x, g: 0.1 * g)
+
+    # A = 0.1 I: strongly monotone and Lipschitz, both with constant 0.1
+    def a_flux(points, grads):
+        return 0.1 * np.asarray(grads, float)
+
+    u0, phi0, du0 = _transmission_callbacks(exact, a_flux)
     return ProblemSpec(
-        name="scaled_laplace_lshape", domain="lshape", operator=op,
+        name="scaled_laplace_lshape", domain="lshape", operator=a_flux,
         f=lambda x: np.zeros(len(np.atleast_2d(x))),
         u0=u0, phi0=phi0, du0_ds=du0, exact=exact)
 
@@ -195,12 +183,12 @@ def _nonlinear_zshape() -> ProblemSpec:
     beta = 4.0 / 7.0
     exact = _exact_data(beta)
 
+    # A = chi(|g|) g: strongly monotone with constant 1, Lipschitz with constant 2
     def a_flux(points, grads):
         g = np.asarray(grads, float)
         t = np.linalg.norm(g, axis=-1)
         return chi(t)[..., None] * g
 
-    op = InteriorOperator(a_flux=a_flux, monotone=1.0, lipschitz=2.0)
     u0, phi0, du0 = _transmission_callbacks(exact, a_flux)
 
     def f(points):
@@ -213,7 +201,7 @@ def _nonlinear_zshape() -> ProblemSpec:
             * np.cos(beta * phi)
 
     return ProblemSpec(
-        name="nonlinear_zshape", domain="zshape", operator=op,
+        name="nonlinear_zshape", domain="zshape", operator=a_flux,
         f=f, u0=u0, phi0=phi0, du0_ds=du0, exact=exact)
 
 
@@ -232,43 +220,10 @@ def make_problem(name: str) -> ProblemSpec:
 
 
 # ----------------------------------------------------------------------------
-# applying the interior operator to discrete functions
+# monotonicity of the flux map on discrete functions
 
 
-def apply_interior_operator(operator: InteriorOperator, u: FeFunction,
-                            rule: TriangleRule = TRI_P5) -> np.ndarray:
-    """Vector of ``a(u; hat_i) = (A(grad u), grad hat_i) + (b, hat_i) + (c(u), hat_i)``.
-
-    The flux term is exact for P1 (constant gradients); lower-order
-    terms use triangle quadrature.
-    """
-    from .fem import _hat_gradients
-
-    mesh = u.mesh
-    area = mesh.areas()
-    g = _hat_gradients(mesh)
-    grads = u.element_gradients()
-    centroids = mesh.corners().mean(axis=1)
-    flux = operator.a_flux(centroids, grads)          # (nt, 2), constant per element
-    contrib = np.einsum("td,tkd->tk", flux, g) * area[:, None]
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.triangles.reshape(-1), contrib.reshape(-1))
-
-    if operator.b_lower is not None or operator.c_react is not None:
-        pts = rule.points(mesh).reshape(-1, 2)
-        dens = np.zeros((mesh.num_triangles, len(rule.weights)))
-        if operator.b_lower is not None:
-            gq = np.repeat(grads, len(rule.weights), axis=0)
-            dens += operator.b_lower(pts, gq).reshape(dens.shape)
-        if operator.c_react is not None:
-            uq = u.at_barycentric(rule.barycentric)
-            dens += operator.c_react(pts, uq.reshape(-1)).reshape(dens.shape)
-        low = np.einsum("q,tq,qk->tk", rule.weights, dens, rule.barycentric) * area[:, None]
-        np.add.at(out, mesh.triangles.reshape(-1), low.reshape(-1))
-    return out
-
-
-def monotonicity_probe(operator: InteriorOperator, mesh, trials: int = 100,
+def monotonicity_probe(operator: Callable, mesh, trials: int = 100,
                        rng: np.random.Generator = None):
     """Empirical monotonicity/Lipschitz quotients of the flux map.
 

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import riesz_diagonal
+from .fem import assemble_riesz, riesz_diagonal
 from .mesh import Mesh, RefinementRelation
 
 __all__ = [
@@ -92,8 +92,7 @@ class JacobiPreconditioner:
 class _Level:
     prolongation: sp.csr_matrix | None  # from the previous level; None on level 0
     restriction: sp.csr_matrix | None   # its transpose, stored as CSR
-    inverse_diagonal: np.ndarray        # of the Riesz matrix, active vertices only
-    active: np.ndarray                  # bool mask of locally refined vertices
+    inverse_diagonal: np.ndarray        # of the Riesz matrix, zero off the active vertices
     coarse_factor: CholeskyFactor | None = None
 
 
@@ -117,8 +116,7 @@ class LocalMultilevelDiagonal:
         residuals.reverse()
         z = self.levels[0].coarse_factor.solve(residuals[0])
         for level, res in zip(self.levels[1:], residuals[1:]):
-            local = np.where(level.active, level.inverse_diagonal * res, 0.0)
-            z = level.prolongation @ z + local
+            z = level.prolongation @ z + level.inverse_diagonal * res
         return z
 
 
@@ -126,16 +124,14 @@ class MeshHierarchy:
     """Nested mesh sequence feeding the multilevel preconditioner.
 
     Grown with :meth:`push` as the adaptive loop refines; every level
-    caches its prolongation and restriction, Riesz diagonal, and active
-    vertex set.
+    caches its prolongation and restriction and its inverse Riesz
+    diagonal restricted to the active vertices.
     """
 
     def __init__(self, mesh: Mesh):
-        from .fem import assemble_riesz
-
         self.meshes = [mesh]
         d = riesz_diagonal(mesh)
-        self._levels = [_Level(None, None, 1.0 / d, np.ones(mesh.num_vertices, bool),
+        self._levels = [_Level(None, None, 1.0 / d,
                                CholeskyFactor(assemble_riesz(mesh).toarray()))]
 
     @property
@@ -151,10 +147,10 @@ class MeshHierarchy:
         active[nvc:] = True
         n_sons = np.bincount(fine.father, minlength=relation.coarse.num_triangles)
         active[fine.triangles[n_sons[fine.father] > 1].ravel()] = True
-        d = riesz_diagonal(fine)
+        inverse_diagonal = np.where(active, 1.0 / riesz_diagonal(fine), 0.0)
         prolongation = relation.vertex_prolongation_matrix().tocsr()
         self._levels.append(
-            _Level(prolongation, prolongation.T.tocsr(), 1.0 / d, active)
+            _Level(prolongation, prolongation.T.tocsr(), inverse_diagonal)
         )
         self.meshes.append(fine)
 

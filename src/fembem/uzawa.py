@@ -32,7 +32,7 @@ from . import bem
 from .estimate import EstimatorReport, doerfler_mark, eta_fem, global_nu, mu_bem
 from .fem import FeFunction, assemble_riesz, assemble_w_rhs, h1_error, h1_norm, prolongate
 from .mesh import boundary_trace, make_initial_mesh, refine_nvb
-from .model import ProblemSpec, make_problem
+from .model import EXAMPLES, ProblemSpec, make_problem
 from .solver import (CholeskyFactor, JacobiPreconditioner, MeshHierarchy, pcg)
 
 __all__ = [
@@ -66,6 +66,8 @@ class UzawaConfig:
     mu_gauss: int = 4
 
     def __post_init__(self):
+        if self.example not in EXAMPLES:
+            raise ValueError(f"unknown example {self.example!r}; known: {sorted(EXAMPLES)}")
         if self.solver not in ("pcg", "exact"):
             raise ValueError("solver must be 'pcg' or 'exact'")
         if not 0.0 < self.theta <= 1.0:
@@ -122,9 +124,9 @@ class UzawaResult:
 class UzawaDriver:
     """Stateful outer iteration; create one per run."""
 
-    def __init__(self, problem, config: UzawaConfig,
+    def __init__(self, problem: ProblemSpec, config: UzawaConfig,
                  observer: Optional[Callable] = None):
-        self.problem = problem if isinstance(problem, ProblemSpec) else make_problem(problem)
+        self.problem = problem
         self.config = config
         self.observer = observer
         self.mesh = make_initial_mesh(self.problem.domain)

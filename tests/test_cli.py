@@ -109,6 +109,7 @@ mu_gauss = 6
     ("example = laplace_lshape\nmax_outer = 0\n", r"max_outer must be at least 1"),
     ("example = laplace_lshape\ntarget_nu = -1\n", r"target_nu must not be negative"),
     ("alpha = 0.05\n", r"missing key: example"),
+    ("example = foo\n", r"unknown example 'foo'"),
 ])
 def test_parse_config_error_messages(tmp_path, text, message):
     with pytest.raises(ConfigError, match=message):

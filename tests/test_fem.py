@@ -9,14 +9,13 @@ from fembem.fem import (TRI_P5, TRI_P8, FeFunction, assemble_riesz,
                         h1_error, h1_norm, prolongate, riesz_diagonal,
                         volume_load)
 from fembem.mesh import Mesh, boundary_trace, make_initial_mesh, refine_nvb
-from fembem.model import InteriorOperator, make_problem
+from fembem.model import make_problem
 from fembem.solver import CholeskyFactor
 
 
-def riesz_operator():
-    """Interior operator whose form is exactly the Riesz bilinear form."""
-    return InteriorOperator(a_flux=lambda x, g: g,
-                            c_react=lambda x, v: v)
+def identity_flux(points, grads):
+    """Flux map A(g) = g, whose form is the stiffness bilinear form."""
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +114,15 @@ def test_boundary_load_of_one(lshape):
 def test_w_rhs_is_residual_of_solved_system(lshape):
     mesh = uniform_refine(lshape, 2)
     bm = boundary_trace(mesh)
-    op = riesz_operator()
     f = lambda x: np.cos(x[:, 0]) + x[:, 1]
     phi0 = lambda x, n: x[:, 0] * n[:, 0]
     psi = np.linspace(0.0, 1.0, bm.num_segments)
-    rhs = assemble_w_rhs(mesh, bm, f, phi0, psi, zero_fe(mesh), op)
+    rhs = assemble_w_rhs(mesh, bm, f, phi0, psi, zero_fe(mesh), identity_flux)
     x = CholeskyFactor(assemble_riesz(mesh)).solve(rhs)
-    # with u_prev = solution, the operator term subtracts exactly S @ x
-    resid = assemble_w_rhs(mesh, bm, f, phi0, psi, FeFunction(mesh, x), op)
-    assert np.abs(resid).max() <= 1e-10 * np.linalg.norm(rhs)
+    # with u_prev = solution, the operator term subtracts exactly K @ x
+    resid = assemble_w_rhs(mesh, bm, f, phi0, psi, FeFunction(mesh, x), identity_flux)
+    expected = rhs - assemble_stiffness(mesh) @ x
+    assert np.abs(resid - expected).max() <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_w_rhs_quadrature_refinement_smooth(zshape):
@@ -142,13 +141,12 @@ def test_w_rhs_quadrature_refinement_smooth(zshape):
 def test_w_rhs_validates_inputs(lshape):
     fine = uniform_refine(lshape, 1)
     bm = boundary_trace(fine)
-    op = riesz_operator()
     with pytest.raises(ValueError):
         assemble_w_rhs(fine, bm, f_one, phi0_zero, np.zeros(bm.num_segments),
-                       zero_fe(lshape), op)  # u_prev on the wrong mesh
+                       zero_fe(lshape), identity_flux)  # u_prev on the wrong mesh
     with pytest.raises(ValueError):
         assemble_w_rhs(fine, bm, f_one, phi0_zero,
-                       np.zeros(bm.num_segments + 1), zero_fe(fine), op)
+                       np.zeros(bm.num_segments + 1), zero_fe(fine), identity_flux)
 
 
 def test_galerkin_orthogonality(lshape):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from _helpers import uniform_refine
-from fembem.fem import FeFunction, assemble_stiffness
+from fembem.fem import FeFunction, apply_interior_operator, assemble_stiffness
 from fembem.mesh import boundary_trace, make_initial_mesh
-from fembem.model import (EXAMPLES, apply_interior_operator, chi, chi_prime,
-                          make_problem, monotonicity_probe)
+from fembem.model import EXAMPLES, chi, chi_prime, make_problem, monotonicity_probe
 
 # interior points of the L-shape / Z-shape, away from corner and boundary
 _INTERIOR_POINTS = np.array([
@@ -129,7 +128,7 @@ def test_jump_callbacks_are_consistent(name):
     du0 = prob.u0(pts) - (prob.exact.u(pts) - prob.exact.u_ext(pts))
     assert np.abs(du0).max() <= 1e-12
 
-    flux = prob.operator.a_flux(pts, prob.exact.grad_u(pts))
+    flux = prob.operator(pts, prob.exact.grad_u(pts))
     dphi0 = prob.phi0(pts, nrm) - (np.einsum("nd,nd->n", flux, nrm)
                                    - prob.exact.phi(pts, nrm))
     assert np.abs(dphi0).max() <= 1e-12
@@ -197,4 +196,3 @@ def test_monotonicity_probe_chi_operator(zshape):
                                 rng=np.random.default_rng(123))
     assert lo >= 1.0 - 1e-8
     assert hi <= 2.0 + 1e-8
-    assert op.monotone == 1.0 and op.lipschitz == 2.0
