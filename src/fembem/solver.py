@@ -91,48 +91,56 @@ class JacobiPreconditioner:
 @dataclass(frozen=True)
 class _Level:
     prolongation: sp.csr_matrix | None  # from the previous level; None on level 0
-    restriction: sp.csr_matrix | None   # its transpose, stored as CSR
-    inverse_diagonal: np.ndarray        # of the Riesz matrix, zero off the active vertices
-    coarse_factor: CholeskyFactor | None = None
 
 
 class LocalMultilevelDiagonal:
     """Additive multilevel diagonal scaling on locally refined vertices.
 
-    On each level the residual is restricted, scaled by the inverse
-    Riesz diagonal on the vertices whose patch changed during that
-    refinement, prolongated back and summed; the coarsest level is
-    solved exactly (it never outgrows the initial mesh).  Optimal for
-    newest-vertex bisection hierarchies.
+    The BPX form ``B r = C A0^{-1} C' r + Q (d * Q' r)``: C prolongates
+    from the coarsest to the finest level, each column of Q is the
+    prolongated hat function of one vertex that was active on its level
+    (new, or in a patch that refinement changed), and d holds the inverse
+    Riesz diagonal of each such hat function on its level.  The coarsest
+    level is solved exactly (it never outgrows the initial mesh).  The
+    basis ``[C Q]`` is one CSR matrix, so an apply costs two sparse
+    mat-vecs and a small dense solve however many levels there are.
+    Optimal for newest-vertex bisection hierarchies.
     """
 
-    def __init__(self, levels):
-        self.levels = list(levels)
+    def __init__(self, basis, coarse_factor, inverse_diagonal):
+        self._basis = basis
+        self._restriction = basis.T        # CSC view, no copy
+        self._coarse_factor = coarse_factor
+        self._inverse_diagonal = inverse_diagonal
+        self._n0 = basis.shape[1] - inverse_diagonal.size
 
     def apply(self, r):
-        residuals = [np.asarray(r, dtype=float)]
-        for level in reversed(self.levels[1:]):
-            residuals.append(level.restriction @ residuals[-1])
-        residuals.reverse()
-        z = self.levels[0].coarse_factor.solve(residuals[0])
-        for level, res in zip(self.levels[1:], residuals[1:]):
-            z = level.prolongation @ z + level.inverse_diagonal * res
-        return z
+        y = self._restriction @ np.asarray(r, dtype=float)
+        n0 = self._n0
+        y[:n0] = self._coarse_factor.solve(y[:n0])
+        y[n0:] *= self._inverse_diagonal
+        return self._basis @ y
 
 
 class MeshHierarchy:
     """Nested mesh sequence feeding the multilevel preconditioner.
 
-    Grown with :meth:`push` as the adaptive loop refines; every level
-    caches its prolongation and restriction and its inverse Riesz
-    diagonal restricted to the active vertices.
+    :meth:`push` records each refinement's prolongation P and fine mesh.
+    :meth:`preconditioner` folds the levels pushed since its last call
+    into the composite basis, ``C <- P C`` and ``Q <- [P Q | I[:, active]]``,
+    appends the inverse Riesz diagonal of the active vertices to d, and
+    returns one cached preconditioner until the next push; a run that
+    never asks for one (exact solves) does no composite work.
     """
 
     def __init__(self, mesh: Mesh):
         self.meshes = [mesh]
-        d = riesz_diagonal(mesh)
-        self._levels = [_Level(None, None, 1.0 / d,
-                               CholeskyFactor(assemble_riesz(mesh).toarray()))]
+        self._levels = [_Level(None)]
+        self._coarse_factor = CholeskyFactor(assemble_riesz(mesh).toarray())
+        self._basis = sp.identity(mesh.num_vertices, format="csr")
+        self._inverse_diagonal = np.zeros(0)
+        self._folded = 1                   # levels already in the basis
+        self._preconditioner = None
 
     @property
     def finest(self) -> Mesh:
@@ -141,21 +149,30 @@ class MeshHierarchy:
     def push(self, relation: RefinementRelation) -> None:
         if relation.coarse is not self.finest:
             raise ValueError("refinement does not start from the finest level")
-        fine = relation.fine
-        nvc = relation.coarse.num_vertices
-        active = np.zeros(fine.num_vertices, dtype=bool)
-        active[nvc:] = True
-        n_sons = np.bincount(fine.father, minlength=relation.coarse.num_triangles)
-        active[fine.triangles[n_sons[fine.father] > 1].ravel()] = True
-        inverse_diagonal = np.where(active, 1.0 / riesz_diagonal(fine), 0.0)
-        prolongation = relation.vertex_prolongation_matrix().tocsr()
-        self._levels.append(
-            _Level(prolongation, prolongation.T.tocsr(), inverse_diagonal)
-        )
-        self.meshes.append(fine)
+        self._levels.append(_Level(relation.vertex_prolongation_matrix().tocsr()))
+        self.meshes.append(relation.fine)
+        self._preconditioner = None
 
     def preconditioner(self) -> LocalMultilevelDiagonal:
-        return LocalMultilevelDiagonal(self._levels)
+        if self._preconditioner is None:
+            for k in range(self._folded, len(self._levels)):
+                self._fold(self.meshes[k - 1], self.meshes[k], self._levels[k].prolongation)
+            self._folded = len(self._levels)
+            self._preconditioner = LocalMultilevelDiagonal(
+                self._basis, self._coarse_factor, self._inverse_diagonal)
+        return self._preconditioner
+
+    def _fold(self, coarse: Mesh, fine: Mesh, prolongation) -> None:
+        active = np.zeros(fine.num_vertices, dtype=bool)
+        active[coarse.num_vertices:] = True
+        n_sons = np.bincount(fine.father, minlength=coarse.num_triangles)
+        active[fine.triangles[n_sons[fine.father] > 1].ravel()] = True
+        idx = np.flatnonzero(active)
+        hats = sp.csr_matrix((np.ones(idx.size), (idx, np.arange(idx.size))),
+                             shape=(fine.num_vertices, idx.size))
+        self._basis = sp.hstack([prolongation @ self._basis, hats], format="csr")
+        self._inverse_diagonal = np.concatenate(
+            [self._inverse_diagonal, 1.0 / riesz_diagonal(fine)[idx]])
 
 
 # ----------------------------------------------------------------------------
@@ -176,12 +193,15 @@ class PcgResult:
 
 
 def pcg(matrix, rhs, x0=None, preconditioner=None, rel_threshold=1e-12,
-        max_iterations=10_000, record_iterates=False) -> PcgResult:
+        abs_threshold=np.inf, max_iterations=10_000,
+        record_iterates=False) -> PcgResult:
     """Preconditioned conjugate gradients with energy bookkeeping.
 
-    Stops once ``r' P^{-1} r <= rel_threshold * (r0' P^{-1} r0)``; the
-    recorded ``p_energies`` drive both stopping criteria of the inexact
-    outer iteration.  ``matrix`` is a dense array or a sparse matrix;
+    Stops once ``r' P^{-1} r <= min(rel_threshold * (r0' P^{-1} r0),
+    abs_threshold)``; the recorded ``p_energies`` drive both stopping
+    criteria of the inexact outer iteration.  A non-finite initial energy
+    returns at once, unconverged and with that energy, since no iteration
+    can help.  ``matrix`` is a dense array or a sparse matrix;
     ``preconditioner`` is any object with ``apply(r)``, the identity if
     None.
     """
@@ -191,13 +211,15 @@ def pcg(matrix, rhs, x0=None, preconditioner=None, rel_threshold=1e-12,
     r = b - matrix @ x
     z = apply(r)
     rz = float(r @ z)
-    if rz < 0.0:
-        raise SolverBreakdownError("preconditioner is not positive definite")
     energies = [rz]
     iterates = [x.copy()] if record_iterates else []
+    if not np.isfinite(rz):
+        return PcgResult(x, 0, energies, False, iterates)
+    if rz < 0.0:
+        raise SolverBreakdownError("preconditioner is not positive definite")
     if rz == 0.0:
         return PcgResult(x, 0, energies, True, iterates)
-    threshold = rel_threshold * rz
+    threshold = min(rel_threshold * rz, abs_threshold)
     p = z.copy()
     for k in range(1, max_iterations + 1):
         ap = matrix @ p

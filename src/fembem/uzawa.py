@@ -179,18 +179,11 @@ class UzawaDriver:
         """
         if self.config.solver == "exact":
             return CholeskyFactor(matrix).solve(rhs), 0.0
-        r = rhs - matrix @ x0
-        z = precond.apply(r)
-        e0 = float(r @ z)
-        if not np.isfinite(e0):
-            # no iteration can help; the caller's estimator test sees the NaN
-            return np.array(x0, dtype=float), e0
-        if e0 <= 0.0:
-            return np.array(x0, dtype=float), 0.0
-        rel = min(self.config.tau_rel ** 2, 0.5 * abs_cap / e0)
         res = pcg(matrix, rhs, x0=x0, preconditioner=precond,
-                  rel_threshold=rel, max_iterations=2000)
-        if not res.converged:
+                  rel_threshold=self.config.tau_rel ** 2,
+                  abs_threshold=0.5 * abs_cap, max_iterations=2000)
+        # a non-finite start returns unconverged; the caller's estimator test sees the NaN
+        if not res.converged and np.isfinite(res.final_energy):
             self.flags.add("pcg_maxiter")
         return res.x, res.final_energy
 
@@ -235,8 +228,8 @@ class UzawaDriver:
             rhs = assemble_w_rhs(self.mesh, self.bm, self.problem.f,
                                  self.problem.phi0, self.psi_vals, self.u,
                                  self.problem.operator)
-            w_vals, alg2 = self._solve_spd(
-                R, rhs, w_guess.values, self.hierarchy.preconditioner(), tol ** 2)
+            precond = self.hierarchy.preconditioner() if self.config.solver == "pcg" else None
+            w_vals, alg2 = self._solve_spd(R, rhs, w_guess.values, precond, tol ** 2)
             w = FeFunction(self.mesh, w_vals)
             eta2 = eta_fem(self.mesh, self.bm, w, self.u, self.problem.f,
                            self.problem.phi0, self.psi_vals, self.problem.operator)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from _helpers import FactorizedPreconditioner, uniform_refine
 from fembem.fem import assemble_riesz, assemble_stiffness
-from fembem.mesh import refine_nvb
+from fembem.mesh import boundary_trace, make_initial_mesh, refine_nvb
 from fembem.solver import (CholeskyFactor, JacobiPreconditioner,
                            LocalMultilevelDiagonal, MeshHierarchy, NotSpdError,
                            SolverBreakdownError, pcg)
@@ -103,6 +103,12 @@ def test_pcg_breakdown_on_indefinite_preconditioner():
         pcg(np.eye(3), np.ones(3), preconditioner=NegatingPreconditioner())
 
 
+def test_pcg_returns_at_once_on_nonfinite_start():
+    res = pcg(np.eye(3), np.array([1.0, np.nan, 0.0]), max_iterations=50)
+    assert res.iterations == 0 and not res.converged
+    assert np.isnan(res.final_energy)
+
+
 # ---------------------------------------------------------------------------
 # stopping rules
 
@@ -114,6 +120,15 @@ def test_relative_threshold_controls_residual_energy(rng):
     assert res.converged
     assert res.final_energy <= 1e-6 * res.p_energies[0]
     assert res.p_energies[-2] > 1e-6 * res.p_energies[0]
+
+
+def test_absolute_threshold_caps_relative_one(rng):
+    A = random_spd(40, rng)
+    b = rng.standard_normal(40)
+    e0 = pcg(A, b, max_iterations=0).final_energy
+    res = pcg(A, b, rel_threshold=0.5, abs_threshold=1e-4 * e0)
+    assert res.converged
+    assert res.final_energy <= 1e-4 * e0 < res.p_energies[-2]
 
 
 def test_lambda_threshold_single_sweep_on_mass_matrix(lshape, rng):
@@ -217,13 +232,56 @@ def test_multilevel_apply_is_linear_and_symmetric(lshape, rng):
     assert abs(s1 - s2) <= 1e-12 * max(abs(s1), abs(s2))
 
 
-def test_hierarchy_caches_restriction_as_transpose(lshape, rng):
-    hierarchy = MeshHierarchy(lshape)
-    mesh, rel = refine_nvb(lshape, np.array([0, 1, 5]))
-    hierarchy.push(rel)
-    level = hierarchy.preconditioner().levels[-1]
-    r = rng.standard_normal(mesh.num_vertices)
-    assert np.array_equal(level.restriction @ r, level.prolongation.T @ r)
+def _per_level_reference(meshes, relations, r):
+    """``C A0^{-1} C' r + sum_l P_L..P_{l+1} D_l (P_L..P_{l+1})' r``, level by level.
+
+    D_l is the inverse Riesz diagonal of level l on its active vertices:
+    the new vertices and the vertices of the coarse elements that were
+    refined.
+    """
+    prolongations = [rel.vertex_prolongation_matrix() for rel in relations]
+    residuals = [r]
+    for p in reversed(prolongations):
+        residuals.append(p.T @ residuals[-1])
+    residuals.reverse()
+    z = np.linalg.solve(assemble_riesz(meshes[0]).toarray(), residuals[0])
+    for coarse, fine, p, res in zip(meshes, meshes[1:], prolongations, residuals[1:]):
+        refined = np.bincount(fine.father, minlength=coarse.num_triangles) > 1
+        active = np.zeros(fine.num_vertices, dtype=bool)
+        active[coarse.num_vertices:] = True
+        active[coarse.triangles[refined].ravel()] = True
+        z = p @ z + np.where(active, 1.0 / assemble_riesz(fine).diagonal(), 0.0) * res
+    return z
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+def test_composite_apply_matches_per_level_sum(domain):
+    rng = np.random.default_rng(11)
+    mesh = make_initial_mesh(domain)
+    bm = boundary_trace(mesh)
+    hierarchy = MeshHierarchy(mesh)
+    meshes, relations = [mesh], []
+    for step in range(7):
+        if step == 3:        # a level refined only through boundary segments
+            marked = np.zeros(0, dtype=np.int64)
+            msegs = rng.choice(bm.num_segments, size=3, replace=False)
+        else:
+            marked = rng.choice(mesh.num_triangles, size=1 + mesh.num_triangles // 6,
+                                replace=False)
+            msegs = ()
+        mesh, rel = refine_nvb(mesh, marked, marked_segments=msegs, bmesh=bm)
+        bm = rel.fine_trace
+        hierarchy.push(rel)
+        meshes.append(mesh)
+        relations.append(rel)
+        if step % 3 == 1:    # fold pending levels in batches of 2, 3 and 2
+            hierarchy.preconditioner()
+    pre = hierarchy.preconditioner()
+    assert hierarchy.preconditioner() is pre
+    for _ in range(3):
+        r = rng.standard_normal(mesh.num_vertices)
+        ref = _per_level_reference(meshes, relations, r)
+        assert np.abs(pre.apply(r) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_multilevel_preconditioned_pcg_converges(lshape, rng):

@@ -1,6 +1,7 @@
 """Outer saddle-point iteration: tolerances, records, stopping, transfer."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from fembem import bem
 from fembem.fem import h1_norm
 from fembem.model import make_problem
+from fembem.solver import SolverBreakdownError
 from fembem.uzawa import (UzawaConfig, UzawaDriver, UzawaResult,
                           UzawaStepRecord, run_experiment_config)
 
@@ -202,9 +204,20 @@ def test_nonfinite_load_stops_with_its_own_reason():
     assert res.stop_reason == "nonfinite"
     assert "nonfinite" in res.flags
     assert "inner_budget_exceeded" not in res.flags
+    assert "pcg_maxiter" not in res.flags
     assert res.num_outer == 1
     assert res.records[0].k_fem == 1
     assert np.isnan(res.records[0].est_fem)
+
+
+def test_negative_initial_energy_raises_breakdown():
+    class NegatingPreconditioner:
+        def apply(self, r):
+            return -r
+
+    drv = UzawaDriver(make_problem("laplace_lshape"), small_config(solver="pcg"))
+    with pytest.raises(SolverBreakdownError, match="preconditioner"):
+        drv._solve_spd(np.eye(3), np.ones(3), np.zeros(3), NegatingPreconditioner(), 1.0)
 
 
 def test_domain_of_diameter_one_or_more_is_rejected(monkeypatch):
@@ -284,11 +297,15 @@ def test_result_containers():
     assert res.u.values.shape == (res.mesh.num_vertices,)
 
 
-def test_benchmark_hooks_find_every_wrapped_name():
+def test_benchmark_hooks_find_every_wrapped_name(tmp_path):
     """``perfbench/spans.py`` wraps fembem callables by attribute name.
 
     Installing its tracer fails with ``AttributeError`` as soon as one of
-    those names is deleted or renamed.
+    those names is deleted or renamed.  One traced repetition of
+    ``perfbench/rep.py`` at a tiny budget then checks what the benchmark
+    reads from a run: the hierarchy's ``meshes``, and a multilevel apply
+    that the driver really calls (a wrapped name that is never called
+    would make its span read 0).
     """
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -299,3 +316,13 @@ def test_benchmark_hooks_find_every_wrapped_name():
         cwd=root / "perfbench", env=env, capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "rep.py"),
+         "--config", str(root / "scripts" / "configs" / "lshape_gamma095.cfg"),
+         "--budget", "300", "--tol", "10", "--csv", str(tmp_path / "run.csv"),
+         "--trace"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(proc.stdout)["layers"]
+    assert layers["solver.levels"] >= 2
+    assert layers["solver.multilevel_apply.calls"] > 0
