@@ -15,7 +15,9 @@ remainder integrated on a geometrically graded composite Gauss rule.
 Double-layer integrals of affine densities and the tangential
 derivatives of both potentials are closed-form per panel.
 :class:`BemOperators` evaluates all of these in one pass over the
-panel geometry and keeps them as matrices of the boundary mesh.
+panel geometry and keeps them as matrices of the boundary mesh; after a
+refinement it keeps the entries between unsplit segments and evaluates
+only the rows and columns of the new ones.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "BemDensity",
     "BoundaryTrace",
     "BemOperators",
-    "nodal_interpolate_u0",
     "assemble_single_layer",
     "assemble_dl_rhs",
     "integrate_double_layer",
@@ -84,12 +85,6 @@ class BoundaryTrace:
         """Arclength derivative per segment."""
         g0, g1 = self.endpoint_values()
         return (g1 - g0) / self.bmesh.lengths()
-
-
-def nodal_interpolate_u0(bmesh: BoundaryMesh, u0) -> BoundaryTrace:
-    """Nodal interpolant of transmission data in the boundary vertices."""
-    pts = bmesh.mesh.vertices[bmesh.boundary_vertices]
-    return BoundaryTrace(bmesh, u0(pts))
 
 
 # ----------------------------------------------------------------------------
@@ -164,12 +159,17 @@ def _psi_antiderivative(z):
     return 0.5 * z2 * _safe_log(z2) * 0.5 - 0.75 * z2
 
 
-def _same_line_matrix(p0, p1, d, n, L):
-    """Boolean (ns, ns) marking pairs of panels on one straight line."""
-    cross = np.abs(d[:, None, 0] * d[None, :, 1] - d[:, None, 1] * d[None, :, 0])
-    off0 = np.abs(np.einsum("id,jd->ij", n, p0) - np.einsum("id,id->i", n, p0)[:, None])
-    off1 = np.abs(np.einsum("id,jd->ij", n, p1) - np.einsum("id,id->i", n, p0)[:, None])
-    return (cross < _LINE_TOL) & (off0 < _LINE_TOL) & (off1 < _LINE_TOL)
+def _same_line(p0, p1, d, n, i, j):
+    """Whether panels ``i`` and ``j`` lie on one straight line.
+
+    ``i`` and ``j`` are panel index arrays broadcast against each other:
+    a column and a row of ids give a block of pairs.
+    """
+    def off(p):   # distance of an end of panel j from the line of panel i
+        return np.abs(n[i, 0] * (p[j, 0] - p0[i, 0]) + n[i, 1] * (p[j, 1] - p0[i, 1]))
+
+    cross = np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0])
+    return (cross < _LINE_TOL) & (off(p0) < _LINE_TOL) & (off(p1) < _LINE_TOL)
 
 
 def _collinear_double_integral(A2, B2, L1):
@@ -225,36 +225,49 @@ def _wedge_double_integrals(e1, L1, e2, L2):
     return gauss + exact
 
 
-def _single_layer_from_gauss(J, p0, p1, d, n, L, same):
-    """Galerkin single-layer matrix from its outer-Gauss double integrals ``J``.
+def _single_layer_from_gauss(Jr, Jc, rows, p0, p1, d, n, L):
+    """Rows ``rows`` of the Galerkin single-layer matrix from its Gauss values.
 
-    Symmetrizes, replaces same-line pairs by their closed form and
-    corner pairs by the graded wedge rule.  Exactly symmetric; positive
-    definite whenever diam(domain) < 1.
+    ``Jr = J[rows, :]`` and ``Jc = J[:, rows].T`` hold the outer-Gauss
+    double integrals of the pairs touching ``rows``.  These pairs are
+    symmetrized, same-line pairs get their closed form and corner pairs
+    the graded wedge rule; every value depends on its pair alone, so the
+    rows equal those of the whole matrix (all segments in ``rows``) bit
+    for bit.  Exactly symmetric; positive definite whenever
+    diam(domain) < 1.
     """
     ns = len(L)
-    J = 0.5 * (J + J.T)
+    k = np.arange(ns)
+    at = np.full(ns, -1)
+    at[rows] = np.arange(len(rows))
+    # R[a, j] is J[rows[a], j] and C[a, j] is J[j, rows[a]], step by step
+    R = 0.5 * (Jr + Jc)
+    C = R.copy()
 
     # panels on a common straight line: fully closed form
-    ii, jj = np.nonzero(same)
-    if len(ii):
+    def collinear(i, j):
         # coordinates of panel j in the arclength frame of panel i
-        A2 = np.einsum("kd,kd->k", p0[jj] - p0[ii], d[ii])
-        B2 = np.einsum("kd,kd->k", p1[jj] - p0[ii], d[ii])
-        J[ii, jj] = _collinear_double_integral(A2, B2, L[ii])
+        A2 = np.einsum("kd,kd->k", p0[j] - p0[i], d[i])
+        B2 = np.einsum("kd,kd->k", p1[j] - p0[i], d[i])
+        return _collinear_double_integral(A2, B2, L[i])
+
+    a, j = np.nonzero(_same_line(p0, p1, d, n, rows[:, None], k))
+    R[a, j] = collinear(rows[a], j)
+    j, a = np.nonzero(_same_line(p0, p1, d, n, k[:, None], rows))
+    C[a, j] = collinear(j, rows[a])
 
     # panels meeting at a corner (consecutive along the walk, oblique)
-    nxt = np.roll(np.arange(ns), -1)
-    oblique = ~same[np.arange(ns), nxt]
-    k = np.flatnonzero(oblique)
-    if len(k):
-        kn = nxt[k]
-        vals = _wedge_double_integrals(-d[k], L[k], d[kn], L[kn])
-        J[k, kn] = vals
-        J[kn, k] = vals
+    nxt = np.roll(k, -1)
+    pair = np.flatnonzero((at >= 0) | (at[nxt] >= 0))
+    kk = pair[~_same_line(p0, p1, d, n, pair, nxt[pair])]
+    if len(kk):
+        kn = nxt[kk]
+        vals = _wedge_double_integrals(-d[kk], L[kk], d[kn], L[kn])
+        for i, j in ((kk, kn), (kn, kk)):
+            m = at[i] >= 0
+            R[at[i[m]], j[m]] = C[at[i[m]], j[m]] = vals[m]
 
-    J = 0.5 * (J + J.T)
-    return -J / TWO_PI
+    return -(0.5 * (R + C)) / TWO_PI
 
 
 # ----------------------------------------------------------------------------
@@ -338,15 +351,30 @@ def _node_panel_geometry(x, p0, d, n, L):
     return s0, H, h, a, b, qa, qb, span, _safe_log(qa), _safe_log(qb)
 
 
-def _onto_vertices(c0, c1, L):
+def _onto_vertices(c0, c1, L, prev):
     """Vertex-value columns of panel coefficients of ``g0`` and the slope ``mu``.
 
     On panel p the affine trace is ``g0 + mu * s`` with ``g0 = g[p]`` and
     ``mu = (g[p+1] - g[p]) / L[p]``; this splits ``c0 * g0 + c1 * mu``
-    onto the columns p and p + 1.
+    onto the vertices p and p + 1.  Column k of the result is the vertex
+    at the start of the panel of column k, and ``prev[k]`` is the column
+    of the panel before it; columns whose previous panel is missing from
+    the block are not valid.
     """
     c1 = c1 / L[None, :]
-    return c0 - c1 + np.roll(c1, 1, axis=1)
+    return c0 - c1 + c1[:, prev]
+
+
+def _gauss_sum(w, block):
+    """``sum_q w[i, q] * block[i, q, j]``, added up in node order.
+
+    ``einsum`` changes its summation order with the block shape; this
+    gives an entry the same bits in every block it is computed in.
+    """
+    out = w[:, 0, None] * block[:, 0]
+    for k in range(1, block.shape[1]):
+        out += w[:, k, None] * block[:, k]
+    return out
 
 
 def _single_layer_block(geo, L):
@@ -355,7 +383,7 @@ def _single_layer_block(geo, L):
     return 0.5 * (b * lb - a * la) - L[None, :] + h * span
 
 
-def _dl_block(geo, L):
+def _dl_block(geo, L, prev):
     """Vertex-value coefficients of ``2 pi K g`` on one block.
 
     Same panel terms as ``_dl_panel_terms``; panels whose line contains
@@ -366,10 +394,10 @@ def _dl_block(geo, L):
     HA0 = np.sign(H) * span
     HA1 = 0.5 * H * (lb - la) + s0 * HA0
     on_line = h <= _LINE_TOL * np.maximum(L[None, :], 1.0)
-    return _onto_vertices(np.where(on_line, 0.0, HA0), np.where(on_line, 0.0, HA1), L)
+    return _onto_vertices(np.where(on_line, 0.0, HA0), np.where(on_line, 0.0, HA1), L, prev)
 
 
-def _derivative_block(geo, L, td, tn, on_line):
+def _derivative_block(geo, L, td, tn, on_line, prev):
     """Rows of ``MK`` and ``MV`` on one block.
 
     ``td`` and ``tn`` are the products of the tangent at each point with
@@ -392,15 +420,28 @@ def _derivative_block(geo, L, td, tn, on_line):
         tnH2 = 2.0 * H * H * tn
         c0 = tn * A0 + tdH * B1u - tnH2 * B0
         c1 = tn * A1 + tdH * (s0 * B1u + B2u) - tnH2 * (s0 * B0 + B1u)
-    dK = _onto_vertices(np.where(on_line, 0.0, c0), np.where(on_line, 0.0, c1), L)
+    dK = _onto_vertices(np.where(on_line, 0.0, c0), np.where(on_line, 0.0, c1), L, prev)
     return dK / TWO_PI, dV
 
 
-class BemOperators:
-    """Geometry-only BEM matrices of one boundary mesh.
+def _nodes(segs, q):
+    """Gauss-node rows of the segments ``segs``."""
+    return (segs[:, None] * q + np.arange(q)).reshape(-1)
 
-    One blocked pass over the (Gauss node x panel) pairs computes the
-    panel coordinates, the atan span and the logarithms once and fills
+
+def _carried(a, rows, cols):
+    """``a[rows][:, cols]``, gathered in row blocks so that one block is the only temporary."""
+    out = np.empty((len(rows), len(cols)))
+    for r0, r1 in _blocks(len(rows), len(cols), _BLOCK_ENTRIES):
+        out[r0:r1] = a[rows[r0:r1]][:, cols]
+    return out
+
+
+class BemOperators:
+    """Geometry-only BEM matrices of one boundary mesh ``bmesh``.
+
+    A blocked pass over (Gauss node x panel) pairs computes the panel
+    coordinates, the atan span and the logarithms once and fills
 
     * ``V`` (ns, ns): single-layer Galerkin matrix on P0;
     * ``DL`` (ns, ns): ``DL @ g`` is ``int_E (K - 1/2) g ds`` per segment
@@ -410,43 +451,128 @@ class BemOperators:
       ``MK @ g - MV @ psi - 1/2 dg/ds``.
 
     Nothing depends on data, so one object serves every density and
-    trace while the boundary is not refined.  ``n_gauss`` is the outer
-    quadrature of all of them.  Rows are built in segment-aligned blocks
-    of at most ``_BLOCK_ENTRIES`` entries, so only one block of
-    temporaries is alive at a time.
+    trace of its boundary mesh; the methods refuse those of another
+    geometry.  ``n_gauss`` is the outer quadrature of all of them.
+
+    Every entry depends only on the geometry of its pair: a segment or
+    Gauss node, and a panel (a vertex column of ``DL`` and ``MK`` on the
+    two panels at that vertex).  So :meth:`refine` carries the matrices
+    to a refined boundary, keeping each entry whose segment and panels
+    did not split, and :meth:`fill` computes only the rows and columns
+    of the new segments; a fresh object is that fill with every segment
+    new, and a refined one equals it bit for bit.  Rows are built in
+    segment-aligned blocks of at most ``_BLOCK_ENTRIES`` entries, so only
+    one block of temporaries is alive at a time.
     """
 
     def __init__(self, bmesh: BoundaryMesh, n_gauss: int = 4):
-        p0, d, n, L = _frames(bmesh)
-        p1 = p0 + L[:, None] * d
         ns, q = bmesh.num_segments, n_gauss
+        self.bmesh = bmesh
         self.n_gauss = q
         self.points, self.weights = bmesh.gauss_points(q)
-        same = _same_line_matrix(p0, p1, d, n, L)
-
-        J = np.empty((ns, ns))
-        DL = np.empty((ns, ns))
+        self.V = np.empty((ns, ns))
+        self.DL = np.empty((ns, ns))
         self.MK = np.empty((ns * q, ns))
         self.MV = np.empty((ns * q, ns))
-        for r0, r1 in _blocks(ns, ns * q, _BLOCK_ENTRIES):
-            rows = slice(r0 * q, r1 * q)
-            shape = (r1 - r0, q, ns)
-            geo = _node_panel_geometry(self.points[r0:r1].reshape(-1, 2), p0, d, n, L)
-            w = self.weights[r0:r1]
-            J[r0:r1] = np.einsum("iq,iqj->ij", w, _single_layer_block(geo, L).reshape(shape))
-            DL[r0:r1] = np.einsum("iq,iqj->ij", w, _dl_block(geo, L).reshape(shape))
-            tau = np.repeat(d[r0:r1], q, axis=0)
-            self.MK[rows], self.MV[rows] = _derivative_block(
-                geo, L, tau @ d.T, tau @ n.T, np.repeat(same[r0:r1], q, axis=0))
-        self.V = _single_layer_from_gauss(J, p0, p1, d, n, L, same)
-        k = np.arange(ns)
-        DL /= TWO_PI
-        DL[k, k] -= 0.25 * L
-        DL[k, np.roll(k, -1)] -= 0.25 * L
-        self.DL = DL
+        self._new = np.ones(ns, dtype=bool)     # segments whose rows and columns are unset
+        self.fill()
+
+    def refine(self, relation) -> None:
+        """Carry the matrices to the refined boundary ``relation.fine_trace``.
+
+        Every fine entry starts as the entry of its father segments; it
+        is exact when its segment and panels did not split (and were
+        filled), and the next :meth:`fill` recomputes all others.  Each
+        old matrix is released as soon as its successor is built.
+        """
+        if len(relation.seg_sons) != len(self._new):
+            raise ValueError("relation does not refine the boundary mesh of these operators")
+        father, q = relation.seg_father, self.n_gauss
+        nodes = _nodes(father, q)
+        self.MK = _carried(self.MK, nodes, father)
+        self.MV = _carried(self.MV, nodes, father)
+        self.V = _carried(self.V, father, father)
+        self.DL = _carried(self.DL, father, father)
+        split = np.bincount(father, minlength=len(self._new)) > 1
+        self._new = (self._new | split)[father]
+        self.bmesh = relation.fine_trace
+        self.points, self.weights = self.bmesh.gauss_points(q)
+
+    def fill(self) -> None:
+        """Compute the rows and columns of the segments new since the last fill."""
+        new = self._new
+        if not new.any():
+            return
+        p0, d, n, L = _frames(self.bmesh)
+        frames = p0, p0 + L[:, None] * d, d, n, L
+        k = np.arange(len(L))
+        nxt = np.roll(k, -1)
+        newv = new | np.roll(new, 1)           # vertex column v joins panels v - 1 and v
+        rows = np.flatnonzero(new)
+        # new rows meet every panel; kept rows the new panels and both
+        # panels at every new vertex column
+        self._fill_rows(rows, k, None, None, frames)
+        self._fill_rows(np.flatnonzero(~new), np.flatnonzero(newv | newv[nxt]),
+                        rows, np.flatnonzero(newv), frames)
+        Vr = _single_layer_from_gauss(self.V[rows], self.V[:, rows].T, rows, *frames)
+        self.V[rows] = Vr
+        self.V[:, rows] = Vr.T
+        # the jump term -1/2 g on the new entries (k, k) and (k, k + 1)
+        self.DL[k[newv], k[newv]] -= 0.25 * L[newv]
+        off = newv[nxt]
+        self.DL[k[off], nxt[off]] -= 0.25 * L[off]
+        self._new = np.zeros(len(L), dtype=bool)
+
+    def _fill_rows(self, segs, panels, cols, vcols, frames):
+        """Rows of ``segs`` against ``panels``, written to ``cols`` and ``vcols``.
+
+        ``V`` gets the unsymmetrized Gauss values of the panel columns
+        ``cols``, ``MV`` those columns too, and ``DL`` and ``MK`` the
+        vertex columns ``vcols``; ``panels`` holds ``cols`` and both
+        panels at each vertex of ``vcols``.  ``None`` columns are whole
+        rows, and then ``panels`` is every panel in order.
+        """
+        p0, p1, d, n, L = frames
+        q = self.n_gauss
+        at = np.full(len(L), -1)
+        at[panels] = np.arange(len(panels))
+        prev = at[panels - 1]      # -1, a panel not in the block, only in columns not read
+
+        def put(a, rows, cols, vals):   # a[rows x cols] = the columns cols of vals
+            if cols is None:
+                a[rows] = vals
+            else:
+                a[np.ix_(rows, cols)] = vals[:, at[cols]]
+
+        pp0, pd, pn, pL = p0[panels], d[panels], n[panels], L[panels]
+        for r0, r1 in _blocks(len(segs), len(panels) * q, _BLOCK_ENTRIES):
+            s = segs[r0:r1]
+            shape = (len(s), q, len(panels))
+            w = self.weights[s]
+            geo = _node_panel_geometry(self.points[s].reshape(-1, 2), pp0, pd, pn, pL)
+            J = _gauss_sum(w, _single_layer_block(geo, pL).reshape(shape))
+            DL = _gauss_sum(w, _dl_block(geo, pL, prev).reshape(shape))
+            tau = np.repeat(d[s], q, axis=0)
+            on_line = np.repeat(_same_line(p0, p1, d, n, s[:, None], panels), q, axis=0)
+            dK, dV = _derivative_block(geo, pL, tau @ pd.T, tau @ pn.T, on_line, prev)
+            nodes = _nodes(s, q)
+            put(self.V, s, cols, J)
+            put(self.DL, s, vcols, DL / TWO_PI)
+            put(self.MK, nodes, vcols, dK)
+            put(self.MV, nodes, cols, dV)
+
+    def check_mesh(self, bmesh: BoundaryMesh) -> None:
+        """Raise ``ValueError`` unless the matrices are filled for the geometry of ``bmesh``."""
+        if self._new.any():
+            raise ValueError("operators not filled since the last refinement")
+        own = self.bmesh
+        if bmesh is not own and not np.array_equal(own.mesh.vertices[own.segments],
+                                                    bmesh.mesh.vertices[bmesh.segments]):
+            raise ValueError("data of another boundary mesh than the operators'")
 
     def dl_rhs(self, g: BoundaryTrace) -> np.ndarray:
         """Galerkin right-hand side ``int_E (K - 1/2) g ds`` per segment."""
+        self.check_mesh(g.bmesh)
         return self.DL @ g.values
 
     def residual_derivative(self, psi, g: BoundaryTrace):
@@ -457,8 +583,11 @@ class BemOperators:
         residual indicator; Gauss nodes are interior, where the
         derivative is defined (it jumps at panel ends).
         """
-        psi_v = psi.values if isinstance(psi, BemDensity) else np.asarray(psi, float)
-        vals = (self.MK @ g.values - self.MV @ psi_v
+        self.check_mesh(g.bmesh)
+        if isinstance(psi, BemDensity):
+            self.check_mesh(psi.bmesh)
+            psi = psi.values
+        vals = (self.MK @ g.values - self.MV @ np.asarray(psi, float)
                 - 0.5 * np.repeat(g.slopes(), self.n_gauss))
         return vals.reshape(-1, self.n_gauss), self.points, self.weights
 

@@ -90,11 +90,13 @@ def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None, n_gauss: int = 4,
     where Pi is the panel-mean projection; the second term is the data
     oscillation of the interface jump and is skipped when ``du0_ds`` is
     None.  ``operators`` are prebuilt :class:`~fembem.bem.BemOperators`
-    of the geometry of ``bmesh``, whose quadrature then replaces
-    ``n_gauss``; without them they are built here.
+    of the geometry of ``bmesh`` (``ValueError`` otherwise), whose
+    quadrature then replaces ``n_gauss``; without them they are built
+    here.
     """
     if operators is None:
         operators = bem.BemOperators(bmesh, n_gauss)
+    operators.check_mesh(bmesh)
     n_gauss = operators.n_gauss
     vals, pts, wts = operators.residual_derivative(psi, g)
     lengths = bmesh.lengths()

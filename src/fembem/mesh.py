@@ -71,13 +71,6 @@ class Mesh:
         e2 = p[:, 2] - p[:, 0]
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
-    def diameters(self) -> np.ndarray:
-        p = self.corners()
-        d01 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-        d12 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-        d20 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-        return np.max(np.stack([d01, d12, d20], axis=1), axis=1)
-
     def edge_structure(self):
         """Unique (undirected) edges and the triangle->edge incidence.
 
@@ -113,6 +106,10 @@ class Mesh:
         cached = (_frozen(edges), _frozen(tri2edge), _frozen(edge2tri))
         object.__setattr__(self, "_edge_structure", cached)
         return cached
+
+    def drop_edge_structure(self) -> None:
+        """Forget the cached edge structure; the next call builds it again."""
+        self.__dict__.pop("_edge_structure", None)
 
     def validate(self) -> None:
         """Cheap structural checks used by the test-suite."""
@@ -314,7 +311,9 @@ def boundary_trace(mesh: Mesh) -> BoundaryMesh:
 
 def shape_regularity(mesh: Mesh) -> float:
     """max_T diam(T) / |T|^(1/2)."""
-    return float(np.max(mesh.diameters() / np.sqrt(mesh.areas())))
+    p = mesh.corners()
+    diam = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max(axis=1)
+    return float(np.max(diam / np.sqrt(mesh.areas())))
 
 
 # ----------------------------------------------------------------------------

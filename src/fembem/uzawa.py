@@ -16,9 +16,10 @@ The tolerances contract geometrically, either with a fixed factor or
 with the measured update-norm ratio (clamped below one).  Everything a
 later step reuses - the iterate, the latest update, the density - is
 carried through every refinement by prolongation, and the volume mesh
-hierarchy feeds the multilevel preconditioner.  The BEM operators of the
-boundary mesh are built once and kept until a refinement splits a
-boundary segment.
+hierarchy feeds the multilevel preconditioner.  The BEM operators are
+built once per run: a refinement that splits boundary segments carries
+every entry between unsplit segments to the refined boundary, and the
+next BEM round computes only the rows and columns of the new segments.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ class UzawaDriver:
         self.u = FeFunction(self.mesh, np.zeros(nv))
         self.w_carry = FeFunction(self.mesh, np.zeros(nv))
         self.psi_vals = np.zeros(ns)
-        self.bem_ops = None            # BemOperators of self.bm and their Jacobi scaling
-        self.bem_precond = None
+        self.bem_ops = None            # BemOperators of self.bm and their Jacobi
+        self.bem_precond = None        # scaling, None until the next BEM round fills them
         self.eps = config.eps1
         self.prev_w_norm = None
         self.flags: set = set()
@@ -154,11 +155,14 @@ class UzawaDriver:
         fine, rel = refine_nvb(self.mesh, marked_tris,
                                marked_segments=marked_segments, bmesh=self.bm)
         self.hierarchy.push(rel)
+        self.mesh.drop_edge_structure()    # kept by the hierarchy, which reads only its elements
         self.u = prolongate(self.u, rel)
         self.w_carry = prolongate(self.w_carry, rel)
         self.psi_vals = self.psi_vals[rel.seg_father]
         if not np.array_equal(rel.seg_father, np.arange(self.bm.num_segments)):
-            self.bem_ops = self.bem_precond = None
+            if self.bem_ops is not None:
+                self.bem_ops.refine(rel)
+            self.bem_precond = None
         self.mesh = fine
         self.bm = rel.fine_trace
 
@@ -192,8 +196,11 @@ class UzawaDriver:
         rounds = 0
         while True:
             rounds += 1
-            if self.bem_ops is None:
-                self.bem_ops = bem.BemOperators(self.bm, n_gauss=self.config.mu_gauss)
+            if self.bem_precond is None:         # the boundary is new
+                if self.bem_ops is None:
+                    self.bem_ops = bem.BemOperators(self.bm, n_gauss=self.config.mu_gauss)
+                else:
+                    self.bem_ops.fill()
                 self.bem_precond = JacobiPreconditioner.of(self.bem_ops.V)
             g = self._interface_gap()
             self.psi_vals, alg2 = self._solve_spd(

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from fembem.bem import BoundaryTrace
 from fembem.fem import FeFunction
 from fembem.mesh import boundary_trace, refine_nvb
 from fembem.solver import CholeskyFactor
@@ -34,6 +35,11 @@ def uniform_refine_boundary(mesh, times=1):
         bm = boundary_trace(mesh)
         relations.append(rel)
     return mesh, bm, relations
+
+
+def nodal_interpolate_u0(bmesh, u0):
+    """Nodal interpolant of transmission data in the boundary vertices."""
+    return BoundaryTrace(bmesh, u0(bmesh.mesh.vertices[bmesh.boundary_vertices]))
 
 
 class FactorizedPreconditioner:

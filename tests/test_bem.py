@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _helpers import uniform_refine_boundary
+from _helpers import nodal_interpolate_u0, uniform_refine_boundary
 from fembem import bem
 from fembem.mesh import boundary_trace, make_initial_mesh, refine_nvb
 
@@ -246,6 +246,97 @@ def test_residual_derivative_constant_trace_vanishes(lbm):
 
 
 # ---------------------------------------------------------------------------
+# operators carried through boundary refinements
+
+
+def assert_bitwise_equal(ops, fresh):
+    for name in ("V", "DL", "MK", "MV", "points", "weights"):
+        a, b = getattr(ops, name), getattr(fresh, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def boundary_marking(kind, ns, rng):
+    if kind == "first":
+        return [0]
+    if kind == "last":            # its sons start the wrap-around vertex column
+        return [ns - 1]
+    if kind == "neighbours":
+        k = int(rng.integers(ns - 1))
+        return [k, k + 1]
+    return rng.choice(ns, max(1, ns // 5), replace=False)
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+@pytest.mark.parametrize("n_gauss", [2, 4])
+@pytest.mark.parametrize("chain", [1, 3])
+def test_refined_operators_equal_fresh_bitwise(domain, n_gauss, chain):
+    """``refine`` + ``fill`` gives the very bits of a fresh build.
+
+    ``chain`` refinements run between two fills, so sons of segments
+    that were split but never filled are split again.  Random markings
+    also mark a few elements, whose closure may split more segments.
+    """
+    rng = np.random.default_rng(7 * n_gauss + chain)
+    mesh = make_initial_mesh(domain)
+    bm = boundary_trace(mesh)
+    ops = bem.BemOperators(bm, n_gauss)
+    for kind in ("first", "last", "neighbours", "random", "random", "last"):
+        for _ in range(chain):
+            tris = rng.choice(mesh.num_triangles, 2, replace=False) if kind == "random" else ()
+            mesh, rel = refine_nvb(mesh, tris, bmesh=bm,
+                                   marked_segments=boundary_marking(kind, bm.num_segments, rng))
+            ops.refine(rel)
+            bm = rel.fine_trace
+        ops.fill()
+        assert ops.bmesh is bm
+        assert_bitwise_equal(ops, bem.BemOperators(bm, n_gauss))
+
+
+def test_gauss_sum_has_the_same_bits_in_every_block(rng):
+    """A column sums its Gauss nodes in one order, whatever the block width."""
+    for q in (2, 4, 7):
+        w = rng.random((6, q))
+        block = rng.standard_normal((6, q, 9))
+        wide = bem._gauss_sum(w, block)
+        for j in range(9):
+            narrow = bem._gauss_sum(w, np.ascontiguousarray(block[:, :, j:j + 1]))
+            assert narrow[:, 0].tobytes() == wide[:, j].tobytes()
+
+
+def test_operators_refuse_data_of_another_boundary_mesh(lbm, rng):
+    from fembem.estimate import mu_bem
+    from fembem.mesh import Mesh
+
+    ns = lbm.num_segments
+    ops = bem.BemOperators(lbm)
+    # same segment count and walk, other geometry
+    other = boundary_trace(Mesh(0.5 * lbm.mesh.vertices, lbm.mesh.triangles))
+    assert other.num_segments == ns
+    g_other = bem.BoundaryTrace(other, rng.standard_normal(ns))
+    psi_other = bem.BemDensity(other, rng.standard_normal(ns))
+    g = bem.BoundaryTrace(lbm, g_other.values)
+    with pytest.raises(ValueError, match="another boundary mesh"):
+        ops.dl_rhs(g_other)
+    with pytest.raises(ValueError, match="another boundary mesh"):
+        ops.residual_derivative(psi_other, g)
+    with pytest.raises(ValueError, match="another boundary mesh"):
+        mu_bem(other, bem.BemDensity(lbm, psi_other.values), g, operators=ops)
+    # a trace of an equal geometry is accepted
+    twin = boundary_trace(lbm.mesh)
+    assert np.array_equal(ops.dl_rhs(bem.BoundaryTrace(twin, g.values)), ops.dl_rhs(g))
+
+    mesh, rel = refine_nvb(lbm.mesh, (), marked_segments=[0], bmesh=lbm)
+    ops.refine(rel)
+    fine = bem.BoundaryTrace(rel.fine_trace, np.zeros(rel.fine_trace.num_segments))
+    with pytest.raises(ValueError, match="not filled"):
+        ops.dl_rhs(fine)
+    ops.fill()
+    assert np.array_equal(ops.dl_rhs(fine), np.zeros(rel.fine_trace.num_segments))
+    with pytest.raises(ValueError, match="does not refine"):
+        ops.refine(rel)
+
+
+# ---------------------------------------------------------------------------
 # manufactured-solution consistency of the weakly-singular equation
 
 
@@ -261,7 +352,7 @@ def test_exterior_representation_residual_decays():
     bm = boundary_trace(mesh)
     mismatch = []
     for _ in range(4):
-        gh = bem.nodal_interpolate_u0(bm, u_ext)
+        gh = nodal_interpolate_u0(bm, u_ext)
         a, b = bm.endpoints()
         ph = bem.BemDensity(bm, phi_ext(0.5 * (a + b), bm.normals()))
         Vf = bem.assemble_single_layer(bm)
@@ -288,7 +379,7 @@ def test_galerkin_solution_converges_for_interior_source():
     bm = boundary_trace(mesh)
     errs = []
     for _ in range(5):
-        gh = bem.nodal_interpolate_u0(bm, w_int)
+        gh = nodal_interpolate_u0(bm, w_int)
         Vf = bem.assemble_single_layer(bm)
         rhs = bem.integrate_double_layer(bm, gh) + 0.5 * bem.integrate_trace(bm, gh)
         psi_h = np.linalg.solve(Vf, rhs)
@@ -318,7 +409,7 @@ def test_trace_of_and_nodal_interpolation(lbm):
     affine = lambda p: 1.0 + 2.0 * p[:, 0] - 0.5 * p[:, 1]
     u = FeFunction(mesh, affine(mesh.vertices))
     tr = bem.BoundaryTrace(lbm, u.values[lbm.boundary_vertices])
-    ni = bem.nodal_interpolate_u0(lbm, affine)
+    ni = nodal_interpolate_u0(lbm, affine)
     assert np.array_equal(tr.values, ni.values)
     g0, g1 = tr.endpoint_values()
     assert np.array_equal(bem.integrate_trace(lbm, tr),

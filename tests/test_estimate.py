@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import (f_one, phi0_zero, uniform_refine,
+from _helpers import (f_one, nodal_interpolate_u0, phi0_zero, uniform_refine,
                       uniform_refine_boundary, zero_fe)
 from fembem import bem
 from fembem.estimate import (EstimatorReport, doerfler_mark, eta_fem,
@@ -125,7 +125,7 @@ def test_mu_decays_along_galerkin_solutions():
     mus = []
     for _ in range(4):
         bm = boundary_trace(mesh)
-        g = bem.nodal_interpolate_u0(bm, exact.u_ext)
+        g = nodal_interpolate_u0(bm, exact.u_ext)
         V = bem.assemble_single_layer(bm)
         psi = CholeskyFactor(V).solve(bem.assemble_dl_rhs(bm, g))
         mu2 = mu_bem(bm, bem.BemDensity(bm, psi), g, du0_ds=du_ext)

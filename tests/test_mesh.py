@@ -301,6 +301,15 @@ def test_edge_structure_is_cached_and_read_only(lshape):
             arr[0] = 0
 
 
+def test_dropped_edge_structure_is_built_again(lshape):
+    mesh = uniform_refine(lshape, 1)
+    first = mesh.edge_structure()
+    mesh.drop_edge_structure()
+    again = mesh.edge_structure()
+    assert again is not first
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
 def test_edge_structure_rejects_nonconforming_mesh_on_every_call():
     # three triangles sharing the edge 0--1
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]]),

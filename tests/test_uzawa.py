@@ -234,12 +234,17 @@ def test_domain_of_diameter_one_or_more_is_rejected(monkeypatch):
 
 
 def test_bem_operators_built_once_per_boundary_geometry(monkeypatch):
-    builds = []
+    """One full build per run; every later boundary is a fill of the new rows."""
+    builds, fills = [], []
 
     class CountingOperators(bem.BemOperators):
         def __init__(self, bmesh, n_gauss=4):
             builds.append(bmesh.num_segments)
             super().__init__(bmesh, n_gauss)
+
+        def fill(self):
+            fills.append(self.bmesh.num_segments)
+            super().fill()
 
     monkeypatch.setattr(bem, "BemOperators", CountingOperators)
     geometries = set()
@@ -256,8 +261,42 @@ def test_bem_operators_built_once_per_boundary_geometry(monkeypatch):
                        budget_elements=300)
     res = run_experiment_config(cfg, observer=observer)
     assert res.stop_reason == "budget"
-    assert len(builds) == len(geometries)
-    assert len(builds) < rounds
+    assert len(builds) == 1
+    assert len(fills) == len(geometries) > 1
+    assert len(fills) < rounds
+
+
+@pytest.mark.parametrize("cfg", [
+    small_config(c_bem=0.5, c_fem=0.5, solver="pcg", budget_elements=600),
+    UzawaConfig(example="nonlinear_zshape", alpha=0.07, adaptive_gamma=True, eps1=5.0,
+                c_bem=0.1, c_fem=0.3, solver="exact", budget_elements=600),
+], ids=["lshape_pcg", "zshape_exact"])
+def test_carried_bem_operators_equal_a_fresh_build_in_every_round(monkeypatch, cfg):
+    """The operators a BEM round uses are bit for bit those of its boundary."""
+    refines = []
+    plain_refine = bem.BemOperators.refine
+
+    def counting_refine(self, relation):
+        refines.append(len(relation.seg_father))
+        plain_refine(self, relation)
+
+    monkeypatch.setattr(bem.BemOperators, "refine", counting_refine)
+    between = []          # refinements of the operators before each BEM round
+
+    def observer(driver, phase, payload):
+        if phase != "bem":
+            return
+        between.append(len(refines))
+        refines.clear()
+        ops = driver.bem_ops
+        fresh = bem.BemOperators(driver.bm, ops.n_gauss)
+        for name in ("V", "DL", "MK", "MV", "points", "weights"):
+            assert getattr(ops, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+    res = run_experiment_config(cfg, observer=observer)
+    assert res.stop_reason == "budget"
+    assert sum(n > 0 for n in between) >= 3
+    assert max(between) >= 2        # FEM rounds split the boundary more than once
 
 
 # ---------------------------------------------------------------------------
