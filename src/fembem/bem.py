@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoundaryMesh
+from .mesh import BoundaryMesh, gauss_legendre
 
 __all__ = [
     "BemDensity",
@@ -197,7 +197,7 @@ def _wedge_double_integrals(e1, L1, e2, L2):
     m = len(L1)
     cos = np.einsum("md,md->m", e1, e2)
     sin = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    xi, w = np.polynomial.legendre.leggauss(_WEDGE_NODES)
+    xi, w = gauss_legendre(_WEDGE_NODES)
     scale = np.minimum(L1, L2)
     bounds = np.minimum(scale[:, None] * (2.0 ** np.arange(_WEDGE_PIECES))[None, :],
                         L1[:, None])

@@ -39,8 +39,11 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
              + |T|^(1/2) * sum_{E in dT cap Gamma} || phi0 + phi_j - (A grad u_prev + grad w) . n ||_{L2(E)}^2
 
     For P1 functions the strong volume residual has no second-order
-    part, and normal-flux jumps are constant along each edge.
+    part, and normal-flux jumps are constant along each edge.  ``w`` and
+    ``u_prev`` must live on ``mesh`` (``ValueError`` otherwise).
     """
+    w.check_mesh(mesh, "w")
+    u_prev.check_mesh(mesh, "u_prev")
     area = mesh.areas()
     nq = len(rule.weights)
 
@@ -50,8 +53,7 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     eta2 = area ** 2 * np.einsum("q,tq->t", rule.weights, dens ** 2)
 
     # total discrete flux, constant per element
-    centroids = mesh.corners().mean(axis=1)
-    sigma = operator(centroids, u_prev.element_gradients()) + w.element_gradients()
+    sigma = operator(mesh.centroids(), u_prev.element_gradients()) + w.element_gradients()
 
     edges, tri2edge, edge2tri = mesh.edge_structure()
     evec = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]

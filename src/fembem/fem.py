@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .mesh import BoundaryMesh, Mesh, RefinementRelation
+from .mesh import BoundaryMesh, Mesh, RefinementRelation, gauss_legendre
 
 __all__ = [
     "FeFunction",
@@ -47,6 +47,16 @@ class FeFunction:
             raise ValueError("coefficient vector does not match the mesh")
         object.__setattr__(self, "values", v)
 
+    def check_mesh(self, mesh: Mesh, name: str) -> None:
+        """Raise ``ValueError`` unless this function lives on ``mesh``.
+
+        That is the same object, else one with equal vertices and triangles.
+        """
+        own = self.mesh
+        if own is not mesh and not (np.array_equal(own.vertices, mesh.vertices)
+                                    and np.array_equal(own.triangles, mesh.triangles)):
+            raise ValueError(f"{name} does not live on the given mesh")
+
     def element_gradients(self) -> np.ndarray:
         """(nt, 2) constant gradient per element."""
         g = _hat_gradients(self.mesh)                     # (nt, 3, 2)
@@ -57,16 +67,21 @@ class FeFunction:
         return self.values[self.mesh.triangles] @ lam.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleRule:
-    """Quadrature rule in barycentric coordinates; weights sum to one."""
+    """Quadrature rule in barycentric coordinates; weights sum to one.
+
+    Rules compare and hash by identity, so a mesh can keep the points of
+    each rule keyed by the rule itself.
+    """
 
     barycentric: np.ndarray   # (nq, 3)
     weights: np.ndarray       # (nq,)
 
     def points(self, mesh: Mesh) -> np.ndarray:
-        """Physical quadrature points, shape (nt, nq, 2)."""
-        return np.einsum("qk,tkd->tqd", self.barycentric, mesh.corners())
+        """Physical quadrature points, shape (nt, nq, 2), kept on the mesh."""
+        return mesh._derive(("points", self), lambda: np.einsum(
+            "qk,tkd->tqd", self.barycentric, mesh.corners()))
 
 
 def _sym3(a, w):
@@ -112,17 +127,19 @@ TRI_P8 = _make_tri_p8()
 
 
 def _hat_gradients(mesh: Mesh) -> np.ndarray:
-    """Gradients of the three barycentric hats per element, (nt, 3, 2)."""
-    p = mesh.corners()
-    area2 = 2.0 * mesh.areas()
-    if np.any(area2 <= 0):
-        raise ValueError("degenerate element in gradient computation")
-    g = np.empty((mesh.num_triangles, 3, 2))
-    for k in range(3):
-        e = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]   # edge opposite vertex k
-        g[:, k, 0] = -e[:, 1] / area2
-        g[:, k, 1] = e[:, 0] / area2
-    return g
+    """Gradients of the three barycentric hats per element, (nt, 3, 2), kept on the mesh."""
+    def build():
+        p = mesh.corners()
+        area2 = 2.0 * mesh.areas()
+        if np.any(area2 <= 0):
+            raise ValueError("degenerate element in gradient computation")
+        g = np.empty((mesh.num_triangles, 3, 2))
+        for k in range(3):
+            e = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]   # edge opposite vertex k
+            g[:, k, 0] = -e[:, 1] / area2
+            g[:, k, 1] = e[:, 0] / area2
+        return g
+    return mesh._derive("hat_gradients", build)
 
 
 def assemble_stiffness(mesh: Mesh) -> csr_matrix:
@@ -134,13 +151,15 @@ def assemble_stiffness(mesh: Mesh) -> csr_matrix:
 
 
 def assemble_riesz(mesh: Mesh) -> csr_matrix:
-    """Galerkin matrix of the H^1 inner product (stiffness + mass)."""
-    g = _hat_gradients(mesh)
-    area = mesh.areas()
-    loc = np.einsum("tid,tjd->tij", g, g) * area[:, None, None]
-    mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    loc = loc + mass[None, :, :] * area[:, None, None]
-    return _scatter(mesh, loc)
+    """Galerkin matrix of the H^1 inner product (stiffness + mass), kept read-only on the mesh."""
+    def build():
+        g = _hat_gradients(mesh)
+        area = mesh.areas()
+        loc = np.einsum("tid,tjd->tij", g, g) * area[:, None, None]
+        mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        loc = loc + mass[None, :, :] * area[:, None, None]
+        return _scatter(mesh, loc)
+    return mesh._derive("riesz", build)
 
 
 def _scatter(mesh: Mesh, loc: np.ndarray) -> csr_matrix:
@@ -179,7 +198,7 @@ def boundary_load(bmesh: BoundaryMesh, values: np.ndarray, n_gauss: int = 4) -> 
     nodes of :meth:`BoundaryMesh.gauss_points` with the same order.
     """
     pts, wts = bmesh.gauss_points(n_gauss)
-    xi, _ = np.polynomial.legendre.leggauss(n_gauss)
+    xi, _ = gauss_legendre(n_gauss)
     lam = 0.5 * (xi + 1.0)           # position of each node along the segment
     out = np.zeros(bmesh.mesh.num_vertices)
     c0 = np.einsum("sq,q,sq->s", wts, 1.0 - lam, np.asarray(values))
@@ -198,8 +217,7 @@ def apply_interior_operator(operator, u: FeFunction) -> np.ndarray:
     """
     mesh = u.mesh
     area = mesh.areas()
-    centroids = mesh.corners().mean(axis=1)
-    flux = operator(centroids, u.element_gradients())     # (nt, 2), constant per element
+    flux = operator(mesh.centroids(), u.element_gradients())   # (nt, 2), constant per element
     contrib = np.einsum("td,tkd->tk", flux, _hat_gradients(mesh)) * area[:, None]
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.triangles.reshape(-1), contrib.reshape(-1))
@@ -215,8 +233,7 @@ def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFu
     ``phi_j`` is a piecewise-constant boundary density given by one value
     per segment of ``bmesh``; ``phi0`` is a callback ``(points, normals)``.
     """
-    if u_prev.mesh is not mesh and u_prev.mesh.num_vertices != mesh.num_vertices:
-        raise ValueError("u_prev does not live on the given mesh")
+    u_prev.check_mesh(mesh, "u_prev")
     phi_j = np.asarray(phi_j, dtype=float)
     if phi_j.shape != (bmesh.num_segments,):
         raise ValueError("phi_j must hold one value per boundary segment")
@@ -252,10 +269,7 @@ def h1_error(u_h: FeFunction, u_exact, grad_exact, rule: TriangleRule = TRI_P5) 
     return float(np.sqrt(total))
 
 
-def h1_norm(u: FeFunction, riesz=None) -> float:
-    """Full H^1 norm (exact for P1, via the Riesz matrix).
-
-    ``riesz`` may pass the already assembled Riesz matrix of ``u.mesh``.
-    """
-    S = assemble_riesz(u.mesh) if riesz is None else riesz
+def h1_norm(u: FeFunction) -> float:
+    """Full H^1 norm (exact for P1, via the Riesz matrix of ``u.mesh``)."""
+    S = assemble_riesz(u.mesh)
     return float(np.sqrt(u.values @ (S @ u.values)))

@@ -12,6 +12,7 @@ sons and the new midpoint vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,13 +24,31 @@ __all__ = [
     "refine_nvb",
     "boundary_trace",
     "shape_regularity",
+    "gauss_legendre",
 ]
 
 
+def _read_only(fact):
+    """Mark every array of a derived fact read-only: an array, a tuple or a CSR matrix."""
+    if isinstance(fact, np.ndarray):
+        fact.setflags(write=False)
+    elif isinstance(fact, tuple):
+        for part in fact:
+            _read_only(part)
+    else:
+        for a in (fact.data, fact.indices, fact.indptr):
+            a.setflags(write=False)
+    return fact
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+    return _read_only(np.ascontiguousarray(a))
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
+    return _read_only(np.polynomial.legendre.leggauss(n))
 
 
 @dataclass(frozen=True)
@@ -40,6 +59,11 @@ class Mesh:
     triangles   -- (nt, 3) int vertex ids, counterclockwise, reference
                    edge between the first two vertices
     father      -- (nt,) element id in the previous mesh (-1 for roots)
+
+    Facts derived from these arrays are built on first use and kept,
+    read-only, on the mesh: corners, areas, centroids and the edge
+    structure here, the hat gradients, quadrature points and Riesz matrix
+    in :mod:`fembem.fem`.  :meth:`drop_derived` forgets all of them.
     """
 
     vertices: np.ndarray
@@ -61,15 +85,37 @@ class Mesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
+    def _derive(self, key, build):
+        """The derived fact ``key``: built by ``build()`` on the first call, then kept read-only.
+
+        Every fact of a mesh goes through here, so :meth:`drop_derived`
+        forgets all of them at once.
+        """
+        facts = self.__dict__.setdefault("_facts", {})
+        fact = facts.get(key)
+        if fact is None:
+            fact = facts[key] = _read_only(build())
+        return fact
+
+    def drop_derived(self) -> None:
+        """Forget every derived fact; the next call builds it again."""
+        self.__dict__.pop("_facts", None)
+
     def corners(self) -> np.ndarray:
         """Vertex coordinates per element, shape (nt, 3, 2)."""
-        return self.vertices[self.triangles]
+        return self._derive("corners", lambda: self.vertices[self.triangles])
 
     def areas(self) -> np.ndarray:
-        p = self.corners()
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        def build():
+            p = self.corners()
+            e1 = p[:, 1] - p[:, 0]
+            e2 = p[:, 2] - p[:, 0]
+            return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        return self._derive("areas", build)
+
+    def centroids(self) -> np.ndarray:
+        """Element centroids, shape (nt, 2)."""
+        return self._derive("centroids", lambda: self.corners().mean(axis=1))
 
     def edge_structure(self):
         """Unique (undirected) edges and the triangle->edge incidence.
@@ -78,15 +124,17 @@ class Mesh:
         with sorted vertex pairs, ``tri2edge`` is (nt, 3) with local edge
         k = (t[k], t[(k+1)%3]), and ``edge2tri`` is (ne, 2) holding the
         adjacent element ids (-1 on the second slot for boundary edges).
-        Built on the first call and kept, read-only, on the mesh.
         """
-        cached = self.__dict__.get("_edge_structure")
-        if cached is not None:
-            return cached
+        return self._derive("edge_structure", self._build_edge_structure)
+
+    def _build_edge_structure(self):
         t = self.triangles
+        nv = self.num_vertices
         raw = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
-        und = np.sort(raw, axis=1)
-        edges, tri2edge = np.unique(und, axis=0, return_inverse=True)
+        lo, hi = raw.min(axis=1), raw.max(axis=1)
+        # one integer per undirected edge; its order is the lexicographic order of (lo, hi)
+        keys, tri2edge = np.unique(lo * nv + hi, return_inverse=True)
+        edges = np.stack([keys // nv, keys % nv], axis=1)
         tri2edge = tri2edge.reshape(-1, 3)
         ne = len(edges)
         edge2tri = np.full((ne, 2), -1, dtype=np.int64)
@@ -103,13 +151,7 @@ class Mesh:
         edge2tri[:, 0] = tri_sorted[first]
         has2 = counts == 2
         edge2tri[has2, 1] = tri_sorted[last[has2] - 1]
-        cached = (_frozen(edges), _frozen(tri2edge), _frozen(edge2tri))
-        object.__setattr__(self, "_edge_structure", cached)
-        return cached
-
-    def drop_edge_structure(self) -> None:
-        """Forget the cached edge structure; the next call builds it again."""
-        self.__dict__.pop("_edge_structure", None)
+        return edges, tri2edge, edge2tri
 
     def validate(self) -> None:
         """Cheap structural checks used by the test-suite."""
@@ -174,7 +216,7 @@ class BoundaryMesh:
         Returns (points, weights) of shapes (ns, n, 2) and (ns, n); the
         weights of one segment sum to its length.
         """
-        xi, w = np.polynomial.legendre.leggauss(n)
+        xi, w = gauss_legendre(n)
         a, b = self.endpoints()
         lam = 0.5 * (xi + 1.0)
         pts = a[:, None, :] + lam[None, :, None] * (b - a)[:, None, :]
@@ -340,7 +382,7 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
 
     Returns ``(fine_mesh, relation)``.
     """
-    marked = np.asarray(sorted(set(int(m) for m in marked)), dtype=np.int64)
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
     if len(marked) and (marked.min() < 0 or marked.max() >= mesh.num_triangles):
         raise ValueError("marked element id out of range")
     edges, tri2edge, edge2tri = mesh.edge_structure()
@@ -348,7 +390,7 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     edge_marked = np.zeros(ne, dtype=bool)
     if len(marked):
         edge_marked[tri2edge[marked, 0]] = True
-    seg_ids = np.asarray(sorted(set(int(s) for s in marked_segments)), dtype=np.int64)
+    seg_ids = np.unique(np.asarray(marked_segments, dtype=np.int64))
     if len(seg_ids):
         if bmesh is None:
             bmesh = boundary_trace(mesh)

@@ -130,7 +130,9 @@ class MeshHierarchy:
     into the composite basis, ``C <- P C`` and ``Q <- [P Q | I[:, active]]``,
     appends the inverse Riesz diagonal of the active vertices to d, and
     returns one cached preconditioner until the next push; a run that
-    never asks for one (exact solves) does no composite work.
+    never asks for one (exact solves) does no composite work.  Only the
+    finest level keeps the facts its Riesz diagonal derived: the coarser
+    ones are kept for their elements alone.
     """
 
     def __init__(self, mesh: Mesh):
@@ -157,6 +159,7 @@ class MeshHierarchy:
         if self._preconditioner is None:
             for k in range(self._folded, len(self._levels)):
                 self._fold(self.meshes[k - 1], self.meshes[k], self._levels[k].prolongation)
+                self.meshes[k - 1].drop_derived()
             self._folded = len(self._levels)
             self._preconditioner = LocalMultilevelDiagonal(
                 self._basis, self._coarse_factor, self._inverse_diagonal)

@@ -155,7 +155,7 @@ class UzawaDriver:
         fine, rel = refine_nvb(self.mesh, marked_tris,
                                marked_segments=marked_segments, bmesh=self.bm)
         self.hierarchy.push(rel)
-        self.mesh.drop_edge_structure()    # kept by the hierarchy, which reads only its elements
+        self.mesh.drop_derived()    # kept by the hierarchy, which reads only its elements
         self.u = prolongate(self.u, rel)
         self.w_carry = prolongate(self.w_carry, rel)
         self.psi_vals = self.psi_vals[rel.seg_father]
@@ -223,10 +223,7 @@ class UzawaDriver:
             self._refine(np.zeros(0, dtype=np.int64), marked)
 
     def _fem_step(self, tol: float):
-        """Step [ii]: adaptive Riesz solve of the residual representer.
-
-        Also returns the Riesz matrix of the final mesh, for ``h1_norm``.
-        """
+        """Step [ii]: adaptive Riesz solve of the residual representer."""
         rounds = 0
         w_guess = self.w_carry
         while True:
@@ -244,12 +241,12 @@ class UzawaDriver:
                 self.observer(self, "fem", dict(eta2=eta2, alg2=alg2, w=w))
             if not np.isfinite(eta2.sum() + alg2):
                 self.flags.add("nonfinite")
-                return w, eta2, alg2, rounds, R
+                return w, eta2, alg2, rounds
             if eta2.sum() + alg2 <= tol ** 2:
-                return w, eta2, alg2, rounds, R
+                return w, eta2, alg2, rounds
             if self.mesh.num_triangles > self._inner_cap:
                 self.flags.add("inner_budget_exceeded")
-                return w, eta2, alg2, rounds, R
+                return w, eta2, alg2, rounds
             marked = doerfler_mark(eta2, self.config.theta)
             self.w_carry = w
             self._refine(marked, np.zeros(0, dtype=np.int64))
@@ -262,11 +259,11 @@ class UzawaDriver:
         step_flags = []
 
         mu2, bem_alg2, k_bem = self._bem_step(cfg.c_bem * self.eps)
-        w, eta2, fem_alg2, k_fem, riesz = self._fem_step(cfg.c_fem * self.eps)
+        w, eta2, fem_alg2, k_fem = self._fem_step(cfg.c_fem * self.eps)
 
         self.u = FeFunction(self.mesh, self.u.values + cfg.alpha * w.values)
         self.w_carry = w
-        w_norm = h1_norm(w, riesz=riesz)
+        w_norm = h1_norm(w)
 
         # contraction of the next tolerance
         if cfg.adaptive_gamma and self.prev_w_norm is not None and self.prev_w_norm > 0:

@@ -4,7 +4,7 @@ import numpy as np
 
 from fembem.bem import BoundaryTrace
 from fembem.fem import FeFunction
-from fembem.mesh import boundary_trace, refine_nvb
+from fembem.mesh import boundary_trace, make_initial_mesh, refine_nvb
 from fembem.solver import CholeskyFactor
 
 
@@ -13,6 +13,22 @@ def uniform_refine(mesh, times=1):
     for _ in range(times):
         mesh, _ = refine_nvb(mesh, np.arange(mesh.num_triangles))
     return mesh
+
+
+def random_nvb_mesh(domain, seed, rounds=4):
+    """Initial mesh of ``domain`` refined ``rounds`` times at random elements and segments."""
+    rng = np.random.default_rng(seed)
+    mesh = make_initial_mesh(domain)
+    for _ in range(rounds):
+        nt, ns = mesh.num_triangles, boundary_trace(mesh).num_segments
+        mesh, _ = refine_nvb(mesh, rng.choice(nt, size=nt // 4 + 1, replace=False),
+                             marked_segments=rng.choice(ns, size=2, replace=False))
+    return mesh
+
+
+def derived_facts(mesh):
+    """Keys of the derived facts a mesh holds."""
+    return sorted(map(str, vars(mesh).get("_facts", {})))
 
 
 def uniform_refine_relations(mesh, times=1):

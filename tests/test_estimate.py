@@ -12,8 +12,8 @@ from _helpers import (f_one, nodal_interpolate_u0, phi0_zero, uniform_refine,
 from fembem import bem
 from fembem.estimate import (EstimatorReport, doerfler_mark, eta_fem,
                              global_nu, mu_bem)
-from fembem.fem import FeFunction, assemble_riesz, volume_load
-from fembem.mesh import boundary_trace, make_initial_mesh
+from fembem.fem import FeFunction, assemble_riesz, assemble_w_rhs, volume_load
+from fembem.mesh import Mesh, boundary_trace, make_initial_mesh
 from fembem.model import make_problem
 from fembem.solver import CholeskyFactor
 
@@ -55,6 +55,27 @@ def test_eta_vanishes_for_affine_solution_with_matched_data(lshape):
     eta2 = eta_fem(mesh, bm, w, zero_fe(mesh), f, phi0,
                    np.zeros(bm.num_segments), LAPLACE_OP)
     assert eta2.sum() <= 1e-28
+
+
+def test_functions_of_another_mesh_are_rejected(lshape):
+    """``w`` and ``u_prev`` must live on the mesh: the same object, else equal arrays."""
+    mesh = uniform_refine(lshape, 1)
+    bm = boundary_trace(mesh)
+    psi = np.zeros(bm.num_segments)
+    # the same vertices, every element listed from another corner
+    other = Mesh(mesh.vertices, np.roll(mesh.triangles, 1, axis=1))
+    twin = Mesh(mesh.vertices, mesh.triangles)
+    own, foreign, copy = zero_fe(mesh), zero_fe(other), zero_fe(twin)
+    with pytest.raises(ValueError, match="u_prev does not live"):
+        assemble_w_rhs(mesh, bm, f_one, phi0_zero, psi, foreign, LAPLACE_OP)
+    with pytest.raises(ValueError, match="w does not live"):
+        eta_fem(mesh, bm, foreign, own, f_one, phi0_zero, psi, LAPLACE_OP)
+    with pytest.raises(ValueError, match="u_prev does not live"):
+        eta_fem(mesh, bm, own, foreign, f_one, phi0_zero, psi, LAPLACE_OP)
+    ref = eta_fem(mesh, bm, own, own, f_one, phi0_zero, psi, LAPLACE_OP)
+    assert np.array_equal(eta_fem(mesh, bm, copy, copy, f_one, phi0_zero, psi, LAPLACE_OP), ref)
+    assert np.array_equal(assemble_w_rhs(mesh, bm, f_one, phi0_zero, psi, copy, LAPLACE_OP),
+                          assemble_w_rhs(mesh, bm, f_one, phi0_zero, psi, own, LAPLACE_OP))
 
 
 def test_eta_boundary_term_closed_form(lshape):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from _helpers import f_one, phi0_zero, uniform_refine, zero_fe
-from fembem.fem import (TRI_P5, TRI_P8, FeFunction, assemble_riesz,
-                        assemble_stiffness, assemble_w_rhs, boundary_load,
-                        h1_error, h1_norm, prolongate, riesz_diagonal,
-                        volume_load)
+from _helpers import (derived_facts, f_one, phi0_zero, random_nvb_mesh,
+                      uniform_refine, zero_fe)
+from fembem.fem import (TRI_P5, TRI_P8, FeFunction, _hat_gradients,
+                        assemble_riesz, assemble_stiffness, assemble_w_rhs,
+                        boundary_load, h1_error, h1_norm, prolongate,
+                        riesz_diagonal, volume_load)
 from fembem.mesh import Mesh, boundary_trace, make_initial_mesh, refine_nvb
 from fembem.model import make_problem
 from fembem.solver import CholeskyFactor
@@ -247,7 +248,54 @@ def test_energy_identity(lshape, rng):
     assert abs(h1_norm(u) - np.sqrt(energy)) <= 1e-13 * np.sqrt(energy)
 
 
-def test_h1_norm_with_prebuilt_riesz_matrix_is_bitwise_equal(lshape, rng):
+def test_riesz_matrix_is_kept_read_only_on_the_mesh(lshape):
     mesh = uniform_refine(lshape, 2)
-    u = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
-    assert h1_norm(u, riesz=assemble_riesz(mesh)) == h1_norm(u)
+    R = assemble_riesz(mesh)
+    assert assemble_riesz(mesh) is R
+    for arr in (R.data, R.indices, R.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+# every fact a mesh derives: the key it is kept under, and how to ask for it
+MESH_FACTS = {
+    "corners": Mesh.corners,
+    "areas": Mesh.areas,
+    "centroids": Mesh.centroids,
+    "edge_structure": Mesh.edge_structure,
+    "hat_gradients": _hat_gradients,
+    str(("points", TRI_P5)): TRI_P5.points,
+    str(("points", TRI_P8)): TRI_P8.points,
+    "riesz": assemble_riesz,
+}
+
+
+def _arrays(fact):
+    if isinstance(fact, tuple):
+        return list(fact)
+    if isinstance(fact, np.ndarray):
+        return [fact]
+    return [fact.data, fact.indices, fact.indptr]
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mesh_facts_are_kept_read_only_and_equal_a_fresh_build(domain, seed):
+    """Each fact is built once, shared read-only, and has the bytes of a build on a bare mesh."""
+    mesh = random_nvb_mesh(domain, seed)
+    kept = {key: derive(mesh) for key, derive in reversed(MESH_FACTS.items())}
+    assert derived_facts(mesh) == sorted(MESH_FACTS)
+    for key, derive in MESH_FACTS.items():
+        assert derive(mesh) is kept[key], key
+        bare = Mesh(mesh.vertices, mesh.triangles, mesh.father)
+        fresh = derive(bare)                     # the first fact this copy derives
+        for got, ref in zip(_arrays(kept[key]), _arrays(fresh), strict=True):
+            assert not got.flags.writeable, key
+            assert got.dtype == ref.dtype and got.shape == ref.shape, key
+            assert got.tobytes() == ref.tobytes(), key
+    p = mesh.corners()
+    assert p.tobytes() == mesh.vertices[mesh.triangles].tobytes()
+    assert mesh.centroids().tobytes() == p.mean(axis=1).tobytes()
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    assert mesh.areas().tobytes() == area.tobytes()

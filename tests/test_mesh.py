@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import uniform_refine
+from _helpers import derived_facts, random_nvb_mesh, uniform_refine
 from fembem.mesh import (Mesh, boundary_trace, make_initial_mesh, refine_nvb,
                          shape_regularity)
 
@@ -301,13 +301,39 @@ def test_edge_structure_is_cached_and_read_only(lshape):
             arr[0] = 0
 
 
-def test_dropped_edge_structure_is_built_again(lshape):
+def test_dropped_derived_facts_are_built_again(lshape):
     mesh = uniform_refine(lshape, 1)
-    first = mesh.edge_structure()
-    mesh.drop_edge_structure()
-    again = mesh.edge_structure()
-    assert again is not first
-    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    first = [mesh.edge_structure(), mesh.corners(), mesh.areas(), mesh.centroids()]
+    assert derived_facts(mesh) == ["areas", "centroids", "corners", "edge_structure"]
+    mesh.drop_derived()
+    assert derived_facts(mesh) == []
+    again = [mesh.edge_structure(), mesh.corners(), mesh.areas(), mesh.centroids()]
+    for old, new in zip(first, again):
+        assert new is not old
+    assert all(np.array_equal(a, b) for a, b in zip(first[0], again[0]))
+    assert all(np.array_equal(a, b) for a, b in zip(first[1:], again[1:]))
+
+
+def _edge_structure_by_unique_rows(mesh):
+    """Edges and incidences from ``np.unique`` over the sorted vertex pairs."""
+    t = mesh.triangles
+    raw = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
+    edges, tri2edge = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+    tri2edge = tri2edge.reshape(-1, 3)
+    edge2tri = np.full((len(edges), 2), -1, dtype=np.int64)
+    for tri, row in enumerate(tri2edge):
+        for e in row:
+            edge2tri[e, 0 if edge2tri[e, 0] < 0 else 1] = tri
+    return edges, tri2edge, edge2tri
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_edge_structure_equals_the_unique_rows_reference(domain, seed):
+    mesh = random_nvb_mesh(domain, seed)
+    for got, ref in zip(mesh.edge_structure(), _edge_structure_by_unique_rows(mesh)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_edge_structure_rejects_nonconforming_mesh_on_every_call():

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _helpers import derived_facts
 from fembem import bem
 from fembem.fem import h1_norm
 from fembem.model import make_problem
@@ -297,6 +298,29 @@ def test_carried_bem_operators_equal_a_fresh_build_in_every_round(monkeypatch, c
     assert res.stop_reason == "budget"
     assert sum(n > 0 for n in between) >= 3
     assert max(between) >= 2        # FEM rounds split the boundary more than once
+
+
+@pytest.mark.parametrize("solver", ["pcg", "exact"])
+def test_only_the_finest_mesh_keeps_derived_facts(solver):
+    """The hierarchy keeps coarser meshes for their elements only, folds included."""
+    bem_rounds = [0]      # BEM rounds before each FEM round; all but the last refine Γ
+
+    def observer(driver, phase, payload):
+        if phase == "bem":
+            bem_rounds[-1] += 1
+            return
+        if bem_rounds[-1]:
+            bem_rounds.append(0)
+        meshes = driver.hierarchy.meshes
+        assert meshes[-1] is driver.mesh
+        assert [derived_facts(m) for m in meshes[:-1]] == [[]] * (len(meshes) - 1)
+        assert "riesz" in derived_facts(driver.mesh)
+
+    cfg = small_config(gamma=0.95, eps1=5.0, c_bem=0.1, solver=solver,
+                       budget_elements=300)
+    res = run_experiment_config(cfg, observer=observer)
+    assert res.stop_reason == "budget"
+    assert max(bem_rounds) >= 4       # Γ refined three times between two FEM rounds
 
 
 # ---------------------------------------------------------------------------
