@@ -12,8 +12,14 @@ outer one by Gauss-Legendre.  Pairs of panels on one straight line
 integral; panels meeting at a corner get the ``s log s`` endpoint
 behaviour of the outer integrand subtracted analytically and the
 remainder integrated on a geometrically graded composite Gauss rule.
-Double-layer integrals of affine densities and the tangential
-derivatives of both potentials are closed-form per panel.
+Double-layer integrals of affine densities are closed-form per panel.
+The arclength derivatives of both potentials at a point x with tangent
+tau and normal n come from one closed-form panel integral
+``I_j(x) = int_j (x - y) / |x - y|^2 ds_y``: ``d/ds V psi`` sums
+``-tau . I_j psi_j / (2 pi)``, and on a closed polygon the derivative of
+the double layer of a continuous piecewise-affine trace is the adjoint
+double layer of its slopes, ``d/ds K g = -K' dg/ds``, which sums
+``n . I_j (dg/ds)_j / (2 pi)``.
 :class:`BemOperators` evaluates all of these in one pass over the
 panel geometry and keeps them as matrices of the boundary mesh; after a
 refinement it keeps the entries between unsplit segments and evaluates
@@ -96,18 +102,6 @@ def _frames(bmesh: BoundaryMesh):
     return bmesh.endpoints()[0], bmesh.tangents(), bmesh.normals(), bmesh.lengths()
 
 
-def _panel_coords(points, p0, d, n):
-    """Projection coordinates of evaluation points w.r.t. every panel.
-
-    Returns (s0, H): tangential coordinate along the panel direction and
-    signed distance to the panel line, each of shape (m, ns).
-    """
-    v = np.asarray(points, float)[:, None, :] - p0[None, :, :]
-    s0 = np.einsum("mpd,pd->mp", v, d)
-    H = np.einsum("mpd,pd->mp", v, n)
-    return s0, H
-
-
 def _safe_log(q):
     return np.log(np.where(q > 0.0, q, 1.0))
 
@@ -117,17 +111,30 @@ def _atan_span(h, L, a, b):
     return np.arctan2(h * L, h * h + a * b)
 
 
-def _log_inner(points, p0, d, n, L):
-    """Closed-form ``int_panel log|x-y| ds(y)`` for all (point, panel) pairs."""
-    s0, H = _panel_coords(points, p0, d, n)
+def _node_panel_geometry(x, p0, d, n, L):
+    """Coordinates of points ``x`` in every panel frame, with the shared kernels.
+
+    Returns ``(s0, H, h, a, b, span, la, lb)``: tangential coordinate,
+    signed and absolute distance to the panel line, offsets of the panel
+    ends, the angle the panel subtends and the logarithms of the squared
+    distances to the panel ends; each of shape (m, ns).  The panel
+    integral ``I_j(x) = int_j (x - y) / |x - y|^2 ds_y`` is
+    ``A d_j + B n_j`` with ``A = (la - lb) / 2`` and ``B = sign(H) span``.
+    """
+    v = np.asarray(x, float)[:, None, :] - p0[None, :, :]
+    s0 = np.einsum("mpd,pd->mp", v, d)
+    H = np.einsum("mpd,pd->mp", v, n)
     h = np.abs(H)
     a = -s0
     b = L[None, :] - s0
-    qa = a * a + h * h
-    qb = b * b + h * h
-    val = 0.5 * (b * _safe_log(qb) - a * _safe_log(qa)) - L[None, :] \
-        + h * _atan_span(h, L[None, :], a, b)
-    return val
+    span = _atan_span(h, L[None, :], a, b)
+    return s0, H, h, a, b, span, _safe_log(a * a + h * h), _safe_log(b * b + h * h)
+
+
+def _log_inner(points, p0, d, n, L):
+    """Closed-form ``int_panel log|x-y| ds(y)`` for all (point, panel) pairs."""
+    s0, H, h, a, b, span, la, lb = _node_panel_geometry(points, p0, d, n, L)
+    return 0.5 * (b * lb - a * la) - L[None, :] + h * span
 
 
 def _blocks(m: int, ns: int, budget: int = 1_000_000):
@@ -281,17 +288,11 @@ def _dl_panel_terms(points, p0, d, n, L, g0, g1):
     ``1/(2*pi)`` is the double-layer potential Kg at each point.  Panels
     whose line contains the evaluation point contribute zero.
     """
-    s0, H = _panel_coords(points, p0, d, n)
-    h = np.abs(H)
-    a = -s0
-    b = L[None, :] - s0
-    span = _atan_span(h, L[None, :], a, b)
-    qa = a * a + h * h
-    qb = b * b + h * h
+    s0, H, h, a, b, span, la, lb = _node_panel_geometry(points, p0, d, n, L)
     mu = (g1 - g0) / L
     # H * A0 and H * A1 stay finite as h -> 0
     HA0 = np.sign(H) * span
-    HA1 = 0.5 * H * (_safe_log(qb) - _safe_log(qa)) + s0 * HA0
+    HA1 = 0.5 * H * (lb - la) + s0 * HA0
     vals = g0[None, :] * HA0 + mu[None, :] * HA1
     on_line = h <= _LINE_TOL * np.maximum(L[None, :], 1.0)
     return np.where(on_line, 0.0, vals)
@@ -333,24 +334,6 @@ def integrate_trace(bmesh: BoundaryMesh, g: BoundaryTrace) -> np.ndarray:
 _BLOCK_ENTRIES = 50_000
 
 
-def _node_panel_geometry(x, p0, d, n, L):
-    """Coordinates of points ``x`` in every panel frame, with the shared kernels.
-
-    Returns ``(s0, H, h, a, b, qa, qb, span, la, lb)``: tangential
-    coordinate, signed and absolute distance to the panel line, offsets
-    of the panel ends, their squared distances, the angle the panel
-    subtends and ``log qa``, ``log qb``; each of shape (m, ns).
-    """
-    s0, H = _panel_coords(x, p0, d, n)
-    h = np.abs(H)
-    a = -s0
-    b = L[None, :] - s0
-    qa = a * a + h * h
-    qb = b * b + h * h
-    span = _atan_span(h, L[None, :], a, b)
-    return s0, H, h, a, b, qa, qb, span, _safe_log(qa), _safe_log(qb)
-
-
 def _onto_vertices(c0, c1, L, prev):
     """Vertex-value columns of panel coefficients of ``g0`` and the slope ``mu``.
 
@@ -377,53 +360,6 @@ def _gauss_sum(w, block):
     return out
 
 
-def _single_layer_block(geo, L):
-    """Closed-form ``int_panel log|x-y| ds(y)`` on one block, as ``_log_inner``."""
-    s0, H, h, a, b, qa, qb, span, la, lb = geo
-    return 0.5 * (b * lb - a * la) - L[None, :] + h * span
-
-
-def _dl_block(geo, L, prev):
-    """Vertex-value coefficients of ``2 pi K g`` on one block.
-
-    Same panel terms as ``_dl_panel_terms``; panels whose line contains
-    the point contribute zero.
-    """
-    s0, H, h, a, b, qa, qb, span, la, lb = geo
-    # H * A0 and H * A1 stay finite as h -> 0
-    HA0 = np.sign(H) * span
-    HA1 = 0.5 * H * (lb - la) + s0 * HA0
-    on_line = h <= _LINE_TOL * np.maximum(L[None, :], 1.0)
-    return _onto_vertices(np.where(on_line, 0.0, HA0), np.where(on_line, 0.0, HA1), L, prev)
-
-
-def _derivative_block(geo, L, td, tn, on_line, prev):
-    """Rows of ``MK`` and ``MV`` on one block.
-
-    ``td`` and ``tn`` are the products of the tangent at each point with
-    the direction and the normal of each panel.  Panels on the line of
-    the point (``on_line``) add nothing to dK/ds: their kernel vanishes
-    there, and only there do the antiderivatives degenerate.
-    """
-    s0, H, h, a, b, qa, qb, span, la, lb = geo
-    log_ratio = la - lb
-    dV = -(0.5 * td * log_ratio + tn * np.sign(H) * span) / TWO_PI
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A0 = span / h
-        A1 = -0.5 * log_ratio + s0 * A0
-        B1u = 0.5 * (1.0 / qa - 1.0 / qb)
-        B0 = 0.5 * (b / qb - a / qa) / (h * h) + 0.5 * span / h ** 3
-        B2u = 0.5 * (a / qa - b / qb) + 0.5 * span / h
-        # tn (g0 A0 + mu A1) + 2 H td (gs B1u + mu B2u) - 2 H^2 tn (gs B0 + mu B1u)
-        # with gs = g0 + mu * s0, split into the g0 and the mu coefficient
-        tdH = 2.0 * H * td
-        tnH2 = 2.0 * H * H * tn
-        c0 = tn * A0 + tdH * B1u - tnH2 * B0
-        c1 = tn * A1 + tdH * (s0 * B1u + B2u) - tnH2 * (s0 * B0 + B1u)
-    dK = _onto_vertices(np.where(on_line, 0.0, c0), np.where(on_line, 0.0, c1), L, prev)
-    return dK / TWO_PI, dV
-
-
 def _nodes(segs, q):
     """Gauss-node rows of the segments ``segs``."""
     return (segs[:, None] * q + np.arange(q)).reshape(-1)
@@ -448,15 +384,18 @@ class BemOperators:
       for the vertex values g of an affine trace;
     * ``MK``, ``MV`` (ns*q, ns): at the Gauss nodes the arclength
       derivative of ``(K - 1/2) g - V psi`` is
-      ``MK @ g - MV @ psi - 1/2 dg/ds``.
+      ``MK @ g.slopes() - MV @ psi - 1/2 dg/ds``; with the panel
+      integral ``I_j`` of the module docstring, ``MV`` holds
+      ``-tau . I_j / (2 pi)`` and ``MK`` holds ``n . I_j / (2 pi)``
+      (``d/ds K g = -K' dg/ds``), zero on panels on the node's line.
 
     Nothing depends on data, so one object serves every density and
     trace of its boundary mesh; the methods refuse those of another
     geometry.  ``n_gauss`` is the outer quadrature of all of them.
 
     Every entry depends only on the geometry of its pair: a segment or
-    Gauss node, and a panel (a vertex column of ``DL`` and ``MK`` on the
-    two panels at that vertex).  So :meth:`refine` carries the matrices
+    Gauss node, and a panel (a vertex column of ``DL`` on the two panels
+    at that vertex).  So :meth:`refine` carries the matrices
     to a refined boundary, keeping each entry whose segment and panels
     did not split, and :meth:`fill` computes only the rows and columns
     of the new segments; a fresh object is that fill with every segment
@@ -509,8 +448,8 @@ class BemOperators:
         nxt = np.roll(k, -1)
         newv = new | np.roll(new, 1)           # vertex column v joins panels v - 1 and v
         rows = np.flatnonzero(new)
-        # new rows meet every panel; kept rows the new panels and both
-        # panels at every new vertex column
+        # new rows meet every panel; kept rows the new panels and, for DL,
+        # both panels at every new vertex column
         self._fill_rows(rows, k, None, None, frames)
         self._fill_rows(np.flatnonzero(~new), np.flatnonzero(newv | newv[nxt]),
                         rows, np.flatnonzero(newv), frames)
@@ -527,7 +466,7 @@ class BemOperators:
         """Rows of ``segs`` against ``panels``, written to ``cols`` and ``vcols``.
 
         ``V`` gets the unsymmetrized Gauss values of the panel columns
-        ``cols``, ``MV`` those columns too, and ``DL`` and ``MK`` the
+        ``cols``, ``MV`` and ``MK`` those columns too, and ``DL`` the
         vertex columns ``vcols``; ``panels`` holds ``cols`` and both
         panels at each vertex of ``vcols``.  ``None`` columns are whole
         rows, and then ``panels`` is every panel in order.
@@ -549,17 +488,31 @@ class BemOperators:
             s = segs[r0:r1]
             shape = (len(s), q, len(panels))
             w = self.weights[s]
-            geo = _node_panel_geometry(self.points[s].reshape(-1, 2), pp0, pd, pn, pL)
-            J = _gauss_sum(w, _single_layer_block(geo, pL).reshape(shape))
-            DL = _gauss_sum(w, _dl_block(geo, pL, prev).reshape(shape))
-            tau = np.repeat(d[s], q, axis=0)
-            on_line = np.repeat(_same_line(p0, p1, d, n, s[:, None], panels), q, axis=0)
-            dK, dV = _derivative_block(geo, pL, tau @ pd.T, tau @ pn.T, on_line, prev)
+            s0, H, h, a, b, span, la, lb = _node_panel_geometry(
+                self.points[s].reshape(-1, 2), pp0, pd, pn, pL)
+            A = 0.5 * (la - lb)
+            B = np.sign(H) * span
+            # int_panel log|x-y| ds(y), as _log_inner
+            J = _gauss_sum(w, (0.5 * (b * lb - a * la) - pL + h * span).reshape(shape))
+            # H int g(t)/D dt as _dl_panel_terms: B and H A1 = s0 B - H A are
+            # its g0 and slope coefficients; panels on the point's line add zero
+            on_line = h <= _LINE_TOL * np.maximum(pL, 1.0)
+            DL = _gauss_sum(w, _onto_vertices(np.where(on_line, 0.0, B),
+                                              np.where(on_line, 0.0, s0 * B - H * A),
+                                              pL, prev).reshape(shape))
+            # per segment: the tangent against each panel's direction and
+            # normal, and the panels on its line, where dK/ds has no kernel
+            td = (d[s] @ pd.T)[:, None]
+            tn = (d[s] @ pn.T)[:, None]
+            same = _same_line(p0, p1, d, n, s[:, None], panels)[:, None]
+            A, B = A.reshape(shape), B.reshape(shape)
+            dV = -(td * A + tn * B) / TWO_PI
+            dK = np.where(same, 0.0, td * B - tn * A) / TWO_PI
             nodes = _nodes(s, q)
             put(self.V, s, cols, J)
             put(self.DL, s, vcols, DL / TWO_PI)
-            put(self.MK, nodes, vcols, dK)
-            put(self.MV, nodes, cols, dV)
+            put(self.MK, nodes, cols, dK.reshape(-1, len(panels)))
+            put(self.MV, nodes, cols, dV.reshape(-1, len(panels)))
 
     def check_mesh(self, bmesh: BoundaryMesh) -> None:
         """Raise ``ValueError`` unless the matrices are filled for the geometry of ``bmesh``."""
@@ -587,8 +540,9 @@ class BemOperators:
         if isinstance(psi, BemDensity):
             self.check_mesh(psi.bmesh)
             psi = psi.values
-        vals = (self.MK @ g.values - self.MV @ np.asarray(psi, float)
-                - 0.5 * np.repeat(g.slopes(), self.n_gauss))
+        slopes = g.slopes()
+        vals = (self.MK @ slopes - self.MV @ np.asarray(psi, float)
+                - 0.5 * np.repeat(slopes, self.n_gauss))
         return vals.reshape(-1, self.n_gauss), self.points, self.weights
 
 

@@ -45,11 +45,7 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     w.check_mesh(mesh, "w")
     u_prev.check_mesh(mesh, "u_prev")
     area = mesh.areas()
-    nq = len(rule.weights)
-
-    pts = rule.points(mesh).reshape(-1, 2)
-    dens = f(pts).reshape(mesh.num_triangles, nq)
-    dens = dens - w.at_barycentric(rule.barycentric)
+    dens = rule.values(mesh, f) - w.at_barycentric(rule.barycentric)
     eta2 = area ** 2 * np.einsum("q,tq->t", rule.weights, dens ** 2)
 
     # total discrete flux, constant per element

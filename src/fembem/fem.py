@@ -83,6 +83,11 @@ class TriangleRule:
         return mesh._derive(("points", self), lambda: np.einsum(
             "qk,tkd->tqd", self.barycentric, mesh.corners()))
 
+    def values(self, mesh: Mesh, f) -> np.ndarray:
+        """``f`` at the quadrature points, shape (nt, nq), kept on the mesh per ``f``."""
+        return mesh._derive(("values", self, f), lambda: f(
+            self.points(mesh).reshape(-1, 2)).reshape(mesh.num_triangles, -1))
+
 
 def _sym3(a, w):
     return [(a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)], [w] * 3
@@ -182,8 +187,7 @@ def riesz_diagonal(mesh: Mesh) -> np.ndarray:
 
 def volume_load(mesh: Mesh, f, rule: TriangleRule = TRI_P5) -> np.ndarray:
     """Vector of ``(f, hat_i)`` via triangle quadrature."""
-    pts = rule.points(mesh)
-    fv = f(pts.reshape(-1, 2)).reshape(mesh.num_triangles, -1)
+    fv = rule.values(mesh, f)
     area = mesh.areas()
     contrib = np.einsum("q,tq,qk->tk", rule.weights, fv, rule.barycentric) * area[:, None]
     out = np.zeros(mesh.num_vertices)
@@ -249,8 +253,7 @@ def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFu
 
 def prolongate(u: FeFunction, relation: RefinementRelation) -> FeFunction:
     """Interpolate a P1 function onto the refined mesh (exact embedding)."""
-    if u.mesh.num_vertices != relation.coarse.num_vertices:
-        raise ValueError("function does not live on the coarse mesh of the relation")
+    u.check_mesh(relation.coarse, "u")
     old = u.values
     parents = relation.new_vertex_parents
     new = 0.5 * (old[parents[:, 0]] + old[parents[:, 1]]) if len(parents) else np.zeros(0)

@@ -394,6 +394,8 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     if len(seg_ids):
         if bmesh is None:
             bmesh = boundary_trace(mesh)
+        if seg_ids.min() < 0 or seg_ids.max() >= bmesh.num_segments:
+            raise ValueError("marked segment id out of range")
         edge_marked[tri2edge[bmesh.owner[seg_ids], bmesh.owner_edge[seg_ids]]] = True
 
     # closure: the reference edge of any element with a marked edge is marked

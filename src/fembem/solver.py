@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -63,10 +64,18 @@ class CholeskyFactor:
                 factor = sla.cho_factor(a, lower=True, check_finite=False)
             except sla.LinAlgError as exc:
                 raise NotSpdError("dense Cholesky failed") from exc
-            self._solve = lambda b: sla.cho_solve(factor, b, check_finite=False)
+            self._solve = lambda b: _potrs(factor[0], b)
 
     def solve(self, b):
         return self._solve(np.asarray(b, dtype=float))
+
+
+def _potrs(factor, b):
+    """Solve with the lower Cholesky factor ``factor`` (LAPACK ``potrs``)."""
+    x, info = lapack.dpotrs(factor, b, lower=True)
+    if info:
+        raise ValueError(f"LAPACK potrs rejected argument {-info}")
+    return x
 
 
 # ----------------------------------------------------------------------------

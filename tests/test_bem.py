@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _helpers import nodal_interpolate_u0, uniform_refine_boundary
+from _helpers import (double_layer_derivative_closed_form, nodal_interpolate_u0,
+                      uniform_refine_boundary)
 from fembem import bem
-from fembem.mesh import boundary_trace, make_initial_mesh, refine_nvb
+from fembem.mesh import Mesh, boundary_trace, make_initial_mesh, refine_nvb
 
 TWO_PI = 2.0 * np.pi
 
@@ -238,6 +239,52 @@ def test_residual_derivative_matches_finite_differences(lbm, rng):
     assert worst <= 1e-5
 
 
+def random_zshape_trace(seed, rounds=6):
+    """Z-shape trace refined at random segments and elements."""
+    rng = np.random.default_rng(seed)
+    mesh = make_initial_mesh("zshape")
+    bm = boundary_trace(mesh)
+    for _ in range(rounds):
+        mesh, rel = refine_nvb(mesh, rng.choice(mesh.num_triangles, 3, replace=False), bmesh=bm,
+                               marked_segments=rng.choice(bm.num_segments, 3, replace=False))
+        bm = rel.fine_trace
+    return bm
+
+
+def rotated(bm, angle):
+    """The trace of ``bm``'s mesh turned by ``angle``: no segment is axis-aligned."""
+    c, s = np.cos(angle), np.sin(angle)
+    mesh = bm.mesh
+    return boundary_trace(Mesh(mesh.vertices @ np.array([[c, s], [-s, c]]), mesh.triangles))
+
+
+@pytest.mark.parametrize("trace", ["graded_lshape", "random_zshape", "rotated_zshape"])
+@pytest.mark.parametrize("n_gauss", [2, 4])
+def test_panel_form_of_dk_ds_matches_the_closed_form(graded_lbm, rng, trace, n_gauss):
+    """``MK @ slopes`` (``-K' dg/ds``) equals the 1/h^3 closed form of dK g/ds.
+
+    Every segment's nodes are compared, those on the two segments at
+    each corner of the polygon among them.  On the rotated trace the
+    nodes lie off their own panel's line by rounding, where only the
+    same-line rule keeps the principal value.
+    """
+    bm = graded_lbm if trace == "graded_lshape" else random_zshape_trace(int(rng.integers(100)))
+    if trace == "rotated_zshape":
+        bm = rotated(bm, 0.5)
+    d, before = bm.tangents(), np.roll(bm.tangents(), 1, axis=0)
+    corner = np.abs(d[:, 0] * before[:, 1] - d[:, 1] * before[:, 0]) > 1e-9   # at its start
+    at_corner = np.repeat(corner | np.roll(corner, -1), n_gauss)
+    assert at_corner.any() and not at_corner.all()
+    ops = bem.BemOperators(bm, n_gauss)
+    for _ in range(3):
+        g = bem.BoundaryTrace(bm, rng.standard_normal(bm.num_segments))
+        ref = double_layer_derivative_closed_form(bm, g, n_gauss)
+        got = ops.MK @ g.slopes()
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15 * np.abs(ref).max())
+        np.testing.assert_allclose(got[at_corner], ref[at_corner], rtol=1e-12,
+                                   atol=1e-15 * np.abs(ref[at_corner]).max())
+
+
 def test_residual_derivative_constant_trace_vanishes(lbm):
     ns = lbm.num_segments
     vals, _, _ = bem.BemOperators(lbm).residual_derivative(
@@ -305,7 +352,6 @@ def test_gauss_sum_has_the_same_bits_in_every_block(rng):
 
 def test_operators_refuse_data_of_another_boundary_mesh(lbm, rng):
     from fembem.estimate import mu_bem
-    from fembem.mesh import Mesh
 
     ns = lbm.num_segments
     ops = bem.BemOperators(lbm)

@@ -194,6 +194,19 @@ def test_prolongate_rejects_wrong_mesh(lshape):
         prolongate(FeFunction(fine, np.zeros(fine.num_vertices)), rel)
 
 
+def test_prolongate_rejects_a_same_size_mesh_of_other_triangles(lshape, rng):
+    """A function must live on the coarse mesh itself, not one with its vertex count."""
+    fine, rel = refine_nvb(lshape, np.arange(12))
+    values = rng.standard_normal(lshape.num_vertices)
+    # the same vertices, every element listed from another corner
+    other = Mesh(lshape.vertices, np.roll(lshape.triangles, 1, axis=1))
+    with pytest.raises(ValueError, match="u does not live"):
+        prolongate(FeFunction(other, values), rel)
+    twin = Mesh(lshape.vertices, lshape.triangles)
+    assert np.array_equal(prolongate(FeFunction(twin, values), rel).values,
+                          prolongate(FeFunction(lshape, values), rel).values)
+
+
 # ---------------------------------------------------------------------------
 # norms and errors
 
@@ -257,6 +270,10 @@ def test_riesz_matrix_is_kept_read_only_on_the_mesh(lshape):
             arr[0] = 0
 
 
+def load(points):
+    return np.sin(3.0 * points[:, 0]) * points[:, 1]
+
+
 # every fact a mesh derives: the key it is kept under, and how to ask for it
 MESH_FACTS = {
     "corners": Mesh.corners,
@@ -266,6 +283,7 @@ MESH_FACTS = {
     "hat_gradients": _hat_gradients,
     str(("points", TRI_P5)): TRI_P5.points,
     str(("points", TRI_P8)): TRI_P8.points,
+    str(("values", TRI_P5, load)): lambda mesh: TRI_P5.values(mesh, load),
     "riesz": assemble_riesz,
 }
 
@@ -299,3 +317,27 @@ def test_mesh_facts_are_kept_read_only_and_equal_a_fresh_build(domain, seed):
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     assert mesh.areas().tobytes() == area.tobytes()
+
+
+def test_load_is_evaluated_once_per_mesh(rng):
+    """``volume_load`` and ``eta_fem`` of one mesh share the values of ``f``."""
+    from fembem.estimate import eta_fem
+
+    mesh = random_nvb_mesh("lshape", 2)
+    bm = boundary_trace(mesh)
+    calls = []
+
+    def f(points):
+        calls.append(len(points))
+        return load(points)
+
+    rhs = volume_load(mesh, f)
+    u = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
+    eta2 = eta_fem(mesh, bm, u, u, f, phi0_zero, np.zeros(bm.num_segments), identity_flux)
+    assert calls == [7 * mesh.num_triangles]
+    assert TRI_P5.values(mesh, f).tobytes() == load(TRI_P5.points(mesh).reshape(-1, 2)).tobytes()
+    mesh.drop_derived()
+    assert np.array_equal(volume_load(mesh, f), rhs)
+    assert np.array_equal(eta_fem(mesh, bm, u, u, f, phi0_zero, np.zeros(bm.num_segments),
+                                  identity_flux), eta2)
+    assert len(calls) == 2

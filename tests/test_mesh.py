@@ -227,6 +227,16 @@ def test_marked_segments_split(lshape):
     fine.validate()
 
 
+@pytest.mark.parametrize("ids", [[-1], [0, 8], [3, 100]])
+@pytest.mark.parametrize("pass_trace", [False, True])
+def test_marked_segment_ids_out_of_range_are_rejected(lshape, ids, pass_trace):
+    """Segment ids get the range check of element ids: no wrap-around, no bare IndexError."""
+    bm = boundary_trace(lshape)
+    assert bm.num_segments == 8
+    with pytest.raises(ValueError, match="marked segment id out of range"):
+        refine_nvb(lshape, (), marked_segments=ids, bmesh=bm if pass_trace else None)
+
+
 # ---------------------------------------------------------------------------
 # shape regularity
 

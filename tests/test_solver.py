@@ -35,6 +35,16 @@ def test_cholesky_matches_pcg(rng):
     assert np.linalg.norm(x_pcg - x_direct) <= 1e-9 * np.linalg.norm(x_direct)
 
 
+def test_dense_solve_has_the_bits_of_cho_solve(rng):
+    import scipy.linalg as sla
+
+    A = random_spd(40, rng)
+    factor = sla.cho_factor(A, lower=True)
+    solver = CholeskyFactor(A)
+    for b in (rng.standard_normal(40), rng.standard_normal((40, 3))):
+        assert solver.solve(b).tobytes() == sla.cho_solve(factor, b).tobytes()
+
+
 def test_not_spd_is_detected():
     with pytest.raises(NotSpdError):
         CholeskyFactor(np.array([[1.0, 2.0], [2.0, 1.0]]))
