@@ -424,16 +424,16 @@ class BemOperators:
         filled), and the next :meth:`fill` recomputes all others.  Each
         old matrix is released as soon as its successor is built.
         """
-        if len(relation.seg_sons) != len(self._new):
-            raise ValueError("relation does not refine the boundary mesh of these operators")
         father, q = relation.seg_father, self.n_gauss
+        n_sons = np.bincount(father)
+        if len(n_sons) != len(self._new):
+            raise ValueError("relation does not refine the boundary mesh of these operators")
         nodes = _nodes(father, q)
         self.MK = _carried(self.MK, nodes, father)
         self.MV = _carried(self.MV, nodes, father)
         self.V = _carried(self.V, father, father)
         self.DL = _carried(self.DL, father, father)
-        split = np.bincount(father, minlength=len(self._new)) > 1
-        self._new = (self._new | split)[father]
+        self._new = (self._new | (n_sons > 1))[father]
         self.bmesh = relation.fine_trace
         self.points, self.weights = self.bmesh.gauss_points(q)
 
@@ -519,8 +519,7 @@ class BemOperators:
         if self._new.any():
             raise ValueError("operators not filled since the last refinement")
         own = self.bmesh
-        if bmesh is not own and not np.array_equal(own.mesh.vertices[own.segments],
-                                                    bmesh.mesh.vertices[bmesh.segments]):
+        if bmesh is not own and not all(map(np.array_equal, own.endpoints(), bmesh.endpoints())):
             raise ValueError("data of another boundary mesh than the operators'")
 
     def dl_rhs(self, g: BoundaryTrace) -> np.ndarray:
@@ -572,9 +571,7 @@ def hminushalf_error_surrogate(bmesh: BoundaryMesh, phi_exact, psi,
     piecewise-constant approximation; the weight is ``h|_E = |E|``.
     """
     psi_v = psi.values if isinstance(psi, BemDensity) else np.asarray(psi, float)
-    pts, wts = bmesh.gauss_points(n_gauss)
-    nrm = np.repeat(bmesh.normals()[:, None, :], n_gauss, axis=1)
-    ph = phi_exact(pts.reshape(-1, 2), nrm.reshape(-1, 2)).reshape(bmesh.num_segments, n_gauss)
-    dev = (ph - psi_v[:, None]) ** 2
+    _, wts = bmesh.gauss_points(n_gauss)
+    dev = (bmesh.gauss_values(phi_exact, n_gauss) - psi_v[:, None]) ** 2
     per_seg = np.einsum("sq,sq->s", wts, dev) * bmesh.lengths()
     return float(np.sqrt(per_seg.sum()))

@@ -144,7 +144,10 @@ def run_experiment(config_path, out_path=None, budget_elements=None,
     """Parse, run, write; the core of the command-line entry point."""
     config = parse_config(config_path)
     if budget_elements is not None:
-        config = dataclasses.replace(config, budget_elements=budget_elements)
+        try:
+            config = dataclasses.replace(config, budget_elements=budget_elements)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     observer = None
     if verbose:
         def observer(driver, phase, payload):

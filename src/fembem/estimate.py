@@ -68,10 +68,9 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     eta2 = eta2 + sqrt_area * per_tri_edges
 
     # boundary edges: flux mismatch against the given interface data
-    pts_b, wts_b = bmesh.gauss_points(n_gauss)
+    _, wts_b = bmesh.gauss_points(n_gauss)
     nrm = np.repeat(bmesh.normals()[:, None, :], n_gauss, axis=1)
-    rho = phi0(pts_b.reshape(-1, 2), nrm.reshape(-1, 2)).reshape(bmesh.num_segments, n_gauss)
-    rho = rho + np.asarray(phi_j, float)[:, None]
+    rho = bmesh.gauss_values(phi0, n_gauss) + np.asarray(phi_j, float)[:, None]
     rho = rho - np.einsum("sd,sqd->sq", sigma[bmesh.owner], nrm)
     per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
     np.add.at(eta2, bmesh.owner, sqrt_area[bmesh.owner] * per_seg)
@@ -96,12 +95,11 @@ def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None, n_gauss: int = 4,
         operators = bem.BemOperators(bmesh, n_gauss)
     operators.check_mesh(bmesh)
     n_gauss = operators.n_gauss
-    vals, pts, wts = operators.residual_derivative(psi, g)
+    vals, _, wts = operators.residual_derivative(psi, g)
     lengths = bmesh.lengths()
     mu2 = lengths * np.einsum("sq,sq->s", wts, vals ** 2)
     if du0_ds is not None:
-        tau = np.repeat(bmesh.tangents()[:, None, :], n_gauss, axis=1)
-        d = du0_ds(pts.reshape(-1, 2), tau.reshape(-1, 2)).reshape(bmesh.num_segments, n_gauss)
+        d = bmesh.gauss_values(du0_ds, n_gauss, "tangents")
         mean = np.einsum("sq,sq->s", wts, d) / lengths
         osc = np.einsum("sq,sq->s", wts, (d - mean[:, None]) ** 2)
         mu2 = mu2 + lengths * osc

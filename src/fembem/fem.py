@@ -84,9 +84,14 @@ class TriangleRule:
             "qk,tkd->tqd", self.barycentric, mesh.corners()))
 
     def values(self, mesh: Mesh, f) -> np.ndarray:
-        """``f`` at the quadrature points, shape (nt, nq), kept on the mesh per ``f``."""
-        return mesh._derive(("values", self, f), lambda: f(
-            self.points(mesh).reshape(-1, 2)).reshape(mesh.num_triangles, -1))
+        """``f`` at the quadrature points, kept on the mesh per ``f``.
+
+        Shape (nt, nq), or (nt, nq, d) for an ``f`` with values in R^d.
+        """
+        def build():
+            vals = f(self.points(mesh).reshape(-1, 2))
+            return vals.reshape(mesh.num_triangles, len(self.weights), *vals.shape[1:])
+        return mesh._derive(("values", self, f), build)
 
 
 def _sym3(a, w):
@@ -242,11 +247,7 @@ def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFu
     if phi_j.shape != (bmesh.num_segments,):
         raise ValueError("phi_j must hold one value per boundary segment")
     rhs = volume_load(mesh, f, rule)
-    pts, _ = bmesh.gauss_points(n_gauss)
-    nrm = np.repeat(bmesh.normals()[:, None, :], n_gauss, axis=1)
-    vals = phi0(pts.reshape(-1, 2), nrm.reshape(-1, 2)).reshape(bmesh.num_segments, n_gauss)
-    vals = vals + phi_j[:, None]
-    rhs += boundary_load(bmesh, vals, n_gauss)
+    rhs += boundary_load(bmesh, bmesh.gauss_values(phi0, n_gauss) + phi_j[:, None], n_gauss)
     rhs -= apply_interior_operator(operator, u_prev)
     return rhs
 
@@ -263,10 +264,8 @@ def prolongate(u: FeFunction, relation: RefinementRelation) -> FeFunction:
 def h1_error(u_h: FeFunction, u_exact, grad_exact, rule: TriangleRule = TRI_P5) -> float:
     """Full H^1 norm of ``u_exact - u_h`` by element quadrature."""
     mesh = u_h.mesh
-    pts = rule.points(mesh)
-    flat = pts.reshape(-1, 2)
-    du = u_exact(flat).reshape(mesh.num_triangles, -1) - u_h.at_barycentric(rule.barycentric)
-    dg = grad_exact(flat).reshape(mesh.num_triangles, -1, 2) - u_h.element_gradients()[:, None, :]
+    du = rule.values(mesh, u_exact) - u_h.at_barycentric(rule.barycentric)
+    dg = rule.values(mesh, grad_exact) - u_h.element_gradients()[:, None, :]
     dens = du ** 2 + np.einsum("tqd,tqd->tq", dg, dg)
     total = np.einsum("t,q,tq->", mesh.areas(), rule.weights, dens)
     return float(np.sqrt(total))

@@ -51,8 +51,28 @@ def gauss_legendre(n: int):
     return _read_only(np.polynomial.legendre.leggauss(n))
 
 
+class _Derived:
+    """Facts derived from the arrays of a frozen object, built on first use and kept."""
+
+    def _derive(self, key, build):
+        """The derived fact ``key``: built by ``build()`` on the first call, then kept read-only.
+
+        Every fact of an object goes through here, so :meth:`drop_derived`
+        forgets all of them at once.
+        """
+        facts = self.__dict__.setdefault("_facts", {})
+        fact = facts.get(key)
+        if fact is None:
+            fact = facts[key] = _read_only(build())
+        return fact
+
+    def drop_derived(self) -> None:
+        """Forget every derived fact; the next call builds it again."""
+        self.__dict__.pop("_facts", None)
+
+
 @dataclass(frozen=True)
-class Mesh:
+class Mesh(_Derived):
     """Conforming triangulation of a polygonal domain.
 
     vertices    -- (nv, 2) float coordinates
@@ -84,22 +104,6 @@ class Mesh:
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
-
-    def _derive(self, key, build):
-        """The derived fact ``key``: built by ``build()`` on the first call, then kept read-only.
-
-        Every fact of a mesh goes through here, so :meth:`drop_derived`
-        forgets all of them at once.
-        """
-        facts = self.__dict__.setdefault("_facts", {})
-        fact = facts.get(key)
-        if fact is None:
-            fact = facts[key] = _read_only(build())
-        return fact
-
-    def drop_derived(self) -> None:
-        """Forget every derived fact; the next call builds it again."""
-        self.__dict__.pop("_facts", None)
 
     def corners(self) -> np.ndarray:
         """Vertex coordinates per element, shape (nt, 3, 2)."""
@@ -171,12 +175,17 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class BoundaryMesh:
+class BoundaryMesh(_Derived):
     """Trace of a volume mesh on the boundary polygon.
 
     Segments run counterclockwise (domain on the left); segment k joins
     boundary_vertices[k] to boundary_vertices[(k+1) % n].  ``normals``
     point out of the domain.
+
+    Like those of :class:`Mesh`, the facts derived from these arrays are
+    built on first use and kept, read-only, for the life of the trace:
+    endpoints, lengths, tangents, normals, the Gauss nodes of each order,
+    and the values of interface data at those nodes and at the vertices.
     """
 
     mesh: Mesh
@@ -194,21 +203,27 @@ class BoundaryMesh:
         return len(self.segments)
 
     def endpoints(self):
+        """Start and end point of every segment, two arrays of shape (ns, 2)."""
         p = self.mesh.vertices
-        return p[self.segments[:, 0]], p[self.segments[:, 1]]
+        return self._derive("endpoints", lambda: (p[self.segments[:, 0]], p[self.segments[:, 1]]))
 
     def lengths(self) -> np.ndarray:
-        a, b = self.endpoints()
-        return np.linalg.norm(b - a, axis=1)
+        def build():
+            a, b = self.endpoints()
+            return np.linalg.norm(b - a, axis=1)
+        return self._derive("lengths", build)
 
     def tangents(self) -> np.ndarray:
-        a, b = self.endpoints()
-        t = b - a
-        return t / np.linalg.norm(t, axis=1)[:, None]
+        def build():
+            a, b = self.endpoints()
+            return (b - a) / self.lengths()[:, None]
+        return self._derive("tangents", build)
 
     def normals(self) -> np.ndarray:
-        t = self.tangents()
-        return np.stack([t[:, 1], -t[:, 0]], axis=1)
+        def build():
+            t = self.tangents()
+            return np.stack([t[:, 1], -t[:, 0]], axis=1)
+        return self._derive("normals", build)
 
     def gauss_points(self, n: int):
         """Gauss-Legendre nodes and weights on every segment.
@@ -216,25 +231,57 @@ class BoundaryMesh:
         Returns (points, weights) of shapes (ns, n, 2) and (ns, n); the
         weights of one segment sum to its length.
         """
-        xi, w = gauss_legendre(n)
-        a, b = self.endpoints()
-        lam = 0.5 * (xi + 1.0)
-        pts = a[:, None, :] + lam[None, :, None] * (b - a)[:, None, :]
-        wts = 0.5 * w[None, :] * self.lengths()[:, None]
-        return pts, wts
+        def build():
+            xi, w = gauss_legendre(n)
+            a, b = self.endpoints()
+            lam = 0.5 * (xi + 1.0)
+            pts = a[:, None, :] + lam[None, :, None] * (b - a)[:, None, :]
+            wts = 0.5 * w[None, :] * self.lengths()[:, None]
+            return pts, wts
+        return self._derive(("gauss_points", n), build)
+
+    def gauss_values(self, f, n: int, direction: str = "normals") -> np.ndarray:
+        """``f(points, directions)`` at the Gauss nodes of order ``n``, shape (ns, n).
+
+        ``direction`` names the per-segment vectors passed along with the
+        nodes, ``"normals"`` or ``"tangents"``.  Kept per ``f``, ``n`` and
+        ``direction``.
+        """
+        def build():
+            pts, _ = self.gauss_points(n)
+            dirs = np.repeat(getattr(self, direction)()[:, None, :], n, axis=1)
+            return f(pts.reshape(-1, 2), dirs.reshape(-1, 2)).reshape(self.num_segments, n)
+        return self._derive(("gauss_values", f, n, direction), build)
+
+    def vertex_values(self, f) -> np.ndarray:
+        """``f`` at the boundary vertices, in walk order, kept per ``f``."""
+        return self._derive(("vertex_values", f),
+                            lambda: f(self.mesh.vertices[self.boundary_vertices]))
 
 
 @dataclass(frozen=True)
-class RefinementRelation:
-    """Bookkeeping linking a mesh to its refinement."""
+class RefinementRelation(_Derived):
+    """Bookkeeping linking a mesh to its refinement.
+
+    The sons of each coarse element and segment are derived from
+    ``fine.father`` and ``seg_father`` on first read.
+    """
 
     coarse: Mesh
     fine: Mesh
-    tri_sons: tuple            # tuple of int arrays, sons of each coarse element
     new_vertex_parents: np.ndarray  # (n_new, 2) endpoints of each bisected edge
-    seg_sons: tuple            # sons of each coarse boundary segment
     seg_father: np.ndarray     # (ns_fine,) coarse segment of each fine segment
     fine_trace: BoundaryMesh   # boundary_trace(fine)
+
+    @property
+    def tri_sons(self) -> tuple:
+        """Sons of each coarse element, ascending."""
+        return self._derive("tri_sons", lambda: _sons(self.fine.father))
+
+    @property
+    def seg_sons(self) -> tuple:
+        """Sons of each coarse boundary segment, ascending (their order along the walk)."""
+        return self._derive("seg_sons", lambda: _sons(self.seg_father))
 
     def vertex_prolongation_matrix(self):
         """Sparse (nv_fine, nv_coarse) interpolation of P1 functions."""
@@ -362,10 +409,11 @@ def shape_regularity(mesh: Mesh) -> float:
 # newest vertex bisection
 
 
-def _split_runs(a: np.ndarray, counts: np.ndarray) -> tuple:
-    """Consecutive runs of ``a`` with the given lengths, as views."""
-    ends = np.cumsum(counts).tolist()
-    return tuple(a[s:e] for s, e in zip([0] + ends[:-1], ends))
+def _sons(father: np.ndarray) -> tuple:
+    """Entry i holds the ids whose father is i, ascending; views of one array."""
+    order = np.argsort(father, kind="stable")
+    ends = np.cumsum(np.bincount(father)).tolist()
+    return tuple(order[s:e] for s, e in zip([0] + ends[:-1], ends))
 
 
 def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = None):
@@ -457,7 +505,6 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
 
     father = np.repeat(np.arange(mesh.num_triangles), n_sons)
     fine = Mesh(vertices, tris, father)
-    tri_sons = _split_runs(np.arange(nt_new), n_sons)
 
     # boundary segment genealogy: a coarse segment (v0, v1) keeps its
     # start vertex, and a bisected one gains the son starting at its midpoint
@@ -471,17 +518,13 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     starts = np.stack([bmesh.segments[:, 0], new_vertex_of_edge[seg_edge]], axis=1)
     keep = np.stack([np.ones_like(split), split], axis=1)
     sons = seg_of_start[starts[keep]]   # row-major: the sons of each segment in walk order
-    n_seg_sons = 1 + split
     seg_father = np.empty(fine_trace.num_segments, dtype=np.int64)
-    seg_father[sons] = np.repeat(np.arange(bmesh.num_segments), n_seg_sons)
-    seg_sons = _split_runs(sons, n_seg_sons)
+    seg_father[sons] = np.repeat(np.arange(bmesh.num_segments), 1 + split)
 
     relation = RefinementRelation(
         coarse=mesh,
         fine=fine,
-        tri_sons=tri_sons,
         new_vertex_parents=edges[hit],
-        seg_sons=seg_sons,
         seg_father=seg_father,
         fine_trace=fine_trace,
     )

@@ -85,6 +85,9 @@ class UzawaConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not self.target_nu >= 0.0:
             raise ValueError("target_nu must not be negative")
+        for name in ("alpha", "eps1", "c_bem", "c_fem", "target_nu"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass
@@ -170,8 +173,7 @@ class UzawaDriver:
 
     def _interface_gap(self) -> bem.BoundaryTrace:
         """Affine boundary datum of the integral equation: trace(u) - I_h u0."""
-        verts = self.bm.boundary_vertices
-        vals = self.u.values[verts] - self.problem.u0(self.mesh.vertices[verts])
+        vals = self.u.values[self.bm.boundary_vertices] - self.bm.vertex_values(self.problem.u0)
         return bem.BoundaryTrace(self.bm, vals)
 
     def _solve_spd(self, matrix, rhs, x0, precond, abs_cap):

@@ -108,6 +108,11 @@ mu_gauss = 6
      r"budget_elements must be at least 1"),
     ("example = laplace_lshape\nmax_outer = 0\n", r"max_outer must be at least 1"),
     ("example = laplace_lshape\ntarget_nu = -1\n", r"target_nu must not be negative"),
+    ("example = laplace_lshape\nalpha = inf\n", r"alpha must be finite"),
+    ("example = laplace_lshape\neps1 = inf\n", r"eps1 must be finite"),
+    ("example = laplace_lshape\nc_bem = inf\n", r"c_bem must be finite"),
+    ("example = laplace_lshape\nc_fem = inf\n", r"c_fem must be finite"),
+    ("example = laplace_lshape\ntarget_nu = inf\n", r"target_nu must be finite"),
     ("alpha = 0.05\n", r"missing key: example"),
     ("example = foo\n", r"unknown example 'foo'"),
 ])
@@ -243,6 +248,14 @@ def test_main_bad_config_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "unknown key 'foo'" in err
+
+
+def test_main_bad_budget_override_is_config_error(tmp_path, capsys):
+    """The override is checked like the config key: exit 2, not a solver failure."""
+    cfg_path = write_cfg(tmp_path, SMALL_CFG)
+    assert main(["run", str(cfg_path), "--budget-elements", "0"]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "config error: budget_elements must be at least 1"
 
 
 def test_main_runtime_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -236,6 +236,35 @@ def test_h1_error_quadrature_refinement_corner_solution():
     assert abs(e5 - e8) <= 1e-3 * e8
 
 
+def test_h1_error_reads_exact_values_kept_on_the_mesh(rng):
+    """The exact solution and its gradient are evaluated once per mesh; the error keeps its bits."""
+    exact = make_problem("laplace_lshape").exact
+    mesh = random_nvb_mesh("lshape", 3)
+    calls = []
+
+    def u(points):
+        calls.append("u")
+        return exact.u(points)
+
+    def grad_u(points):
+        calls.append("grad_u")
+        return exact.grad_u(points)
+
+    flat = TRI_P5.points(mesh).reshape(-1, 2)
+    grads = TRI_P5.values(mesh, grad_u)
+    assert grads.shape == (mesh.num_triangles, 7, 2)
+    assert grads.tobytes() == exact.grad_u(flat).tobytes()
+    for _ in range(2):
+        uh = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
+        du = exact.u(flat).reshape(mesh.num_triangles, -1) - uh.at_barycentric(TRI_P5.barycentric)
+        dg = exact.grad_u(flat).reshape(mesh.num_triangles, -1, 2) \
+            - uh.element_gradients()[:, None, :]
+        dens = du ** 2 + np.einsum("tqd,tqd->tq", dg, dg)
+        ref = float(np.sqrt(np.einsum("t,q,tq->", mesh.areas(), TRI_P5.weights, dens)))
+        assert h1_error(uh, u, grad_u) == ref
+    assert sorted(calls) == ["grad_u", "u"]
+
+
 def test_h1_error_monotone_under_uniform_refinement(lshape):
     prob = make_problem("laplace_lshape")
     mesh = lshape
@@ -274,6 +303,8 @@ def load(points):
     return np.sin(3.0 * points[:, 0]) * points[:, 1]
 
 
+EXACT = make_problem("laplace_lshape").exact
+
 # every fact a mesh derives: the key it is kept under, and how to ask for it
 MESH_FACTS = {
     "corners": Mesh.corners,
@@ -284,6 +315,8 @@ MESH_FACTS = {
     str(("points", TRI_P5)): TRI_P5.points,
     str(("points", TRI_P8)): TRI_P8.points,
     str(("values", TRI_P5, load)): lambda mesh: TRI_P5.values(mesh, load),
+    str(("values", TRI_P5, EXACT.u)): lambda mesh: TRI_P5.values(mesh, EXACT.u),
+    str(("values", TRI_P5, EXACT.grad_u)): lambda mesh: TRI_P5.values(mesh, EXACT.grad_u),
     "riesz": assemble_riesz,
 }
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import derived_facts, random_nvb_mesh, uniform_refine
-from fembem.mesh import (Mesh, boundary_trace, make_initial_mesh, refine_nvb,
+from fembem.mesh import (BoundaryMesh, Mesh, boundary_trace, make_initial_mesh, refine_nvb,
                          shape_regularity)
 
 
@@ -181,6 +181,61 @@ def test_gauss_points_weights_sum_to_length(lshape):
         pts, wts = bm.gauss_points(n)
         assert pts.shape == (bm.num_segments, n, 2)
         assert np.allclose(wts.sum(axis=1), bm.lengths(), rtol=1e-14)
+
+
+def _flux(points, normals):
+    return np.einsum("nd,nd->n", normals, points) + points[:, 0] ** 2
+
+
+def _height(points):
+    return np.sin(5.0 * points[:, 0]) + points[:, 1]
+
+
+# every fact a boundary mesh derives: the key it is kept under, and how to ask for it
+BOUNDARY_FACTS = {
+    "endpoints": BoundaryMesh.endpoints,
+    "lengths": BoundaryMesh.lengths,
+    "tangents": BoundaryMesh.tangents,
+    "normals": BoundaryMesh.normals,
+    str(("gauss_points", 2)): lambda bm: bm.gauss_points(2),
+    str(("gauss_points", 4)): lambda bm: bm.gauss_points(4),
+    str(("gauss_values", _flux, 4, "normals")): lambda bm: bm.gauss_values(_flux, 4),
+    str(("gauss_values", _flux, 2, "tangents")):
+        lambda bm: bm.gauss_values(_flux, 2, "tangents"),
+    str(("vertex_values", _height)): lambda bm: bm.vertex_values(_height),
+}
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_boundary_facts_are_kept_read_only_and_equal_a_fresh_build(domain, seed):
+    """Each fact is built once, shared read-only, and has the bytes of a build on a bare trace."""
+    mesh = random_nvb_mesh(domain, seed)
+    bm = boundary_trace(mesh)
+    kept = {key: derive(bm) for key, derive in reversed(BOUNDARY_FACTS.items())}
+    assert derived_facts(bm) == sorted(BOUNDARY_FACTS)
+    for key, derive in BOUNDARY_FACTS.items():
+        assert derive(bm) is kept[key], key
+        bare = boundary_trace(Mesh(mesh.vertices, mesh.triangles, mesh.father))
+        fresh = derive(bare)                     # the first fact this copy derives
+        got_arrays = kept[key] if isinstance(kept[key], tuple) else (kept[key],)
+        ref_arrays = fresh if isinstance(fresh, tuple) else (fresh,)
+        for got, ref in zip(got_arrays, ref_arrays, strict=True):
+            assert not got.flags.writeable, key
+            assert got.dtype == ref.dtype and got.shape == ref.shape, key
+            assert got.tobytes() == ref.tobytes(), key
+    # the formulas each fact stands for
+    p = mesh.vertices
+    a, b = p[bm.segments[:, 0]], p[bm.segments[:, 1]]
+    t = b - a
+    assert np.array_equal(bm.endpoints()[0], a) and np.array_equal(bm.endpoints()[1], b)
+    assert bm.lengths().tobytes() == np.linalg.norm(t, axis=1).tobytes()
+    assert bm.tangents().tobytes() == (t / np.linalg.norm(t, axis=1)[:, None]).tobytes()
+    pts, _ = bm.gauss_points(4)
+    nrm = np.repeat(bm.normals()[:, None, :], 4, axis=1)
+    assert bm.gauss_values(_flux, 4).tobytes() == _flux(
+        pts.reshape(-1, 2), nrm.reshape(-1, 2)).tobytes()
+    assert bm.vertex_values(_height).tobytes() == _height(p[bm.boundary_vertices]).tobytes()
 
 
 def test_trace_of_refinement_is_refinement_of_trace(lshape, rng):

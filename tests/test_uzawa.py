@@ -1,6 +1,9 @@
 """Outer saddle-point iteration: tolerances, records, stopping, transfer."""
 
+import collections
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,7 +16,7 @@ import pytest
 from _helpers import derived_facts
 from fembem import bem
 from fembem.fem import h1_norm
-from fembem.model import make_problem
+from fembem.model import ExactData, make_problem
 from fembem.solver import SolverBreakdownError
 from fembem.uzawa import (UzawaConfig, UzawaDriver, UzawaResult,
                           UzawaStepRecord, run_experiment_config)
@@ -323,6 +326,56 @@ def test_only_the_finest_mesh_keeps_derived_facts(solver):
     assert max(bem_rounds) >= 4       # Γ refined three times between two FEM rounds
 
 
+def test_interface_and_exact_data_evaluated_once_per_mesh():
+    """phi0, du0/ds, u0 and the exact density run once per boundary mesh and order, u once per mesh."""
+    problem = make_problem("laplace_lshape")
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    class CountingExact(ExactData):
+        def phi(self, points, normals):
+            calls["exact.phi"] += 1
+            return super().phi(points, normals)
+
+    exact = problem.exact
+    problem = dataclasses.replace(
+        problem, u0=counted("u0", problem.u0), phi0=counted("phi0", problem.phi0),
+        du0_ds=counted("du0_ds", problem.du0_ds),
+        exact=CountingExact(u=counted("exact.u", exact.u),
+                            grad_u=counted("exact.grad_u", exact.grad_u),
+                            u_ext=exact.u_ext, grad_u_ext=exact.grad_u_ext))
+    rounds = collections.Counter()
+    seen = collections.defaultdict(dict)   # id -> object, kept alive so ids stay unique
+
+    def observer(driver, phase, payload):
+        rounds[phase] += 1
+        seen[phase][id(driver.bm)] = driver.bm
+
+    class RecordingDriver(UzawaDriver):
+        def step(self, j):
+            record = super().step(j)
+            rounds["step"] += 1
+            seen["step"][id(self.bm)] = self.bm
+            seen["mesh"][id(self.mesh)] = self.mesh
+            return record
+
+    cfg = small_config(gamma=0.95, eps1=5.0, c_bem=0.1, budget_elements=300)
+    res = RecordingDriver(problem, cfg, observer=observer).run()
+    assert res.stop_reason == "budget"
+    assert calls["u0"] == calls["du0_ds"] == len(seen["bem"])
+    assert calls["phi0"] == 2 * len(seen["fem"])          # orders 4 and 2
+    assert calls["exact.phi"] == len(seen["step"])
+    assert calls["exact.u"] == calls["exact.grad_u"] == len(seen["mesh"])
+    # every kind of data is asked for again on a mesh that has it already
+    assert rounds["bem"] > len(seen["bem"]) and rounds["fem"] > len(seen["fem"])
+    assert rounds["step"] > max(len(seen["step"]), len(seen["mesh"]))
+
+
 # ---------------------------------------------------------------------------
 # reproducibility and solver choice
 
@@ -389,3 +442,34 @@ def test_benchmark_hooks_find_every_wrapped_name(tmp_path):
     layers = json.loads(proc.stdout)["layers"]
     assert layers["solver.levels"] >= 2
     assert layers["solver.multilevel_apply.calls"] > 0
+
+
+# CSV sha256 of each benchmark workload at seed 0.  A change that moves a
+# trajectory updates these and gives its reason, as with tests/golden/.
+BENCHMARK_FINGERPRINTS = {
+    "lshape_fixed": "4a7066c5dcf53b31e9d975988dd57468aa21d981b7cd836d8f00a6d595739a2e",
+    "lshape_adaptive": "285512c70cf0b6a2ec8382d1ce699775bd9682001a526ead49866411ac9c23b6",
+    "zshape_exact": "6b1d64eb84d7cf88ede40a6494aba742d9a6534b37fe1af038dbc413706fa516",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_FINGERPRINTS))
+def test_benchmark_csv_fingerprint_at_seed_0(tmp_path, workload):
+    """One repetition of ``perfbench/rep.py`` at the workload's seed-0 budget and tolerance."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    w = run.WORKLOADS[workload]
+    env = dict(os.environ, **run.PINNED_THREADS)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    csv = tmp_path / "run.csv"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "rep.py"),
+         "--config", str(run.CONFIGS / w["config"]), "--budget", str(w["budget"]),
+         "--tol", repr(w["tol"]), "--csv", str(csv)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["problems"] == []
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == BENCHMARK_FINGERPRINTS[workload]
