@@ -40,10 +40,7 @@ __all__ = [
     "BemOperators",
     "assemble_single_layer",
     "assemble_dl_rhs",
-    "integrate_double_layer",
-    "integrate_trace",
     "double_layer_pointwise",
-    "single_layer_pointwise",
     "hminushalf_error_surrogate",
 ]
 
@@ -131,28 +128,11 @@ def _node_panel_geometry(x, p0, d, n, L):
     return s0, H, h, a, b, span, _safe_log(a * a + h * h), _safe_log(b * b + h * h)
 
 
-def _log_inner(points, p0, d, n, L):
-    """Closed-form ``int_panel log|x-y| ds(y)`` for all (point, panel) pairs."""
-    s0, H, h, a, b, span, la, lb = _node_panel_geometry(points, p0, d, n, L)
-    return 0.5 * (b * lb - a * la) - L[None, :] + h * span
-
-
 def _blocks(m: int, ns: int, budget: int = 1_000_000):
     """Row-block ranges keeping (rows x ns) temporaries below ``budget``."""
     step = max(1, budget // max(ns, 1))
     for i0 in range(0, m, step):
         yield i0, min(i0 + step, m)
-
-
-def single_layer_pointwise(bmesh: BoundaryMesh, psi, points) -> np.ndarray:
-    """Single-layer potential of a P0 density at arbitrary points."""
-    psi_v = psi.values if isinstance(psi, BemDensity) else np.asarray(psi, float)
-    p0, d, n, L = _frames(bmesh)
-    x = np.atleast_2d(np.asarray(points, float))
-    out = np.empty(len(x))
-    for i0, i1 in _blocks(len(x), len(L)):
-        out[i0:i1] = -(_log_inner(x[i0:i1], p0, d, n, L) @ psi_v) / TWO_PI
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -310,19 +290,6 @@ def double_layer_pointwise(bmesh: BoundaryMesh, g: BoundaryTrace, points) -> np.
     for i0, i1 in _blocks(len(x), len(L)):
         out[i0:i1] = _dl_panel_terms(x[i0:i1], p0, d, n, L, g0, g1).sum(axis=1) / TWO_PI
     return out
-
-
-def integrate_double_layer(bmesh: BoundaryMesh, g: BoundaryTrace, n_gauss: int = 4) -> np.ndarray:
-    """Per-segment integrals ``int_E (K g) ds`` by outer Gauss quadrature."""
-    pts, wts = bmesh.gauss_points(n_gauss)
-    kg = double_layer_pointwise(bmesh, g, pts.reshape(-1, 2)).reshape(bmesh.num_segments, n_gauss)
-    return np.einsum("sq,sq->s", wts, kg)
-
-
-def integrate_trace(bmesh: BoundaryMesh, g: BoundaryTrace) -> np.ndarray:
-    """Exact per-segment integrals of an affine trace."""
-    g0, g1 = g.endpoint_values()
-    return 0.5 * bmesh.lengths() * (g0 + g1)
 
 
 # ----------------------------------------------------------------------------
@@ -492,7 +459,7 @@ class BemOperators:
                 self.points[s].reshape(-1, 2), pp0, pd, pn, pL)
             A = 0.5 * (la - lb)
             B = np.sign(H) * span
-            # int_panel log|x-y| ds(y), as _log_inner
+            # int_panel log|x-y| ds(y) in closed form
             J = _gauss_sum(w, (0.5 * (b * lb - a * la) - pL + h * span).reshape(shape))
             # H int g(t)/D dt as _dl_panel_terms: B and H A1 = s0 B - H A are
             # its g0 and slope coefficients; panels on the point's line add zero

@@ -18,8 +18,8 @@ import numpy as np
 
 from .uzawa import UzawaConfig, UzawaResult, run_experiment_config
 
-__all__ = ["ConfigError", "parse_config", "write_csv", "read_csv",
-           "fit_slope", "run_experiment", "main"]
+__all__ = ["ConfigError", "parse_config", "write_csv", "fit_slope",
+           "run_experiment", "main"]
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ("iterUZ", "nE", "errUZAWAH1", "errUZAWABEM",
@@ -106,19 +106,6 @@ def write_csv(result: UzawaResult, config: UzawaConfig, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path):
-    """Load a convergence table back as a dict of column arrays."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith(CSV_COLUMNS[0]):
-            continue
-        rows.append(line.split(","))
-    data = np.array(rows, dtype=float)
-    return {name: data[:, k] for k, name in enumerate(CSV_COLUMNS)}
-
-
 def fit_slope(num_elements, values) -> float:
     """Least-squares slope of log(values) against log(num_elements).
 
@@ -141,13 +128,20 @@ def fit_slope(num_elements, values) -> float:
 
 def run_experiment(config_path, out_path=None, budget_elements=None,
                    verbose=False) -> UzawaResult:
-    """Parse, run, write; the core of the command-line entry point."""
+    """Parse, run, write; the core of the command-line entry point.
+
+    A missing directory of the output path is a :class:`ConfigError`,
+    raised before the solve.
+    """
     config = parse_config(config_path)
     if budget_elements is not None:
         try:
             config = dataclasses.replace(config, budget_elements=budget_elements)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    out_path = Path(config_path).with_suffix(".csv") if out_path is None else Path(out_path)
+    if not out_path.parent.is_dir():
+        raise ConfigError(f"cannot write {out_path}: no directory {out_path.parent}")
     observer = None
     if verbose:
         def observer(driver, phase, payload):
@@ -161,8 +155,6 @@ def run_experiment(config_path, out_path=None, budget_elements=None,
             print(f"  j={r.j:3d} nE={r.num_elements:6d} errH1={r.err_h1:.4e} "
                   f"estTOT={r.est_total:.4e} kB={r.k_bem} kF={r.k_fem}",
                   file=sys.stderr)
-    if out_path is None:
-        out_path = Path(config_path).with_suffix(".csv")
     write_csv(result, config, out_path)
     return result
 

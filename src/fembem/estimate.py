@@ -49,22 +49,15 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     eta2 = area ** 2 * np.einsum("q,tq->t", rule.weights, dens ** 2)
 
     # total discrete flux, constant per element
-    sigma = operator(mesh.centroids(), u_prev.element_gradients()) + w.element_gradients()
+    sigma = u_prev.flux(operator) + w.element_gradients()
 
-    edges, tri2edge, edge2tri = mesh.edge_structure()
-    evec = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
-    elen = np.hypot(evec[:, 0], evec[:, 1])
-    enormal = np.stack([evec[:, 1], -evec[:, 0]], axis=1) / elen[:, None]
-    interior = edge2tri[:, 1] >= 0
-    jump = np.einsum("ed,ed->e",
-                     sigma[edge2tri[interior, 0]] - sigma[edge2tri[interior, 1]],
-                     enormal[interior])
-    base = elen[interior] * jump ** 2                  # int_E [..]^2 ds
-    sqrt_area = np.sqrt(area)
-    idx = np.flatnonzero(interior)
+    edges, tri2edge, _ = mesh.edge_structure()
+    idx, left, right, elen, enormal = _interior_edges(mesh)
+    jump = np.einsum("ed,ed->e", sigma[left] - sigma[right], enormal)
     contrib = np.zeros(len(edges))
-    contrib[idx] = base
+    contrib[idx] = elen * jump ** 2                    # int_E [..]^2 ds
     per_tri_edges = contrib[tri2edge].sum(axis=1)      # boundary edges add zero
+    sqrt_area = np.sqrt(area)
     eta2 = eta2 + sqrt_area * per_tri_edges
 
     # boundary edges: flux mismatch against the given interface data
@@ -73,8 +66,25 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     rho = bmesh.gauss_values(phi0, n_gauss) + np.asarray(phi_j, float)[:, None]
     rho = rho - np.einsum("sd,sqd->sq", sigma[bmesh.owner], nrm)
     per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
-    np.add.at(eta2, bmesh.owner, sqrt_area[bmesh.owner] * per_seg)
-    return eta2
+    return eta2 + np.bincount(bmesh.owner, sqrt_area[bmesh.owner] * per_seg,
+                              minlength=mesh.num_triangles)
+
+
+def _interior_edges(mesh: Mesh):
+    """Interior edges of ``mesh``, kept on it.
+
+    Returns ``(idx, left, right, lengths, normals)``: the ids of the
+    interior edges in :meth:`Mesh.edge_structure`, their two elements,
+    their lengths and the unit normals of the sorted vertex pairs.
+    """
+    def build():
+        edges, _, edge2tri = mesh.edge_structure()
+        idx = np.flatnonzero(edge2tri[:, 1] >= 0)
+        evec = mesh.vertices[edges[idx, 1]] - mesh.vertices[edges[idx, 0]]
+        elen = np.hypot(evec[:, 0], evec[:, 1])
+        enormal = np.stack([evec[:, 1], -evec[:, 0]], axis=1) / elen[:, None]
+        return idx, edge2tri[idx, 0], edge2tri[idx, 1], elen, enormal
+    return mesh._derive("interior_edges", build)
 
 
 def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None, n_gauss: int = 4,

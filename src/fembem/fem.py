@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .mesh import BoundaryMesh, Mesh, RefinementRelation, gauss_legendre
+from .mesh import BoundaryMesh, Mesh, RefinementRelation, _Derived, gauss_legendre
 
 __all__ = [
     "FeFunction",
     "TriangleRule",
     "TRI_P5",
-    "TRI_P8",
     "assemble_riesz",
     "assemble_stiffness",
     "riesz_diagonal",
@@ -35,16 +34,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FeFunction:
-    """Continuous P1 function given by vertex values."""
+class FeFunction(_Derived):
+    """Continuous P1 function given by vertex values.
+
+    ``values`` is a read-only copy of the given vector.  The element
+    gradients and the flux of each operator are built on first use and
+    kept, read-only, for the life of the function.
+    """
 
     mesh: Mesh
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.mesh.num_vertices,):
             raise ValueError("coefficient vector does not match the mesh")
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def check_mesh(self, mesh: Mesh, name: str) -> None:
@@ -58,9 +63,17 @@ class FeFunction:
             raise ValueError(f"{name} does not live on the given mesh")
 
     def element_gradients(self) -> np.ndarray:
-        """(nt, 2) constant gradient per element."""
-        g = _hat_gradients(self.mesh)                     # (nt, 3, 2)
-        return np.einsum("tk,tkd->td", self.values[self.mesh.triangles], g)
+        """(nt, 2) constant gradient per element, kept."""
+        return self._derive("element_gradients", lambda: np.einsum(
+            "tk,tkd->td", self.values[self.mesh.triangles], _hat_gradients(self.mesh)))
+
+    def flux(self, operator) -> np.ndarray:
+        """``operator(centroids, element_gradients())``, (nt, 2), kept per ``operator``.
+
+        P1 gradients are constant per element, so this is the exact flux.
+        """
+        return self._derive(("flux", operator), lambda: operator(
+            self.mesh.centroids(), self.element_gradients()))
 
     def at_barycentric(self, lam: np.ndarray) -> np.ndarray:
         """Values at barycentric points, shape (nt, nq)."""
@@ -80,8 +93,7 @@ class TriangleRule:
 
     def points(self, mesh: Mesh) -> np.ndarray:
         """Physical quadrature points, shape (nt, nq, 2), kept on the mesh."""
-        return mesh._derive(("points", self), lambda: np.einsum(
-            "qk,tkd->tqd", self.barycentric, mesh.corners()))
+        return mesh._derive(("points", self), lambda: self.barycentric @ mesh.corners())
 
     def values(self, mesh: Mesh, f) -> np.ndarray:
         """``f`` at the quadrature points, kept on the mesh per ``f``.
@@ -98,11 +110,6 @@ def _sym3(a, w):
     return [(a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)], [w] * 3
 
 
-def _perm6(a, b, w):
-    c = 1 - a - b
-    return [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)], [w] * 6
-
-
 def _make_tri_p5() -> TriangleRule:
     pts = [(1 / 3, 1 / 3, 1 / 3)]
     wts = [9 / 40]
@@ -115,25 +122,7 @@ def _make_tri_p5() -> TriangleRule:
     return TriangleRule(np.array(pts), np.array(wts))
 
 
-def _make_tri_p8() -> TriangleRule:
-    pts = [(1 / 3, 1 / 3, 1 / 3)]
-    wts = [0.1443156076777871]
-    for a, w in [
-        (0.4592925882927231, 0.0950916342672846),
-        (0.1705693077517602, 0.1032173705347182),
-        (0.0505472283170310, 0.0324584976231980),
-    ]:
-        p, ww = _sym3(a, w)
-        pts += p
-        wts += ww
-    p, ww = _perm6(0.2631128296346381, 0.0083947774099576, 0.0272303141744349)
-    pts += p
-    wts += ww
-    return TriangleRule(np.array(pts), np.array(wts))
-
-
 TRI_P5 = _make_tri_p5()
-TRI_P8 = _make_tri_p8()
 
 
 def _hat_gradients(mesh: Mesh) -> np.ndarray:
@@ -152,20 +141,22 @@ def _hat_gradients(mesh: Mesh) -> np.ndarray:
     return mesh._derive("hat_gradients", build)
 
 
+def _gram(g: np.ndarray) -> np.ndarray:
+    """(nt, 3, 3) products of the hat gradients ``g`` of each element."""
+    return g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
+
+
 def assemble_stiffness(mesh: Mesh) -> csr_matrix:
     """Exact P1 stiffness matrix (grad-grad part only)."""
-    g = _hat_gradients(mesh)
-    area = mesh.areas()
-    loc = np.einsum("tid,tjd->tij", g, g) * area[:, None, None]
+    loc = _gram(_hat_gradients(mesh)) * mesh.areas()[:, None, None]
     return _scatter(mesh, loc)
 
 
 def assemble_riesz(mesh: Mesh) -> csr_matrix:
     """Galerkin matrix of the H^1 inner product (stiffness + mass), kept read-only on the mesh."""
     def build():
-        g = _hat_gradients(mesh)
         area = mesh.areas()
-        loc = np.einsum("tid,tjd->tij", g, g) * area[:, None, None]
+        loc = _gram(_hat_gradients(mesh)) * area[:, None, None]
         mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
         loc = loc + mass[None, :, :] * area[:, None, None]
         return _scatter(mesh, loc)
@@ -185,19 +176,21 @@ def riesz_diagonal(mesh: Mesh) -> np.ndarray:
     g = _hat_gradients(mesh)
     area = mesh.areas()
     contrib = (np.einsum("tkd,tkd->tk", g, g) + 1.0 / 6.0) * area[:, None]
-    diag = np.zeros(mesh.num_vertices)
-    np.add.at(diag, mesh.triangles.reshape(-1), contrib.reshape(-1))
-    return diag
+    return _sum_to_vertices(mesh, contrib)
+
+
+def _sum_to_vertices(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
+    """Sum (nt, 3) per-corner contributions into their vertices, in element order."""
+    return np.bincount(mesh.triangles.reshape(-1), contrib.reshape(-1),
+                       minlength=mesh.num_vertices)
 
 
 def volume_load(mesh: Mesh, f, rule: TriangleRule = TRI_P5) -> np.ndarray:
     """Vector of ``(f, hat_i)`` via triangle quadrature."""
     fv = rule.values(mesh, f)
     area = mesh.areas()
-    contrib = np.einsum("q,tq,qk->tk", rule.weights, fv, rule.barycentric) * area[:, None]
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.triangles.reshape(-1), contrib.reshape(-1))
-    return out
+    contrib = ((fv * rule.weights) @ rule.barycentric) * area[:, None]
+    return _sum_to_vertices(mesh, contrib)
 
 
 def boundary_load(bmesh: BoundaryMesh, values: np.ndarray, n_gauss: int = 4) -> np.ndarray:
@@ -209,28 +202,24 @@ def boundary_load(bmesh: BoundaryMesh, values: np.ndarray, n_gauss: int = 4) -> 
     pts, wts = bmesh.gauss_points(n_gauss)
     xi, _ = gauss_legendre(n_gauss)
     lam = 0.5 * (xi + 1.0)           # position of each node along the segment
-    out = np.zeros(bmesh.mesh.num_vertices)
     c0 = np.einsum("sq,q,sq->s", wts, 1.0 - lam, np.asarray(values))
     c1 = np.einsum("sq,q,sq->s", wts, lam, np.asarray(values))
-    np.add.at(out, bmesh.segments[:, 0], c0)
-    np.add.at(out, bmesh.segments[:, 1], c1)
-    return out
+    return np.bincount(bmesh.segments.T.reshape(-1), np.concatenate([c0, c1]),
+                       minlength=bmesh.mesh.num_vertices)
 
 
 def apply_interior_operator(operator, u: FeFunction) -> np.ndarray:
     """Vector of ``a(u; hat_i) = (A(grad u), grad hat_i)`` for a flux map ``A``.
 
     ``operator(points (n,2), grads (n,2))`` returns the fluxes (n, 2).  P1
-    gradients are constant per element, so the flux is evaluated once at
-    each centroid and the form is exact.
+    gradients are constant per element, so the flux is evaluated at each
+    centroid, once per ``u`` and operator (:meth:`FeFunction.flux`), and
+    the form is exact.
     """
     mesh = u.mesh
-    area = mesh.areas()
-    flux = operator(mesh.centroids(), u.element_gradients())   # (nt, 2), constant per element
-    contrib = np.einsum("td,tkd->tk", flux, _hat_gradients(mesh)) * area[:, None]
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.triangles.reshape(-1), contrib.reshape(-1))
-    return out
+    contrib = np.einsum("td,tkd->tk", u.flux(operator), _hat_gradients(mesh)) \
+        * mesh.areas()[:, None]
+    return _sum_to_vertices(mesh, contrib)
 
 
 def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFunction,
@@ -266,7 +255,7 @@ def h1_error(u_h: FeFunction, u_exact, grad_exact, rule: TriangleRule = TRI_P5) 
     mesh = u_h.mesh
     du = rule.values(mesh, u_exact) - u_h.at_barycentric(rule.barycentric)
     dg = rule.values(mesh, grad_exact) - u_h.element_gradients()[:, None, :]
-    dens = du ** 2 + np.einsum("tqd,tqd->tq", dg, dg)
+    dens = du ** 2 + (dg[..., 0] ** 2 + dg[..., 1] ** 2)
     total = np.einsum("t,q,tq->", mesh.areas(), rule.weights, dens)
     return float(np.sqrt(total))
 

@@ -23,7 +23,6 @@ __all__ = [
     "make_initial_mesh",
     "refine_nvb",
     "boundary_trace",
-    "shape_regularity",
     "gauss_legendre",
 ]
 
@@ -83,7 +82,8 @@ class Mesh(_Derived):
     Facts derived from these arrays are built on first use and kept,
     read-only, on the mesh: corners, areas, centroids and the edge
     structure here, the hat gradients, quadrature points and Riesz matrix
-    in :mod:`fembem.fem`.  :meth:`drop_derived` forgets all of them.
+    in :mod:`fembem.fem`, the interior edges in :mod:`fembem.estimate`.
+    :meth:`drop_derived` forgets all of them.
     """
 
     vertices: np.ndarray
@@ -156,22 +156,6 @@ class Mesh(_Derived):
         has2 = counts == 2
         edge2tri[has2, 1] = tri_sorted[last[has2] - 1]
         return edges, tri2edge, edge2tri
-
-    def validate(self) -> None:
-        """Cheap structural checks used by the test-suite."""
-        if np.any(self.areas() <= 0):
-            raise ValueError("degenerate or clockwise element")
-        edges, tri2edge, edge2tri = self.edge_structure()
-        # every interior edge must appear once in each orientation
-        t = self.triangles
-        raw = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
-        directed = set(map(tuple, raw.tolist()))
-        if len(directed) != len(raw):
-            raise ValueError("duplicated directed edge")
-        interior = edge2tri[:, 1] >= 0
-        for a, b in edges[interior]:
-            if (a, b) not in directed or (b, a) not in directed:
-                raise ValueError("inconsistent orientation across an interior edge")
 
 
 @dataclass(frozen=True)
@@ -396,13 +380,6 @@ def boundary_trace(mesh: Mesh) -> BoundaryMesh:
         owner_edge=local[walk],
         boundary_vertices=start[walk],
     )
-
-
-def shape_regularity(mesh: Mesh) -> float:
-    """max_T diam(T) / |T|^(1/2)."""
-    p = mesh.corners()
-    diam = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max(axis=1)
-    return float(np.max(diam / np.sqrt(mesh.areas())))
 
 
 # ----------------------------------------------------------------------------

@@ -61,6 +61,9 @@ class ProblemSpec:
 # the tanh nonlinearity
 
 _CHI_SMALL = 1e-4
+# cosh(t)^2 overflows past |t| = 355; past |t| = 350, t / cosh(t)^2 is below
+# half an ulp of tanh(t) = +-1, and so is t / cosh(350)^2 for |t| < 1e150
+_COSH_CAP = 350.0
 
 
 def chi(t):
@@ -75,11 +78,11 @@ def chi(t):
 
 
 def chi_prime(t):
-    """Derivative of chi, with a series branch near zero."""
+    """Derivative of chi, with a series branch near zero; free of overflow for large |t|."""
     t = np.asarray(t, dtype=float)
     small = np.abs(t) < _CHI_SMALL
     ts = np.where(small, 1.0, t)
-    out = (ts / np.cosh(ts) ** 2 - np.tanh(ts)) / ts ** 2
+    out = (ts / np.cosh(np.clip(ts, -_COSH_CAP, _COSH_CAP)) ** 2 - np.tanh(ts)) / ts ** 2
     series = -2.0 * t / 3.0 + 8.0 * t ** 3 / 15.0
     return np.where(small, series, out)
 

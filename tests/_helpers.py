@@ -1,10 +1,22 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite.
+
+Mesh builders and callbacks shared by the test modules; the API only
+the tests use (an 8th-degree triangle rule, mesh checks, the pointwise
+single-layer potential, boundary integrals, CSV reading); and the
+einsum / ``np.add.at`` forms of the FEM kernels, kept as references for
+the matmul / ``np.bincount`` code in ``fembem.fem`` and
+``fembem.estimate``.
+"""
+
+from pathlib import Path
 
 import numpy as np
 
-from fembem.bem import BoundaryTrace
-from fembem.fem import FeFunction
-from fembem.mesh import boundary_trace, make_initial_mesh, refine_nvb
+from fembem.bem import (TWO_PI, BemDensity, BoundaryTrace, _blocks, _frames,
+                        _node_panel_geometry, double_layer_pointwise)
+from fembem.cli import CSV_COLUMNS
+from fembem.fem import FeFunction, TriangleRule, _hat_gradients, _scatter, _sym3
+from fembem.mesh import boundary_trace, gauss_legendre, make_initial_mesh, refine_nvb
 from fembem.solver import CholeskyFactor
 
 
@@ -117,3 +129,194 @@ def f_zero(points):
 
 def phi0_zero(points, normals):
     return np.zeros(len(points))
+
+
+# ---------------------------------------------------------------------------
+# API only the tests use
+
+
+def _perm6(a, b, w):
+    c = 1 - a - b
+    return [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)], [w] * 6
+
+
+def _make_tri_p8() -> TriangleRule:
+    pts = [(1 / 3, 1 / 3, 1 / 3)]
+    wts = [0.1443156076777871]
+    for a, w in [
+        (0.4592925882927231, 0.0950916342672846),
+        (0.1705693077517602, 0.1032173705347182),
+        (0.0505472283170310, 0.0324584976231980),
+    ]:
+        p, ww = _sym3(a, w)
+        pts += p
+        wts += ww
+    p, ww = _perm6(0.2631128296346381, 0.0083947774099576, 0.0272303141744349)
+    pts += p
+    wts += ww
+    return TriangleRule(np.array(pts), np.array(wts))
+
+
+TRI_P8 = _make_tri_p8()
+
+
+def validate(mesh) -> None:
+    """Cheap structural checks of a triangulation."""
+    if np.any(mesh.areas() <= 0):
+        raise ValueError("degenerate or clockwise element")
+    edges, tri2edge, edge2tri = mesh.edge_structure()
+    # every interior edge must appear once in each orientation
+    t = mesh.triangles
+    raw = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
+    directed = set(map(tuple, raw.tolist()))
+    if len(directed) != len(raw):
+        raise ValueError("duplicated directed edge")
+    interior = edge2tri[:, 1] >= 0
+    for a, b in edges[interior]:
+        if (a, b) not in directed or (b, a) not in directed:
+            raise ValueError("inconsistent orientation across an interior edge")
+
+
+def shape_regularity(mesh) -> float:
+    """max_T diam(T) / |T|^(1/2)."""
+    p = mesh.corners()
+    diam = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max(axis=1)
+    return float(np.max(diam / np.sqrt(mesh.areas())))
+
+
+def _log_inner(points, p0, d, n, L):
+    """Closed-form ``int_panel log|x-y| ds(y)`` for all (point, panel) pairs."""
+    s0, H, h, a, b, span, la, lb = _node_panel_geometry(points, p0, d, n, L)
+    return 0.5 * (b * lb - a * la) - L[None, :] + h * span
+
+
+def single_layer_pointwise(bmesh, psi, points) -> np.ndarray:
+    """Single-layer potential of a P0 density at arbitrary points."""
+    psi_v = psi.values if isinstance(psi, BemDensity) else np.asarray(psi, float)
+    p0, d, n, L = _frames(bmesh)
+    x = np.atleast_2d(np.asarray(points, float))
+    out = np.empty(len(x))
+    for i0, i1 in _blocks(len(x), len(L)):
+        out[i0:i1] = -(_log_inner(x[i0:i1], p0, d, n, L) @ psi_v) / TWO_PI
+    return out
+
+
+def integrate_double_layer(bmesh, g, n_gauss=4) -> np.ndarray:
+    """Per-segment integrals ``int_E (K g) ds`` by outer Gauss quadrature."""
+    pts, wts = bmesh.gauss_points(n_gauss)
+    kg = double_layer_pointwise(bmesh, g, pts.reshape(-1, 2)).reshape(bmesh.num_segments, n_gauss)
+    return np.einsum("sq,sq->s", wts, kg)
+
+
+def integrate_trace(bmesh, g) -> np.ndarray:
+    """Exact per-segment integrals of an affine trace."""
+    g0, g1 = g.endpoint_values()
+    return 0.5 * bmesh.lengths() * (g0 + g1)
+
+
+def read_csv(path):
+    """Load a convergence table back as a dict of column arrays."""
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith(CSV_COLUMNS[0]):
+            continue
+        rows.append(line.split(","))
+    data = np.array(rows, dtype=float)
+    return {name: data[:, k] for k, name in enumerate(CSV_COLUMNS)}
+
+
+# ---------------------------------------------------------------------------
+# einsum / np.add.at forms of the FEM kernels
+
+
+def points_reference(rule, mesh):
+    return np.einsum("qk,tkd->tqd", rule.barycentric, mesh.corners())
+
+
+def _element_gradients_reference(u):
+    return np.einsum("tk,tkd->td", u.values[u.mesh.triangles], _hat_gradients(u.mesh))
+
+
+def stiffness_reference(mesh):
+    g = _hat_gradients(mesh)
+    return _scatter(mesh, np.einsum("tid,tjd->tij", g, g) * mesh.areas()[:, None, None])
+
+
+def riesz_reference(mesh):
+    g = _hat_gradients(mesh)
+    area = mesh.areas()
+    loc = np.einsum("tid,tjd->tij", g, g) * area[:, None, None]
+    mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    return _scatter(mesh, loc + mass[None, :, :] * area[:, None, None])
+
+
+def riesz_diagonal_reference(mesh):
+    g = _hat_gradients(mesh)
+    contrib = (np.einsum("tkd,tkd->tk", g, g) + 1.0 / 6.0) * mesh.areas()[:, None]
+    diag = np.zeros(mesh.num_vertices)
+    np.add.at(diag, mesh.triangles.reshape(-1), contrib.reshape(-1))
+    return diag
+
+
+def volume_load_reference(mesh, f, rule):
+    fv = rule.values(mesh, f)
+    contrib = np.einsum("q,tq,qk->tk", rule.weights, fv, rule.barycentric) * mesh.areas()[:, None]
+    out = np.zeros(mesh.num_vertices)
+    np.add.at(out, mesh.triangles.reshape(-1), contrib.reshape(-1))
+    return out
+
+
+def boundary_load_reference(bmesh, values, n_gauss=4):
+    _, wts = bmesh.gauss_points(n_gauss)
+    xi, _ = gauss_legendre(n_gauss)
+    lam = 0.5 * (xi + 1.0)
+    out = np.zeros(bmesh.mesh.num_vertices)
+    np.add.at(out, bmesh.segments[:, 0], np.einsum("sq,q,sq->s", wts, 1.0 - lam, values))
+    np.add.at(out, bmesh.segments[:, 1], np.einsum("sq,q,sq->s", wts, lam, values))
+    return out
+
+
+def apply_interior_operator_reference(operator, u):
+    mesh = u.mesh
+    flux = operator(mesh.centroids(), _element_gradients_reference(u))
+    contrib = np.einsum("td,tkd->tk", flux, _hat_gradients(mesh)) * mesh.areas()[:, None]
+    out = np.zeros(mesh.num_vertices)
+    np.add.at(out, mesh.triangles.reshape(-1), contrib.reshape(-1))
+    return out
+
+
+def h1_error_reference(u_h, u_exact, grad_exact, rule):
+    mesh = u_h.mesh
+    du = rule.values(mesh, u_exact) - u_h.at_barycentric(rule.barycentric)
+    dg = rule.values(mesh, grad_exact) - _element_gradients_reference(u_h)[:, None, :]
+    dens = du ** 2 + np.einsum("tqd,tqd->tq", dg, dg)
+    return float(np.sqrt(np.einsum("t,q,tq->", mesh.areas(), rule.weights, dens)))
+
+
+def eta_fem_reference(mesh, bmesh, w, u_prev, f, phi0, phi_j, operator, rule, n_gauss=2):
+    area = mesh.areas()
+    dens = rule.values(mesh, f) - w.at_barycentric(rule.barycentric)
+    eta2 = area ** 2 * np.einsum("q,tq->t", rule.weights, dens ** 2)
+    sigma = operator(mesh.centroids(), _element_gradients_reference(u_prev)) \
+        + _element_gradients_reference(w)
+    edges, tri2edge, edge2tri = mesh.edge_structure()
+    evec = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+    elen = np.hypot(evec[:, 0], evec[:, 1])
+    enormal = np.stack([evec[:, 1], -evec[:, 0]], axis=1) / elen[:, None]
+    interior = edge2tri[:, 1] >= 0
+    jump = np.einsum("ed,ed->e",
+                     sigma[edge2tri[interior, 0]] - sigma[edge2tri[interior, 1]],
+                     enormal[interior])
+    contrib = np.zeros(len(edges))
+    contrib[np.flatnonzero(interior)] = elen[interior] * jump ** 2
+    sqrt_area = np.sqrt(area)
+    eta2 = eta2 + sqrt_area * contrib[tri2edge].sum(axis=1)
+    _, wts_b = bmesh.gauss_points(n_gauss)
+    nrm = np.repeat(bmesh.normals()[:, None, :], n_gauss, axis=1)
+    rho = bmesh.gauss_values(phi0, n_gauss) + np.asarray(phi_j, float)[:, None]
+    rho = rho - np.einsum("sd,sqd->sq", sigma[bmesh.owner], nrm)
+    per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
+    np.add.at(eta2, bmesh.owner, sqrt_area[bmesh.owner] * per_seg)
+    return eta2

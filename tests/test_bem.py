@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _helpers import (double_layer_derivative_closed_form, nodal_interpolate_u0,
+from _helpers import (double_layer_derivative_closed_form, integrate_double_layer,
+                      integrate_trace, nodal_interpolate_u0, single_layer_pointwise,
                       uniform_refine_boundary)
 from fembem import bem
 from fembem.mesh import Mesh, boundary_trace, make_initial_mesh, refine_nvb
@@ -123,7 +124,7 @@ def test_single_layer_pointwise_matches_quadrature(lbm, rng):
                 return -np.log(np.hypot(*(x0 - y))) / TWO_PI * L[j]
             val, _ = integrate.quad(f, 0, 1, epsabs=1e-13, limit=200)
             ref += psi.values[j] * val
-        out = bem.single_layer_pointwise(lbm, psi, x0[None, :])[0]
+        out = single_layer_pointwise(lbm, psi, x0[None, :])[0]
         assert abs(out - ref) <= 1e-10
 
 
@@ -206,7 +207,7 @@ def test_dl_operator_matches_pointwise_double_layer(graded_lbm, rng):
     ops = bem.BemOperators(bm)
     for _ in range(3):
         g = bem.BoundaryTrace(bm, rng.standard_normal(bm.num_segments))
-        ref = bem.integrate_double_layer(bm, g) - 0.5 * bem.integrate_trace(bm, g)
+        ref = integrate_double_layer(bm, g) - 0.5 * integrate_trace(bm, g)
         np.testing.assert_allclose(ops.DL @ g.values, ref, rtol=1e-12,
                                    atol=1e-15 * np.abs(ref).max())
         assert np.array_equal(ops.dl_rhs(g), ops.DL @ g.values)
@@ -232,8 +233,8 @@ def test_residual_derivative_matches_finite_differences(lbm, rng):
             xm = (x - eps * tgt[s])[None, :]
             kd = (bem.double_layer_pointwise(lbm, g, xp)[0]
                   - bem.double_layer_pointwise(lbm, g, xm)[0]) / (2 * eps)
-            vd = (bem.single_layer_pointwise(lbm, psi, xp)[0]
-                  - bem.single_layer_pointwise(lbm, psi, xm)[0]) / (2 * eps)
+            vd = (single_layer_pointwise(lbm, psi, xp)[0]
+                  - single_layer_pointwise(lbm, psi, xm)[0]) / (2 * eps)
             fd = kd - 0.5 * slopes[s] - vd
             worst = max(worst, abs(fd - vals[s, q]))
     assert worst <= 1e-5
@@ -427,7 +428,7 @@ def test_galerkin_solution_converges_for_interior_source():
     for _ in range(5):
         gh = nodal_interpolate_u0(bm, w_int)
         Vf = bem.assemble_single_layer(bm)
-        rhs = bem.integrate_double_layer(bm, gh) + 0.5 * bem.integrate_trace(bm, gh)
+        rhs = integrate_double_layer(bm, gh) + 0.5 * integrate_trace(bm, gh)
         psi_h = np.linalg.solve(Vf, rhs)
         a, b = bm.endpoints()
         exact = dn_w(0.5 * (a + b), bm.normals())
@@ -458,7 +459,7 @@ def test_trace_of_and_nodal_interpolation(lbm):
     ni = nodal_interpolate_u0(lbm, affine)
     assert np.array_equal(tr.values, ni.values)
     g0, g1 = tr.endpoint_values()
-    assert np.array_equal(bem.integrate_trace(lbm, tr),
+    assert np.array_equal(integrate_trace(lbm, tr),
                           0.5 * lbm.lengths() * (g0 + g1))
 
 

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from _helpers import read_csv
 from fembem import cli
 from fembem.cli import (CSV_COLUMNS, ConfigError, fit_slope, main,
-                        parse_config, read_csv, run_experiment, write_csv)
+                        parse_config, run_experiment, write_csv)
 from fembem.uzawa import UzawaConfig, run_experiment_config
 
 SMALL_CFG = """\
@@ -256,6 +257,20 @@ def test_main_bad_budget_override_is_config_error(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--budget-elements", "0"]) == 2
     assert capsys.readouterr().err.strip() == \
         "config error: budget_elements must be at least 1"
+
+
+def test_main_missing_output_directory_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    cfg_path = write_cfg(tmp_path, SMALL_CFG)
+    out = tmp_path / "missing" / "x.csv"
+
+    def never(config, observer=None):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr(cli, "run_experiment_config", never)
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == \
+        f"config error: cannot write {out}: no directory {out.parent}"
+    assert not out.parent.exists()
 
 
 def test_main_runtime_failure_exit_code(tmp_path, capsys, monkeypatch):

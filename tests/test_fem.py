@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from _helpers import (derived_facts, f_one, phi0_zero, random_nvb_mesh,
-                      uniform_refine, zero_fe)
-from fembem.fem import (TRI_P5, TRI_P8, FeFunction, _hat_gradients,
+from _helpers import (TRI_P8, apply_interior_operator_reference, boundary_load_reference,
+                      derived_facts, eta_fem_reference, f_one, h1_error_reference,
+                      phi0_zero, points_reference, random_nvb_mesh,
+                      riesz_diagonal_reference, riesz_reference, stiffness_reference,
+                      uniform_refine, volume_load_reference, zero_fe)
+from fembem.estimate import _interior_edges, eta_fem
+from fembem.fem import (TRI_P5, FeFunction, _hat_gradients, apply_interior_operator,
                         assemble_riesz, assemble_stiffness, assemble_w_rhs,
                         boundary_load, h1_error, h1_norm, prolongate,
                         riesz_diagonal, volume_load)
@@ -311,6 +315,7 @@ MESH_FACTS = {
     "areas": Mesh.areas,
     "centroids": Mesh.centroids,
     "edge_structure": Mesh.edge_structure,
+    "interior_edges": _interior_edges,
     "hat_gradients": _hat_gradients,
     str(("points", TRI_P5)): TRI_P5.points,
     str(("points", TRI_P8)): TRI_P8.points,
@@ -354,8 +359,6 @@ def test_mesh_facts_are_kept_read_only_and_equal_a_fresh_build(domain, seed):
 
 def test_load_is_evaluated_once_per_mesh(rng):
     """``volume_load`` and ``eta_fem`` of one mesh share the values of ``f``."""
-    from fembem.estimate import eta_fem
-
     mesh = random_nvb_mesh("lshape", 2)
     bm = boundary_trace(mesh)
     calls = []
@@ -374,3 +377,84 @@ def test_load_is_evaluated_once_per_mesh(rng):
     assert np.array_equal(eta_fem(mesh, bm, u, u, f, phi0_zero, np.zeros(bm.num_segments),
                                   identity_flux), eta2)
     assert len(calls) == 2
+
+
+NONLINEAR_OP = make_problem("nonlinear_zshape").operator
+
+
+def positive_load(points):
+    """A load whose hat moments sum positive terms, so a relative tolerance applies entrywise."""
+    return 2.0 + load(points)
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernels_equal_their_einsum_and_add_at_forms(domain, seed):
+    """Bit for bit where only the kernel changed; at rtol 1e-14 where matmul reorders a sum."""
+    rng = np.random.default_rng(seed)
+    mesh = random_nvb_mesh(domain, seed)
+    bm = boundary_trace(mesh)
+    u = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
+    w = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
+    psi = rng.standard_normal(bm.num_segments)
+    phi0 = EXACT.phi
+
+    def same_bits(got, ref):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    for got, ref in ((assemble_riesz(mesh), riesz_reference(mesh)),
+                     (assemble_stiffness(mesh), stiffness_reference(mesh))):
+        for a, b in ((got.data, ref.data), (got.indices, ref.indices), (got.indptr, ref.indptr)):
+            same_bits(a, b)
+    same_bits(riesz_diagonal(mesh), riesz_diagonal_reference(mesh))
+    for op in (identity_flux, NONLINEAR_OP):
+        same_bits(apply_interior_operator(op, u), apply_interior_operator_reference(op, u))
+        same_bits(eta_fem(mesh, bm, w, u, load, phi0, psi, op),
+                  eta_fem_reference(mesh, bm, w, u, load, phi0, psi, op, TRI_P5))
+    values = rng.standard_normal((bm.num_segments, 4))
+    same_bits(boundary_load(bm, values), boundary_load_reference(bm, values))
+    for rule in (TRI_P5, TRI_P8):
+        same_bits(np.asarray(h1_error(u, EXACT.u, EXACT.grad_u, rule)),
+                  np.asarray(h1_error_reference(u, EXACT.u, EXACT.grad_u, rule)))
+        assert np.allclose(rule.points(mesh), points_reference(rule, mesh), rtol=1e-14, atol=0)
+        assert np.allclose(volume_load(mesh, positive_load, rule),
+                           volume_load_reference(mesh, positive_load, rule), rtol=1e-14, atol=0)
+
+
+def test_flux_runs_once_per_function_and_operator(rng):
+    """``assemble_w_rhs`` and ``eta_fem`` of one FEM round share A(grad u_prev)."""
+    mesh = random_nvb_mesh("zshape", 1)
+    bm = boundary_trace(mesh)
+    psi = np.zeros(bm.num_segments)
+    calls = []
+
+    def counting(points, grads):
+        calls.append(len(grads))
+        return NONLINEAR_OP(points, grads)
+
+    u = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
+    rhs = assemble_w_rhs(mesh, bm, load, phi0_zero, psi, u, counting)
+    w = FeFunction(mesh, rhs)
+    eta2 = eta_fem(mesh, bm, w, u, load, phi0_zero, psi, counting)
+    assert calls == [mesh.num_triangles]
+    assert u.flux(counting) is u.flux(counting)
+    assert not u.flux(counting).flags.writeable
+    assert u.element_gradients() is u.element_gradients()
+    # another function or another operator evaluates afresh, to the same bits
+    twin = FeFunction(mesh, u.values)
+    assert np.array_equal(assemble_w_rhs(mesh, bm, load, phi0_zero, psi, twin, NONLINEAR_OP), rhs)
+    assert np.array_equal(eta_fem(mesh, bm, w, twin, load, phi0_zero, psi, counting), eta2)
+    assert len(calls) == 2
+
+
+def test_fe_function_values_are_a_read_only_copy(lshape, rng):
+    values = rng.standard_normal(lshape.num_vertices)
+    before = values.copy()
+    u = FeFunction(lshape, values)
+    assert not np.shares_memory(u.values, values)
+    values[0] += 1.0
+    assert np.array_equal(u.values, before)
+    with pytest.raises(ValueError):
+        u.values[0] = 0.0
+    assert FeFunction(lshape, u.values).values is not u.values

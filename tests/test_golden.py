@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fembem.cli import parse_config, read_csv, write_csv
+from _helpers import read_csv
+from fembem.cli import parse_config, write_csv
 from fembem.uzawa import run_experiment_config
 
 ROOT = Path(__file__).resolve().parent.parent

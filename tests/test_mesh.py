@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import derived_facts, random_nvb_mesh, uniform_refine
-from fembem.mesh import (BoundaryMesh, Mesh, boundary_trace, make_initial_mesh, refine_nvb,
-                         shape_regularity)
+from _helpers import (derived_facts, random_nvb_mesh, shape_regularity, uniform_refine,
+                      validate)
+from fembem.mesh import BoundaryMesh, Mesh, boundary_trace, make_initial_mesh, refine_nvb
 
 
 def single_triangle():
@@ -32,7 +32,7 @@ def test_lshape_counts(lshape):
 def test_zshape_counts(zshape):
     assert zshape.num_triangles == 14
     assert zshape.num_vertices == 13
-    zshape.validate()
+    validate(zshape)
 
 
 def test_lshape_domain_diameter(lshape):
@@ -65,8 +65,8 @@ def test_zshape_area(zshape):
 
 
 def test_initial_meshes_validate(lshape, zshape):
-    lshape.validate()
-    zshape.validate()
+    validate(lshape)
+    validate(zshape)
     assert (lshape.areas() > 0).all()
     assert (zshape.areas() > 0).all()
 
@@ -95,12 +95,12 @@ def test_single_triangle_bisection():
     assert len(rel.tri_sons[0]) == 2
     areas = fine.areas()
     assert np.allclose(areas, mesh.areas()[0] / 2.0, rtol=1e-15)
-    fine.validate()
+    validate(fine)
 
 
 def test_refine_all_conforming(lshape):
     fine, rel = refine_nvb(lshape, np.arange(12))
-    fine.validate()
+    validate(fine)
     assert all(len(s) >= 2 for s in rel.tri_sons)
 
 
@@ -279,7 +279,7 @@ def test_marked_segments_split(lshape):
     fine, rel = refine_nvb(lshape, np.zeros(0, dtype=int),
                            marked_segments=np.array([3]), bmesh=bm)
     assert len(rel.seg_sons[3]) == 2
-    fine.validate()
+    validate(fine)
 
 
 @pytest.mark.parametrize("ids", [[-1], [0, 8], [3, 100]])
@@ -469,7 +469,7 @@ def test_random_marking_properties(marked, msegs):
     fine, rel = refine_nvb(mesh, np.unique(marked).astype(int),
                            marked_segments=np.unique(msegs).astype(int),
                            bmesh=bm)
-    fine.validate()
+    validate(fine)
     assert abs(fine.areas().sum() - mesh.areas().sum()) < 1e-12
     assert abs(shape_regularity(fine) - 2.0) < 1e-9
     for t in np.unique(marked):

@@ -45,6 +45,24 @@ def test_chi_prime_matches_finite_differences():
         assert abs(float(chi_prime(t)) - fd) <= 1e-6
 
 
+def test_chi_prime_is_free_of_overflow_and_keeps_its_bits():
+    """No warning for large |t|; the bits of the direct formula wherever it did not overflow."""
+    t = np.linspace(-1e3, 1e3, 200_001)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        vals = chi_prime(t)
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.abs(vals) <= 1.0 / np.maximum(t * t, 1.0))   # -1/t^2 < chi' < 0 for t > 0
+    for x in (400.0, -400.0, 1e3):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            chi_prime(x)
+    t = t[np.abs(t) <= 300.0]
+    ts = np.where(np.abs(t) < 1e-4, 1.0, t)
+    direct = (ts / np.cosh(ts) ** 2 - np.tanh(ts)) / ts ** 2
+    series = -2.0 * t / 3.0 + 8.0 * t ** 3 / 15.0
+    ref = np.where(np.abs(t) < 1e-4, series, direct)
+    assert chi_prime(t).tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # manufactured interior / exterior solutions
 
