@@ -130,8 +130,8 @@ def run_experiment(config_path, out_path=None, budget_elements=None,
                    verbose=False) -> UzawaResult:
     """Parse, run, write; the core of the command-line entry point.
 
-    A missing directory of the output path is a :class:`ConfigError`,
-    raised before the solve.
+    An output path that is a directory, or whose directory is missing,
+    is a :class:`ConfigError`, raised before the solve.
     """
     config = parse_config(config_path)
     if budget_elements is not None:
@@ -140,6 +140,8 @@ def run_experiment(config_path, out_path=None, budget_elements=None,
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     out_path = Path(config_path).with_suffix(".csv") if out_path is None else Path(out_path)
+    if out_path.is_dir():
+        raise ConfigError(f"cannot write {out_path}: it is a directory")
     if not out_path.parent.is_dir():
         raise ConfigError(f"cannot write {out_path}: no directory {out_path.parent}")
     observer = None

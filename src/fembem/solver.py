@@ -102,6 +102,11 @@ class _Level:
     prolongation: sp.csr_matrix | None  # from the previous level; None on level 0
 
 
+# A level is folded into the last block while that block's basis holds at
+# most this many nonzeros per row; past it, the level opens a new block.
+_BLOCK_FILL = 24
+
+
 class LocalMultilevelDiagonal:
     """Additive multilevel diagonal scaling on locally refined vertices.
 
@@ -110,25 +115,38 @@ class LocalMultilevelDiagonal:
     prolongated hat function of one vertex that was active on its level
     (new, or in a patch that refinement changed), and d holds the inverse
     Riesz diagonal of each such hat function on its level.  The coarsest
-    level is solved exactly (it never outgrows the initial mesh).  The
-    basis ``[C Q]`` is one CSR matrix, so an apply costs two sparse
-    mat-vecs and a small dense solve however many levels there are.
+    level is solved exactly (it never outgrows the initial mesh).
     Optimal for newest-vertex bisection hierarchies.
+
+    The levels come in consecutive runs, the blocks of a
+    :class:`MeshHierarchy`.  Block b is one CSR basis ``[C_b Q_b]``:
+    ``C_b`` prolongates from the block's first level to its last and
+    ``Q_b`` holds that run's prolongated active hats, scaled by ``d_b``.
+    An apply restricts from fine to coarse with one mat-vec by each
+    block's transpose, scaling its hat part and passing the C part down,
+    solves on level 0, and prolongates back with one mat-vec per block.
+    With a single block this is ``[C Q] (A0^{-1} ⊕ d) [C Q]' r``.
     """
 
-    def __init__(self, basis, coarse_factor, inverse_diagonal):
-        self._basis = basis
-        self._restriction = basis.T        # CSC view, no copy
+    def __init__(self, blocks, coarse_factor):
+        # (basis, its CSC transpose view, d, number of coarse columns)
+        self._blocks = [(basis, basis.T, d, basis.shape[1] - d.size)
+                        for basis, d in blocks]
         self._coarse_factor = coarse_factor
-        self._inverse_diagonal = inverse_diagonal
-        self._n0 = basis.shape[1] - inverse_diagonal.size
 
     def apply(self, r):
-        y = self._restriction @ np.asarray(r, dtype=float)
-        n0 = self._n0
-        y[:n0] = self._coarse_factor.solve(y[:n0])
-        y[n0:] *= self._inverse_diagonal
-        return self._basis @ y
+        x = np.asarray(r, dtype=float)
+        restricted = []
+        for _, restriction, d, nc in reversed(self._blocks):
+            y = restriction @ x
+            y[nc:] *= d
+            restricted.append(y)
+            x = y[:nc]
+        z = self._coarse_factor.solve(x)
+        for (basis, _, _, nc), y in zip(self._blocks, reversed(restricted)):
+            y[:nc] = z
+            z = basis @ y
+        return z
 
 
 class MeshHierarchy:
@@ -136,21 +154,28 @@ class MeshHierarchy:
 
     :meth:`push` records each refinement's prolongation P and fine mesh.
     :meth:`preconditioner` folds the levels pushed since its last call
-    into the composite basis, ``C <- P C`` and ``Q <- [P Q | I[:, active]]``,
-    appends the inverse Riesz diagonal of the active vertices to d, and
-    returns one cached preconditioner until the next push; a run that
-    never asks for one (exact solves) does no composite work.  Only the
-    finest level keeps the facts its Riesz diagonal derived: the coarser
-    ones are kept for their elements alone.
+    into the blocks and returns one cached preconditioner until the next
+    push; a run that never asks for one (exact solves) does no fold.
+
+    Block 0 starts as the identity on level 0.  A level with active
+    vertices ``I[:, active]`` and inverse Riesz diagonal d on them is
+    folded into the last block, ``[C Q] <- [P [C Q] | I[:, active]]``
+    with d appended, while that block holds at most ``_BLOCK_FILL``
+    nonzeros per row; otherwise it opens the block ``[P | I[:, active]]``.
+    Folding every level into one basis would let each row collect one
+    entry per level it lies under, and re-multiply the whole basis by
+    each P; blocks keep both the fill and the fold cost per level
+    bounded, while the operator stays the same additive sum.  Only the
+    finest level keeps the facts its Riesz diagonal derived: the
+    coarser ones are kept for their elements alone.
     """
 
     def __init__(self, mesh: Mesh):
         self.meshes = [mesh]
         self._levels = [_Level(None)]
         self._coarse_factor = CholeskyFactor(assemble_riesz(mesh).toarray())
-        self._basis = sp.identity(mesh.num_vertices, format="csr")
-        self._inverse_diagonal = np.zeros(0)
-        self._folded = 1                   # levels already in the basis
+        self._blocks = [(sp.identity(mesh.num_vertices, format="csr"), np.zeros(0))]
+        self._folded = 1                   # levels already in the blocks
         self._preconditioner = None
 
     @property
@@ -170,8 +195,7 @@ class MeshHierarchy:
                 self._fold(self.meshes[k - 1], self.meshes[k], self._levels[k].prolongation)
                 self.meshes[k - 1].drop_derived()
             self._folded = len(self._levels)
-            self._preconditioner = LocalMultilevelDiagonal(
-                self._basis, self._coarse_factor, self._inverse_diagonal)
+            self._preconditioner = LocalMultilevelDiagonal(self._blocks, self._coarse_factor)
         return self._preconditioner
 
     def _fold(self, coarse: Mesh, fine: Mesh, prolongation) -> None:
@@ -182,9 +206,13 @@ class MeshHierarchy:
         idx = np.flatnonzero(active)
         hats = sp.csr_matrix((np.ones(idx.size), (idx, np.arange(idx.size))),
                              shape=(fine.num_vertices, idx.size))
-        self._basis = sp.hstack([prolongation @ self._basis, hats], format="csr")
-        self._inverse_diagonal = np.concatenate(
-            [self._inverse_diagonal, 1.0 / riesz_diagonal(fine)[idx]])
+        d = 1.0 / riesz_diagonal(fine)[idx]
+        basis, d_last = self._blocks[-1]
+        if basis.nnz <= _BLOCK_FILL * basis.shape[0]:
+            self._blocks[-1] = (sp.hstack([prolongation @ basis, hats], format="csr"),
+                                np.concatenate([d_last, d]))
+        else:
+            self._blocks.append((sp.hstack([prolongation, hats], format="csr"), d))
 
 
 # ----------------------------------------------------------------------------

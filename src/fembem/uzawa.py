@@ -145,8 +145,9 @@ class UzawaDriver:
         self.u = FeFunction(self.mesh, np.zeros(nv))
         self.w_carry = FeFunction(self.mesh, np.zeros(nv))
         self.psi_vals = np.zeros(ns)
-        self.bem_ops = None            # BemOperators of self.bm and their Jacobi
-        self.bem_precond = None        # scaling, None until the next BEM round fills them
+        self.bem_ops = None            # BemOperators of self.bm and the Jacobi scaling
+        self.bem_precond = None        # (pcg) or Cholesky factor (exact) of their V;
+                                       # None until the next BEM round fills them
         self.eps = config.eps1
         self.prev_w_norm = None
         self.flags: set = set()
@@ -179,12 +180,15 @@ class UzawaDriver:
     def _solve_spd(self, matrix, rhs, x0, precond, abs_cap):
         """SPD solve honouring both the relative and the absolute tolerance.
 
-        Exact mode factorizes; otherwise PCG runs to the relative
-        threshold but never returns with an algebraic energy that would
-        by itself exceed the inner stopping budget ``abs_cap``.
+        Exact mode solves with ``precond``, a kept Cholesky factor of
+        ``matrix``, or factorizes afresh if it is None; otherwise PCG
+        runs to the relative threshold but never returns with an
+        algebraic energy that would by itself exceed the inner stopping
+        budget ``abs_cap``.
         """
         if self.config.solver == "exact":
-            return CholeskyFactor(matrix).solve(rhs), 0.0
+            factor = CholeskyFactor(matrix) if precond is None else precond
+            return factor.solve(rhs), 0.0
         res = pcg(matrix, rhs, x0=x0, preconditioner=precond,
                   rel_threshold=self.config.tau_rel ** 2,
                   abs_threshold=0.5 * abs_cap, max_iterations=2000)
@@ -203,7 +207,9 @@ class UzawaDriver:
                     self.bem_ops = bem.BemOperators(self.bm, n_gauss=self.config.mu_gauss)
                 else:
                     self.bem_ops.fill()
-                self.bem_precond = JacobiPreconditioner.of(self.bem_ops.V)
+                self.bem_precond = (CholeskyFactor(self.bem_ops.V)
+                                    if self.config.solver == "exact"
+                                    else JacobiPreconditioner.of(self.bem_ops.V))
             g = self._interface_gap()
             self.psi_vals, alg2 = self._solve_spd(
                 self.bem_ops.V, self.bem_ops.dl_rhs(g), self.psi_vals,

@@ -5,7 +5,8 @@ the tests use (an 8th-degree triangle rule, mesh checks, the pointwise
 single-layer potential, boundary integrals, CSV reading); and the
 einsum / ``np.add.at`` forms of the FEM kernels, kept as references for
 the matmul / ``np.bincount`` code in ``fembem.fem`` and
-``fembem.estimate``.
+``fembem.estimate``; and the single-basis multilevel apply, the
+reference for a one-block ``fembem.solver.LocalMultilevelDiagonal``.
 """
 
 from pathlib import Path
@@ -320,3 +321,16 @@ def eta_fem_reference(mesh, bmesh, w, u_prev, f, phi0, phi_j, operator, rule, n_
     per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
     np.add.at(eta2, bmesh.owner, sqrt_area[bmesh.owner] * per_seg)
     return eta2
+
+
+# ---------------------------------------------------------------------------
+# single-basis multilevel apply
+
+
+def composite_apply_reference(basis, inverse_diagonal, coarse_factor, r):
+    """``[C Q] (A0^{-1} ⊕ d) [C Q]' r`` with one CSR basis ``[C Q]``."""
+    y = basis.T @ np.asarray(r, dtype=float)
+    n0 = basis.shape[1] - inverse_diagonal.size
+    y[:n0] = coarse_factor.solve(y[:n0])
+    y[n0:] *= inverse_diagonal
+    return basis @ y

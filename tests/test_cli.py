@@ -273,6 +273,22 @@ def test_main_missing_output_directory_fails_before_the_solve(tmp_path, capsys, 
     assert not out.parent.exists()
 
 
+def test_main_output_path_that_is_a_directory_fails_before_the_solve(tmp_path, capsys,
+                                                                    monkeypatch):
+    cfg_path = write_cfg(tmp_path, SMALL_CFG)
+    out = tmp_path / "results"
+    out.mkdir()
+
+    def never(config, observer=None):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr(cli, "run_experiment_config", never)
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == \
+        f"config error: cannot write {out}: it is a directory"
+    assert list(out.iterdir()) == []
+
+
 def test_main_runtime_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg_path = write_cfg(tmp_path, SMALL_CFG)
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _helpers import FactorizedPreconditioner, uniform_refine
+from _helpers import (FactorizedPreconditioner, composite_apply_reference,
+                      uniform_refine)
+from fembem import solver
 from fembem.fem import assemble_riesz, assemble_stiffness
 from fembem.mesh import boundary_trace, make_initial_mesh, refine_nvb
 from fembem.solver import (CholeskyFactor, JacobiPreconditioner,
@@ -264,15 +266,19 @@ def _per_level_reference(meshes, relations, r):
     return z
 
 
-@pytest.mark.parametrize("domain", ["lshape", "zshape"])
-def test_composite_apply_matches_per_level_sum(domain):
+def _random_hierarchy(domain, fold_after=(1, 4)):
+    """Seven random levels of ``domain``, one refined only through boundary segments.
+
+    The pending levels are folded after each step in ``fold_after``; by
+    default in batches of 2, 3 and 2.
+    """
     rng = np.random.default_rng(11)
     mesh = make_initial_mesh(domain)
     bm = boundary_trace(mesh)
     hierarchy = MeshHierarchy(mesh)
     meshes, relations = [mesh], []
     for step in range(7):
-        if step == 3:        # a level refined only through boundary segments
+        if step == 3:
             marked = np.zeros(0, dtype=np.int64)
             msegs = rng.choice(bm.num_segments, size=3, replace=False)
         else:
@@ -284,14 +290,68 @@ def test_composite_apply_matches_per_level_sum(domain):
         hierarchy.push(rel)
         meshes.append(mesh)
         relations.append(rel)
-        if step % 3 == 1:    # fold pending levels in batches of 2, 3 and 2
+        if step in fold_after:
             hierarchy.preconditioner()
+    return hierarchy, meshes, relations
+
+
+def _assert_matches_per_level_sum(hierarchy, meshes, relations):
     pre = hierarchy.preconditioner()
     assert hierarchy.preconditioner() is pre
+    rng = np.random.default_rng(12)
     for _ in range(3):
-        r = rng.standard_normal(mesh.num_vertices)
+        r = rng.standard_normal(meshes[-1].num_vertices)
         ref = _per_level_reference(meshes, relations, r)
         assert np.abs(pre.apply(r) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+def test_composite_apply_matches_per_level_sum(domain):
+    hierarchy, meshes, relations = _random_hierarchy(domain)
+    _assert_matches_per_level_sum(hierarchy, meshes, relations)
+    assert len(hierarchy._blocks) == 1
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+def test_blocked_apply_matches_per_level_sum(domain, monkeypatch):
+    monkeypatch.setattr(solver, "_BLOCK_FILL", 2)
+    hierarchy, meshes, relations = _random_hierarchy(domain)
+    _assert_matches_per_level_sum(hierarchy, meshes, relations)
+    assert len(hierarchy._blocks) >= 3
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+def test_one_block_apply_has_the_bits_of_the_composite_basis(domain):
+    hierarchy, meshes, _ = _random_hierarchy(domain)
+    pre = hierarchy.preconditioner()
+    [(basis, inverse_diagonal)] = hierarchy._blocks
+    assert inverse_diagonal.size > 0
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        r = rng.standard_normal(meshes[-1].num_vertices)
+        ref = composite_apply_reference(basis, inverse_diagonal,
+                                        hierarchy._coarse_factor, r)
+        assert pre.apply(r).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("block_fill", [None, 3], ids=["default", "small"])
+@pytest.mark.parametrize("fold_after", [range(1, 7, 2), range(2, 7, 3)],
+                         ids=["pairs", "triples"])
+def test_batched_folds_give_the_blocks_of_level_by_level_folds(fold_after, block_fill,
+                                                               monkeypatch):
+    if block_fill is not None:
+        monkeypatch.setattr(solver, "_BLOCK_FILL", block_fill)
+    stepwise, _, _ = _random_hierarchy("lshape", fold_after=range(7))
+    batched, _, _ = _random_hierarchy("lshape", fold_after=fold_after)
+    batched.preconditioner()
+    blocks = len(batched._blocks)
+    assert len(stepwise._blocks) == blocks
+    assert blocks == 1 if block_fill is None else blocks >= 3
+    for (b1, d1), (b2, d2) in zip(stepwise._blocks, batched._blocks):
+        assert b1.shape == b2.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(b1, name).tobytes() == getattr(b2, name).tobytes(), name
+        assert d1.tobytes() == d2.tobytes()
 
 
 def test_multilevel_preconditioned_pcg_converges(lshape, rng):

@@ -270,6 +270,40 @@ def test_bem_operators_built_once_per_boundary_geometry(monkeypatch):
     assert len(fills) < rounds
 
 
+def test_exact_mode_factorizes_v_once_per_boundary(monkeypatch):
+    """One dense factorization per boundary, however many BEM rounds solve on it.
+
+    The build fills every segment, so it counts as the first fill.
+    """
+    import fembem.uzawa as uzawa
+
+    fills, factorizations = [], []
+    rounds = 0
+
+    class CountingOperators(bem.BemOperators):
+        def fill(self):
+            fills.append(self.bmesh.num_segments)
+            super().fill()
+
+    class CountingFactor(uzawa.CholeskyFactor):
+        def __init__(self, matrix):
+            if isinstance(matrix, np.ndarray):       # V; the Riesz matrices are sparse
+                factorizations.append(matrix.shape[0])
+            super().__init__(matrix)
+
+    def observer(driver, phase, payload):
+        nonlocal rounds
+        rounds += phase == "bem"
+
+    monkeypatch.setattr(bem, "BemOperators", CountingOperators)
+    monkeypatch.setattr(uzawa, "CholeskyFactor", CountingFactor)
+    cfg = small_config(gamma=0.95, eps1=5.0, c_bem=0.1, budget_elements=300)
+    res = run_experiment_config(cfg, observer=observer)
+    assert res.stop_reason == "budget"
+    assert factorizations == fills
+    assert rounds > len(fills)      # some rounds solve on an unchanged boundary
+
+
 @pytest.mark.parametrize("cfg", [
     small_config(c_bem=0.5, c_fem=0.5, solver="pcg", budget_elements=600),
     UzawaConfig(example="nonlinear_zshape", alpha=0.07, adaptive_gamma=True, eps1=5.0,
@@ -448,7 +482,7 @@ def test_benchmark_hooks_find_every_wrapped_name(tmp_path):
 # trajectory updates these and gives its reason, as with tests/golden/.
 BENCHMARK_FINGERPRINTS = {
     "lshape_fixed": "4a7066c5dcf53b31e9d975988dd57468aa21d981b7cd836d8f00a6d595739a2e",
-    "lshape_adaptive": "285512c70cf0b6a2ec8382d1ce699775bd9682001a526ead49866411ac9c23b6",
+    "lshape_adaptive": "bc716c2a5c9ecb5277b7dec07f8a05f1120587b7e93e0feef7e8b3a1955d532b",
     "zshape_exact": "6b1d64eb84d7cf88ede40a6494aba742d9a6534b37fe1af038dbc413706fa516",
 }
 
