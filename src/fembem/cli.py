@@ -57,12 +57,16 @@ def parse_config(path) -> UzawaConfig:
     """Read ``key = value`` lines into an :class:`UzawaConfig`.
 
     Unknown keys and syntax problems are reported with their line
-    number; a missing ``example`` key is an error.  Defaults follow the
-    dataclass (theta 0.25, tau_rel 1e-3, ...).
+    number; a missing ``example`` key is an error, and so is a file that
+    cannot be read as UTF-8 text.  Defaults follow the dataclass (theta
+    0.25, tau_rel 1e-3, ...).
     """
     types = typing.get_type_hints(UzawaConfig)
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -182,9 +186,6 @@ def main(argv=None) -> int:
                                 budget_elements=args.budget_elements,
                                 verbose=args.verbose)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # solver/runtime failures

@@ -12,8 +12,6 @@ the edge terms, with d = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import bem
@@ -24,8 +22,6 @@ __all__ = [
     "eta_fem",
     "mu_bem",
     "doerfler_mark",
-    "EstimatorReport",
-    "global_nu",
 ]
 
 
@@ -140,28 +136,3 @@ def doerfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
     m = int(np.searchsorted(csum, target, side="left")) + 1
     return np.sort(order[:m])
 
-
-@dataclass(frozen=True)
-class EstimatorReport:
-    """Per-entity squared indicators with their global roots."""
-
-    eta_sq: np.ndarray   # (num_triangles,)
-    mu_sq: np.ndarray    # (num_segments,)
-
-    @property
-    def eta(self) -> float:
-        return float(np.sqrt(self.eta_sq.sum()))
-
-    @property
-    def mu(self) -> float:
-        return float(np.sqrt(self.mu_sq.sum()))
-
-
-def global_nu(report: EstimatorReport, w_norm: float,
-              fem_algebraic: float, bem_algebraic: float) -> float:
-    """Total computable error bound of the current outer iterate.
-
-    Sum of the two estimators, the H1 norm of the latest update (the
-    outer perturbation), and the two algebraic solver residuals.
-    """
-    return report.eta + report.mu + w_norm + fem_algebraic + bem_algebraic

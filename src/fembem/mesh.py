@@ -393,6 +393,18 @@ def _sons(father: np.ndarray) -> tuple:
     return tuple(order[s:e] for s, e in zip([0] + ends[:-1], ends))
 
 
+# Sons of element (a, b, c) by split pattern (bit k: local edge k is bisected at
+# its midpoint mk), as columns of (a, b, c, m0, m1, m2).  The closure splits the
+# reference edge 0 of every split element, so patterns 2, 4 and 6 never occur.
+_BISECTION = {
+    0: ((0, 1, 2),),
+    1: ((2, 0, 3), (1, 2, 3)),
+    3: ((2, 0, 3), (3, 1, 4), (2, 3, 4)),
+    5: ((3, 2, 5), (0, 3, 5), (1, 2, 3)),
+    7: ((3, 2, 5), (0, 3, 5), (3, 1, 4), (2, 3, 4)),
+}
+
+
 def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = None):
     """Refine by newest vertex bisection with conforming closure.
 
@@ -438,47 +450,17 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     vertices = np.vstack([mesh.vertices, midpoints])
 
     em = edge_marked[tri2edge]          # (nt, 3) which local edges split
-    pattern = em[:, 0].astype(int) + 2 * em[:, 1].astype(int) + 4 * em[:, 2].astype(int)
-    # closure guarantees: if any edge is marked then edge 0 is marked
-    n_sons = np.choose(pattern, [1, 2, 0, 3, 0, 3, 0, 4])
+    pattern = em[:, 0] + 2 * em[:, 1] + 4 * em[:, 2]
+    n_sons = np.array([len(_BISECTION.get(p, ())) for p in range(8)])[pattern]
     if np.any(n_sons == 0):
         raise AssertionError("closure failed to mark a reference edge")
     offset = np.concatenate([[0], np.cumsum(n_sons)])
-    nt_new = int(offset[-1])
-    tris = np.empty((nt_new, 3), dtype=np.int64)
-
-    t = mesh.triangles
-    m0 = new_vertex_of_edge[tri2edge[:, 0]]
-    m1 = new_vertex_of_edge[tri2edge[:, 1]]
-    m2 = new_vertex_of_edge[tri2edge[:, 2]]
-    a, b, c = t[:, 0], t[:, 1], t[:, 2]
-
-    def put(rows, cols_abc):
-        tris[rows] = np.stack(cols_abc, axis=1)
-
-    sel = np.flatnonzero(pattern == 0)
-    if len(sel):
-        put(offset[sel], (a[sel], b[sel], c[sel]))
-    sel = np.flatnonzero(pattern == 1)          # bisec1
-    if len(sel):
-        put(offset[sel], (c[sel], a[sel], m0[sel]))
-        put(offset[sel] + 1, (b[sel], c[sel], m0[sel]))
-    sel = np.flatnonzero(pattern == 3)          # edges 0 and 1
-    if len(sel):
-        put(offset[sel], (c[sel], a[sel], m0[sel]))
-        put(offset[sel] + 1, (m0[sel], b[sel], m1[sel]))
-        put(offset[sel] + 2, (c[sel], m0[sel], m1[sel]))
-    sel = np.flatnonzero(pattern == 5)          # edges 0 and 2
-    if len(sel):
-        put(offset[sel], (m0[sel], c[sel], m2[sel]))
-        put(offset[sel] + 1, (a[sel], m0[sel], m2[sel]))
-        put(offset[sel] + 2, (b[sel], c[sel], m0[sel]))
-    sel = np.flatnonzero(pattern == 7)          # all three edges
-    if len(sel):
-        put(offset[sel], (m0[sel], c[sel], m2[sel]))
-        put(offset[sel] + 1, (a[sel], m0[sel], m2[sel]))
-        put(offset[sel] + 2, (m0[sel], b[sel], m1[sel]))
-        put(offset[sel] + 3, (c[sel], m0[sel], m1[sel]))
+    tris = np.empty((offset[-1], 3), dtype=np.int64)
+    cols = np.hstack([mesh.triangles, new_vertex_of_edge[tri2edge]])  # (a, b, c, m0, m1, m2)
+    for p, sons in _BISECTION.items():
+        sel = np.flatnonzero(pattern == p)
+        for k, son in enumerate(sons):
+            tris[offset[sel] + k] = cols[sel[:, None], son]
 
     father = np.repeat(np.arange(mesh.num_triangles), n_sons)
     fine = Mesh(vertices, tris, father)

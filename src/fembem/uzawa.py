@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bem
-from .estimate import EstimatorReport, doerfler_mark, eta_fem, global_nu, mu_bem
+from .estimate import doerfler_mark, eta_fem, mu_bem
 from .fem import FeFunction, assemble_riesz, assemble_w_rhs, h1_error, h1_norm, prolongate
 from .mesh import boundary_trace, make_initial_mesh, refine_nvb
 from .model import EXAMPLES, ProblemSpec, make_problem
@@ -155,7 +155,7 @@ class UzawaDriver:
 
     # -- mesh motion ---------------------------------------------------------
 
-    def _refine(self, marked_tris, marked_segments):
+    def _refine(self, marked_tris=(), marked_segments=()):
         fine, rel = refine_nvb(self.mesh, marked_tris,
                                marked_segments=marked_segments, bmesh=self.bm)
         self.hierarchy.push(rel)
@@ -163,7 +163,7 @@ class UzawaDriver:
         self.u = prolongate(self.u, rel)
         self.w_carry = prolongate(self.w_carry, rel)
         self.psi_vals = self.psi_vals[rel.seg_father]
-        if not np.array_equal(rel.seg_father, np.arange(self.bm.num_segments)):
+        if len(rel.seg_father) > self.bm.num_segments:
             if self.bem_ops is not None:
                 self.bem_ops.refine(rel)
             self.bem_precond = None
@@ -180,15 +180,13 @@ class UzawaDriver:
     def _solve_spd(self, matrix, rhs, x0, precond, abs_cap):
         """SPD solve honouring both the relative and the absolute tolerance.
 
-        Exact mode solves with ``precond``, a kept Cholesky factor of
-        ``matrix``, or factorizes afresh if it is None; otherwise PCG
-        runs to the relative threshold but never returns with an
-        algebraic energy that would by itself exceed the inner stopping
-        budget ``abs_cap``.
+        Exact mode solves with ``precond``, a Cholesky factor of
+        ``matrix``; otherwise PCG runs to the relative threshold but
+        never returns with an algebraic energy that would by itself
+        exceed the inner stopping budget ``abs_cap``.
         """
         if self.config.solver == "exact":
-            factor = CholeskyFactor(matrix) if precond is None else precond
-            return factor.solve(rhs), 0.0
+            return precond.solve(rhs), 0.0
         res = pcg(matrix, rhs, x0=x0, preconditioner=precond,
                   rel_threshold=self.config.tau_rel ** 2,
                   abs_threshold=0.5 * abs_cap, max_iterations=2000)
@@ -197,68 +195,64 @@ class UzawaDriver:
             self.flags.add("pcg_maxiter")
         return res.x, res.final_energy
 
-    def _bem_step(self, tol: float):
-        """Step [i]: adaptive boundary solve down to ``tol``."""
-        rounds = 0
-        while True:
-            rounds += 1
-            if self.bem_precond is None:         # the boundary is new
-                if self.bem_ops is None:
-                    self.bem_ops = bem.BemOperators(self.bm, n_gauss=self.config.mu_gauss)
-                else:
-                    self.bem_ops.fill()
-                self.bem_precond = (CholeskyFactor(self.bem_ops.V)
-                                    if self.config.solver == "exact"
-                                    else JacobiPreconditioner.of(self.bem_ops.V))
-            g = self._interface_gap()
-            self.psi_vals, alg2 = self._solve_spd(
-                self.bem_ops.V, self.bem_ops.dl_rhs(g), self.psi_vals,
-                self.bem_precond, tol ** 2)
-            psi = bem.BemDensity(self.bm, self.psi_vals)
-            mu2 = mu_bem(self.bm, psi, g, du0_ds=self.problem.du0_ds,
-                         operators=self.bem_ops)
-            if self.observer is not None:
-                self.observer(self, "bem", dict(mu2=mu2, alg2=alg2, psi=psi, g=g))
-            if not np.isfinite(mu2.sum() + alg2):
-                self.flags.add("nonfinite")
-                return mu2, alg2, rounds
-            if mu2.sum() + alg2 <= tol ** 2:
-                return mu2, alg2, rounds
-            if self.mesh.num_triangles > self._inner_cap:
-                self.flags.add("inner_budget_exceeded")
-                return mu2, alg2, rounds
-            marked = doerfler_mark(mu2, self.config.theta)
-            self._refine(np.zeros(0, dtype=np.int64), marked)
+    def _adaptive_loop(self, phase: str, tol: float, solve, refine):
+        """Rounds of ``solve(tol) -> (est2, alg2, payload)`` until ``sum(est2) + alg2 <= tol^2``.
 
-    def _fem_step(self, tol: float):
-        """Step [ii]: adaptive Riesz solve of the residual representer."""
+        A non-finite value (also one flagged earlier in the step) or a mesh
+        past the inner cap ends the loop with its flag; otherwise ``refine``
+        gets the Doerfler-marked indicators.  Returns ``(est2, alg2, rounds)``.
+        """
         rounds = 0
-        w_guess = self.w_carry
         while True:
             rounds += 1
-            R = assemble_riesz(self.mesh)
-            rhs = assemble_w_rhs(self.mesh, self.bm, self.problem.f,
-                                 self.problem.phi0, self.psi_vals, self.u,
-                                 self.problem.operator)
-            precond = self.hierarchy.preconditioner() if self.config.solver == "pcg" else None
-            w_vals, alg2 = self._solve_spd(R, rhs, w_guess.values, precond, tol ** 2)
-            w = FeFunction(self.mesh, w_vals)
-            eta2 = eta_fem(self.mesh, self.bm, w, self.u, self.problem.f,
-                           self.problem.phi0, self.psi_vals, self.problem.operator)
+            est2, alg2, payload = solve(tol)
             if self.observer is not None:
-                self.observer(self, "fem", dict(eta2=eta2, alg2=alg2, w=w))
-            if not np.isfinite(eta2.sum() + alg2):
+                self.observer(self, phase, payload)
+            total = est2.sum() + alg2
+            if "nonfinite" in self.flags or not np.isfinite(total):
                 self.flags.add("nonfinite")
-                return w, eta2, alg2, rounds
-            if eta2.sum() + alg2 <= tol ** 2:
-                return w, eta2, alg2, rounds
+                return est2, alg2, rounds
+            if total <= tol ** 2:
+                return est2, alg2, rounds
             if self.mesh.num_triangles > self._inner_cap:
                 self.flags.add("inner_budget_exceeded")
-                return w, eta2, alg2, rounds
-            marked = doerfler_mark(eta2, self.config.theta)
-            self.w_carry = w
-            self._refine(marked, np.zeros(0, dtype=np.int64))
-            w_guess = self.w_carry
+                return est2, alg2, rounds
+            refine(doerfler_mark(est2, self.config.theta))
+
+    def _bem_round(self, tol: float):
+        """A round of step [i]: solve the integral equation for the density."""
+        if self.bem_precond is None:         # the boundary is new
+            if self.bem_ops is None:
+                self.bem_ops = bem.BemOperators(self.bm, n_gauss=self.config.mu_gauss)
+            else:
+                self.bem_ops.fill()
+            self.bem_precond = (CholeskyFactor(self.bem_ops.V)
+                                if self.config.solver == "exact"
+                                else JacobiPreconditioner.of(self.bem_ops.V))
+        g = self._interface_gap()
+        self.psi_vals, alg2 = self._solve_spd(
+            self.bem_ops.V, self.bem_ops.dl_rhs(g), self.psi_vals,
+            self.bem_precond, tol ** 2)
+        psi = bem.BemDensity(self.bm, self.psi_vals)
+        mu2 = mu_bem(self.bm, psi, g, du0_ds=self.problem.du0_ds,
+                     operators=self.bem_ops)
+        return mu2, alg2, dict(mu2=mu2, alg2=alg2, psi=psi, g=g)
+
+    def _fem_round(self, tol: float):
+        """A round of step [ii]: solve for the residual representer w, kept as ``w_carry``."""
+        R = assemble_riesz(self.mesh)
+        rhs = assemble_w_rhs(self.mesh, self.bm, self.problem.f,
+                             self.problem.phi0, self.psi_vals, self.u,
+                             self.problem.operator)
+        # an exact factor is a temporary, freed before the estimator runs
+        w_vals, alg2 = self._solve_spd(
+            R, rhs, self.w_carry.values,
+            self.hierarchy.preconditioner() if self.config.solver == "pcg" else CholeskyFactor(R),
+            tol ** 2)
+        self.w_carry = w = FeFunction(self.mesh, w_vals)
+        eta2 = eta_fem(self.mesh, self.bm, w, self.u, self.problem.f,
+                       self.problem.phi0, self.psi_vals, self.problem.operator)
+        return eta2, alg2, dict(eta2=eta2, alg2=alg2, w=w)
 
     # -- outer loop ------------------------------------------------------------
 
@@ -266,11 +260,14 @@ class UzawaDriver:
         cfg = self.config
         step_flags = []
 
-        mu2, bem_alg2, k_bem = self._bem_step(cfg.c_bem * self.eps)
-        w, eta2, fem_alg2, k_fem = self._fem_step(cfg.c_fem * self.eps)
+        mu2, bem_alg2, k_bem = self._adaptive_loop(
+            "bem", cfg.c_bem * self.eps, self._bem_round,
+            lambda marked: self._refine(marked_segments=marked))
+        eta2, fem_alg2, k_fem = self._adaptive_loop(
+            "fem", cfg.c_fem * self.eps, self._fem_round, self._refine)
 
+        w = self.w_carry
         self.u = FeFunction(self.mesh, self.u.values + cfg.alpha * w.values)
-        self.w_carry = w
         w_norm = h1_norm(w)
 
         # contraction of the next tolerance
@@ -286,8 +283,9 @@ class UzawaDriver:
         self.eps = gamma * self.eps
         self.prev_w_norm = w_norm
 
-        report = EstimatorReport(eta_sq=eta2, mu_sq=mu2)
-        nu = global_nu(report, w_norm, np.sqrt(fem_alg2), np.sqrt(bem_alg2))
+        # nu_j: both estimators, the outer perturbation and both algebraic errors
+        est_fem, est_bem = float(np.sqrt(eta2.sum())), float(np.sqrt(mu2.sum()))
+        nu = est_fem + est_bem + w_norm + np.sqrt(fem_alg2) + np.sqrt(bem_alg2)
 
         err_h1 = err_gamma = float("nan")
         exact = self.problem.exact
@@ -299,7 +297,7 @@ class UzawaDriver:
         return UzawaStepRecord(
             j=j, num_elements=self.mesh.num_triangles,
             err_h1=err_h1, err_gamma=err_gamma,
-            est_fem=report.eta, est_bem=report.mu, est_total=nu,
+            est_fem=est_fem, est_bem=est_bem, est_total=nu,
             k_bem=k_bem, k_fem=k_fem, gamma=gamma, epsilon=eps_used,
             num_segments=self.bm.num_segments, w_norm=w_norm,
             flags=tuple(step_flags),

@@ -243,6 +243,18 @@ def test_main_missing_file_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("content", [None, b"example = laplace_lshape\n\xff\n"],
+                         ids=["directory", "non_utf8"])
+def test_main_unreadable_config_is_config_error(tmp_path, capsys, content):
+    """A config path that is a directory, or not UTF-8 text: exit 2, not a solver failure."""
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(content)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
+
+
 def test_main_bad_config_is_config_error(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "example = laplace_lshape\nfoo = 1\n")
     assert main(["run", str(cfg_path)]) == 2

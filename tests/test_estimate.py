@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from _helpers import (f_one, nodal_interpolate_u0, phi0_zero, uniform_refine,
                       uniform_refine_boundary, zero_fe)
 from fembem import bem
-from fembem.estimate import (EstimatorReport, doerfler_mark, eta_fem,
-                             global_nu, mu_bem)
+from fembem.estimate import doerfler_mark, eta_fem, mu_bem
 from fembem.fem import FeFunction, assemble_riesz, assemble_w_rhs, volume_load
 from fembem.mesh import Mesh, boundary_trace, make_initial_mesh
 from fembem.model import make_problem
@@ -213,17 +212,7 @@ def test_doerfler_properties(vals, theta):
 
 
 # ---------------------------------------------------------------------------
-# report container and total bound
-
-
-def test_report_and_global_nu(rng):
-    eta_sq = rng.uniform(0.0, 1.0, 7)
-    mu_sq = rng.uniform(0.0, 1.0, 5)
-    report = EstimatorReport(eta_sq, mu_sq)
-    assert report.eta == np.sqrt(eta_sq.sum())
-    assert report.mu == np.sqrt(mu_sq.sum())
-    assert global_nu(report, 0.25, 0.5, 0.125) == \
-        report.eta + report.mu + 0.25 + 0.5 + 0.125
+# total bound
 
 
 def test_estimator_total_is_reliable_error_bound():

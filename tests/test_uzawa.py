@@ -190,13 +190,20 @@ def test_target_stop_after_single_cheap_step():
     assert res.records[0].k_fem == 1
 
 
-def test_inner_budget_flag_on_tiny_cap():
-    cfg = small_config(eps1=1e-8, budget_elements=30)
+@pytest.mark.parametrize("overrides,phase", [
+    (dict(eps1=1e-8), "bem"),
+    (dict(c_bem=1e6, c_fem=1e-8), "fem"),
+], ids=["bem", "fem"])
+def test_inner_budget_flag_on_tiny_cap(overrides, phase):
+    """Either inner loop stops past the cap of four budgets, with its flag."""
+    cfg = small_config(budget_elements=30, **overrides)
     res = run_experiment_config(cfg)
     assert "inner_budget_exceeded" in res.flags
     assert res.stop_reason == "inner_budget"
     assert res.num_outer == 1
     assert res.mesh.num_triangles > 4 * 30
+    rec = res.records[0]      # only the loop that hit the cap refined
+    assert (rec.k_bem > 1, rec.k_fem > 1) == (phase == "bem", phase == "fem")
 
 
 def test_nonfinite_load_stops_with_its_own_reason():
@@ -212,6 +219,21 @@ def test_nonfinite_load_stops_with_its_own_reason():
     assert res.num_outer == 1
     assert res.records[0].k_fem == 1
     assert np.isnan(res.records[0].est_fem)
+
+
+@pytest.mark.parametrize("solver", ["pcg", "exact"])
+def test_nonfinite_interface_datum_refines_nothing_after_the_flag(solver):
+    """A NaN u0 flags the BEM phase; the FEM phase then ends after one round, unrefined."""
+    def nan_jump(points):
+        return np.full(len(points), np.nan)
+
+    problem = dataclasses.replace(make_problem("laplace_lshape"), u0=nan_jump)
+    res = UzawaDriver(problem, small_config(solver=solver, budget_elements=200)).run()
+    assert res.stop_reason == "nonfinite"
+    assert "inner_budget_exceeded" not in res.flags
+    assert res.num_outer == 1
+    assert res.records[0].k_fem <= 1
+    assert res.mesh.num_triangles == 12
 
 
 def test_negative_initial_energy_raises_breakdown():
