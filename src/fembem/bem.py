@@ -23,7 +23,11 @@ double layer of its slopes, ``d/ds K g = -K' dg/ds``, which sums
 :class:`BemOperators` evaluates all of these in one pass over the
 panel geometry and keeps them as matrices of the boundary mesh; after a
 refinement it keeps the entries between unsplit segments and evaluates
-only the rows and columns of the new ones.
+only the rows and columns of the new ones.  In a kept row the
+single-layer and derivative kernels run on the new columns alone, the
+double layer also on both panels at each new vertex.  Pairs of panels
+on one line are found by one line id per segment, kept on the boundary
+mesh.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ def _frames(bmesh: BoundaryMesh):
 
 
 def _safe_log(q):
-    return np.log(np.where(q > 0.0, q, 1.0))
+    return np.log(q, out=np.zeros_like(q), where=q > 0.0)
 
 
 def _atan_span(h, L, a, b):
@@ -118,9 +122,11 @@ def _node_panel_geometry(x, p0, d, n, L):
     integral ``I_j(x) = int_j (x - y) / |x - y|^2 ds_y`` is
     ``A d_j + B n_j`` with ``A = (la - lb) / 2`` and ``B = sign(H) span``.
     """
-    v = np.asarray(x, float)[:, None, :] - p0[None, :, :]
-    s0 = np.einsum("mpd,pd->mp", v, d)
-    H = np.einsum("mpd,pd->mp", v, n)
+    x = np.asarray(x, float)
+    dx = x[:, 0, None] - p0[:, 0]
+    dy = x[:, 1, None] - p0[:, 1]
+    s0 = dx * d[:, 0] + dy * d[:, 1]
+    H = dx * n[:, 0] + dy * n[:, 1]
     h = np.abs(H)
     a = -s0
     b = L[None, :] - s0
@@ -157,6 +163,36 @@ def _same_line(p0, p1, d, n, i, j):
 
     cross = np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0])
     return (cross < _LINE_TOL) & (off(p0) < _LINE_TOL) & (off(p1) < _LINE_TOL)
+
+
+def _panel_frames(bmesh: BoundaryMesh):
+    """``(p0, p1, d, n, L)`` of every panel, with the end ``p1 = p0 + L d``."""
+    p0, d, n, L = _frames(bmesh)
+    return p0, p0 + L[:, None] * d, d, n, L
+
+
+def _line_ids(bmesh: BoundaryMesh) -> np.ndarray:
+    """One id per segment for its straight line, kept on ``bmesh``.
+
+    Two panels have the same id exactly when :func:`_same_line` puts
+    them on one line: each round labels the segments on the line of the
+    first unlabelled one.
+    """
+    def build():
+        p0, p1, d, n, _ = _panel_frames(bmesh)
+        line = np.full(bmesh.num_segments, -1)
+        count = 0
+        while (line < 0).any():
+            free = np.flatnonzero(line < 0)
+            line[free[_same_line(p0, p1, d, n, free[0], free)]] = count
+            count += 1
+        return line
+    return bmesh._derive("line_ids", build)
+
+
+def _along(p, p0, d, i, j):
+    """Arclength coordinate of the points ``p[j]`` in the frame of panel ``i``."""
+    return (p[j, 0] - p0[i, 0]) * d[i, 0] + (p[j, 1] - p0[i, 1]) * d[i, 1]
 
 
 def _collinear_double_integral(A2, B2, L1):
@@ -212,17 +248,19 @@ def _wedge_double_integrals(e1, L1, e2, L2):
     return gauss + exact
 
 
-def _single_layer_from_gauss(Jr, Jc, rows, p0, p1, d, n, L):
+def _single_layer_from_gauss(Jr, Jc, rows, bmesh):
     """Rows ``rows`` of the Galerkin single-layer matrix from its Gauss values.
 
     ``Jr = J[rows, :]`` and ``Jc = J[:, rows].T`` hold the outer-Gauss
     double integrals of the pairs touching ``rows``.  These pairs are
-    symmetrized, same-line pairs get their closed form and corner pairs
-    the graded wedge rule; every value depends on its pair alone, so the
-    rows equal those of the whole matrix (all segments in ``rows``) bit
-    for bit.  Exactly symmetric; positive definite whenever
-    diam(domain) < 1.
+    symmetrized, same-line pairs (equal line ids) get their closed form
+    and corner pairs the graded wedge rule; every value depends on its
+    pair alone, so the rows equal those of the whole matrix (all
+    segments in ``rows``) bit for bit.  Exactly symmetric; positive
+    definite whenever diam(domain) < 1.
     """
+    p0, p1, d, _, L = _panel_frames(bmesh)
+    line = _line_ids(bmesh)
     ns = len(L)
     k = np.arange(ns)
     at = np.full(ns, -1)
@@ -233,20 +271,16 @@ def _single_layer_from_gauss(Jr, Jc, rows, p0, p1, d, n, L):
 
     # panels on a common straight line: fully closed form
     def collinear(i, j):
-        # coordinates of panel j in the arclength frame of panel i
-        A2 = np.einsum("kd,kd->k", p0[j] - p0[i], d[i])
-        B2 = np.einsum("kd,kd->k", p1[j] - p0[i], d[i])
-        return _collinear_double_integral(A2, B2, L[i])
+        return _collinear_double_integral(_along(p0, p0, d, i, j), _along(p1, p0, d, i, j), L[i])
 
-    a, j = np.nonzero(_same_line(p0, p1, d, n, rows[:, None], k))
+    a, j = np.nonzero(line[rows, None] == line)
     R[a, j] = collinear(rows[a], j)
-    j, a = np.nonzero(_same_line(p0, p1, d, n, k[:, None], rows))
     C[a, j] = collinear(j, rows[a])
 
     # panels meeting at a corner (consecutive along the walk, oblique)
     nxt = np.roll(k, -1)
     pair = np.flatnonzero((at >= 0) | (at[nxt] >= 0))
-    kk = pair[~_same_line(p0, p1, d, n, pair, nxt[pair])]
+    kk = pair[line[pair] != line[nxt[pair]]]
     if len(kk):
         kn = nxt[kk]
         vals = _wedge_double_integrals(-d[kk], L[kk], d[kn], L[kn])
@@ -366,9 +400,13 @@ class BemOperators:
     to a refined boundary, keeping each entry whose segment and panels
     did not split, and :meth:`fill` computes only the rows and columns
     of the new segments; a fresh object is that fill with every segment
-    new, and a refined one equals it bit for bit.  Rows are built in
-    segment-aligned blocks of at most ``_BLOCK_ENTRIES`` entries, so only
-    one block of temporaries is alive at a time.
+    new, and a refined one equals it bit for bit.  A kept row evaluates
+    the ``V``, ``MK`` and ``MV`` kernels on the new panel columns only,
+    and the panel geometry and ``DL`` also on both panels at each new
+    vertex column.  Same-line pairs (the closed forms of ``V``, the
+    zeros of ``MK``) come from the line ids of the boundary mesh.  Rows
+    are built in segment-aligned blocks of at most ``_BLOCK_ENTRIES``
+    entries, so only one block of temporaries is alive at a time.
     """
 
     def __init__(self, bmesh: BoundaryMesh, n_gauss: int = 4):
@@ -409,18 +447,16 @@ class BemOperators:
         new = self._new
         if not new.any():
             return
-        p0, d, n, L = _frames(self.bmesh)
-        frames = p0, p0 + L[:, None] * d, d, n, L
+        L = self.bmesh.lengths()
         k = np.arange(len(L))
         nxt = np.roll(k, -1)
         newv = new | np.roll(new, 1)           # vertex column v joins panels v - 1 and v
         rows = np.flatnonzero(new)
         # new rows meet every panel; kept rows the new panels and, for DL,
-        # both panels at every new vertex column
-        self._fill_rows(rows, k, None, None, frames)
-        self._fill_rows(np.flatnonzero(~new), np.flatnonzero(newv | newv[nxt]),
-                        rows, np.flatnonzero(newv), frames)
-        Vr = _single_layer_from_gauss(self.V[rows], self.V[:, rows].T, rows, *frames)
+        # the new vertex columns
+        self._fill_rows(rows, None, None)
+        self._fill_rows(np.flatnonzero(~new), rows, np.flatnonzero(newv))
+        Vr = _single_layer_from_gauss(self.V[rows], self.V[:, rows].T, rows, self.bmesh)
         self.V[rows] = Vr
         self.V[:, rows] = Vr.T
         # the jump term -1/2 g on the new entries (k, k) and (k, k + 1)
@@ -429,57 +465,71 @@ class BemOperators:
         self.DL[k[off], nxt[off]] -= 0.25 * L[off]
         self._new = np.zeros(len(L), dtype=bool)
 
-    def _fill_rows(self, segs, panels, cols, vcols, frames):
-        """Rows of ``segs`` against ``panels``, written to ``cols`` and ``vcols``.
+    def _fill_rows(self, segs, cols, vcols):
+        """Rows of ``segs``: panel columns ``cols`` and vertex columns ``vcols``.
 
         ``V`` gets the unsymmetrized Gauss values of the panel columns
         ``cols``, ``MV`` and ``MK`` those columns too, and ``DL`` the
-        vertex columns ``vcols``; ``panels`` holds ``cols`` and both
-        panels at each vertex of ``vcols``.  ``None`` columns are whole
-        rows, and then ``panels`` is every panel in order.
+        vertex columns ``vcols``.  The Gauss kernels of ``V``, ``MV``
+        and ``MK`` run on ``cols`` alone; the panel geometry and the
+        double layer also on the panels at each vertex of ``vcols``,
+        which follow ``cols`` in the block.  ``None`` columns are whole
+        rows.
         """
-        p0, p1, d, n, L = frames
-        q = self.n_gauss
-        at = np.full(len(L), -1)
+        p0, d, n, L = _frames(self.bmesh)
+        line = _line_ids(self.bmesh)
+        ns, q = len(L), self.n_gauss
+        if cols is None:
+            panels, nc = np.arange(ns), ns
+        else:
+            near = np.union1d(vcols, (vcols - 1) % ns)
+            panels = np.concatenate([cols, np.setdiff1d(near, cols, assume_unique=True)])
+            nc = len(cols)
+        at = np.full(ns, -1)
         at[panels] = np.arange(len(panels))
         prev = at[panels - 1]      # -1, a panel not in the block, only in columns not read
 
-        def put(a, rows, cols, vals):   # a[rows x cols] = the columns cols of vals
+        def put(a, rows, cols, vals):   # a[rows x cols] = vals
             if cols is None:
                 a[rows] = vals
             else:
-                a[np.ix_(rows, cols)] = vals[:, at[cols]]
+                a[np.ix_(rows, cols)] = vals
 
         pp0, pd, pn, pL = p0[panels], d[panels], n[panels], L[panels]
+        cd, cn, cL, cline = pd[:nc], pn[:nc], pL[:nc], line[panels[:nc]]
         for r0, r1 in _blocks(len(segs), len(panels) * q, _BLOCK_ENTRIES):
             s = segs[r0:r1]
-            shape = (len(s), q, len(panels))
             w = self.weights[s]
             s0, H, h, a, b, span, la, lb = _node_panel_geometry(
                 self.points[s].reshape(-1, 2), pp0, pd, pn, pL)
             A = 0.5 * (la - lb)
             B = np.sign(H) * span
-            # int_panel log|x-y| ds(y) in closed form
-            J = _gauss_sum(w, (0.5 * (b * lb - a * la) - pL + h * span).reshape(shape))
             # H int g(t)/D dt as _dl_panel_terms: B and H A1 = s0 B - H A are
             # its g0 and slope coefficients; panels on the point's line add zero
             on_line = h <= _LINE_TOL * np.maximum(pL, 1.0)
             DL = _gauss_sum(w, _onto_vertices(np.where(on_line, 0.0, B),
                                               np.where(on_line, 0.0, s0 * B - H * A),
-                                              pL, prev).reshape(shape))
+                                              pL, prev).reshape(len(s), q, -1))
+            if vcols is not None:
+                DL = DL[:, at[vcols]]
+            put(self.DL, s, vcols, DL / TWO_PI)
+            # V, MK and MV on the stored columns only: the first nc panels
+            shape = (len(s), q, nc)
+            h, a, b, span, la, lb, A, B = (x[:, :nc] for x in (h, a, b, span, la, lb, A, B))
+            # int_panel log|x-y| ds(y) in closed form
+            J = _gauss_sum(w, (0.5 * (b * lb - a * la) - cL + h * span).reshape(shape))
             # per segment: the tangent against each panel's direction and
             # normal, and the panels on its line, where dK/ds has no kernel
-            td = (d[s] @ pd.T)[:, None]
-            tn = (d[s] @ pn.T)[:, None]
-            same = _same_line(p0, p1, d, n, s[:, None], panels)[:, None]
+            td = (d[s] @ cd.T)[:, None]
+            tn = (d[s] @ cn.T)[:, None]
+            same = (line[s, None] == cline)[:, None]
             A, B = A.reshape(shape), B.reshape(shape)
             dV = -(td * A + tn * B) / TWO_PI
             dK = np.where(same, 0.0, td * B - tn * A) / TWO_PI
             nodes = _nodes(s, q)
             put(self.V, s, cols, J)
-            put(self.DL, s, vcols, DL / TWO_PI)
-            put(self.MK, nodes, cols, dK.reshape(-1, len(panels)))
-            put(self.MV, nodes, cols, dV.reshape(-1, len(panels)))
+            put(self.MK, nodes, cols, dK.reshape(-1, nc))
+            put(self.MV, nodes, cols, dV.reshape(-1, nc))
 
     def check_mesh(self, bmesh: BoundaryMesh) -> None:
         """Raise ``ValueError`` unless the matrices are filled for the geometry of ``bmesh``."""

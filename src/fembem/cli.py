@@ -58,13 +58,14 @@ def parse_config(path) -> UzawaConfig:
 
     Unknown keys and syntax problems are reported with their line
     number; a missing ``example`` key is an error, and so is a file that
-    cannot be read as UTF-8 text.  Defaults follow the dataclass (theta
-    0.25, tau_rel 1e-3, ...).
+    cannot be read as UTF-8 text (a leading byte-order mark is
+    skipped).  Defaults follow the dataclass (theta 0.25, tau_rel 1e-3,
+    ...).
     """
     types = typing.get_type_hints(UzawaConfig)
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     for line_no, line in enumerate(text.splitlines(), start=1):

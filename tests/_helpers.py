@@ -5,8 +5,9 @@ the tests use (an 8th-degree triangle rule, mesh checks, the pointwise
 single-layer potential, boundary integrals, CSV reading); and the
 einsum / ``np.add.at`` forms of the FEM kernels, kept as references for
 the matmul / ``np.bincount`` code in ``fembem.fem`` and
-``fembem.estimate``; and the single-basis multilevel apply, the
-reference for a one-block ``fembem.solver.LocalMultilevelDiagonal``.
+``fembem.estimate``, and of the panel products in ``fembem.bem``; and
+the single-basis multilevel apply, the reference for a one-block
+``fembem.solver.LocalMultilevelDiagonal``.
 """
 
 from pathlib import Path
@@ -79,9 +80,7 @@ def double_layer_derivative_closed_form(bmesh, g, n_gauss=4):
     x = pts.reshape(-1, 2)
     p0, d, n, L = bmesh.endpoints()[0], bmesh.tangents(), bmesh.normals(), bmesh.lengths()
     tau = np.repeat(d, n_gauss, axis=0)
-    v = x[:, None, :] - p0[None, :, :]
-    s0 = np.einsum("mpd,pd->mp", v, d)
-    H = np.einsum("mpd,pd->mp", v, n)
+    s0, H = panel_coordinates_reference(x, p0, d, n)
     h = np.abs(H)
     a, b = -s0, L[None, :] - s0
     qa, qb = a * a + h * h, b * b + h * h
@@ -321,6 +320,22 @@ def eta_fem_reference(mesh, bmesh, w, u_prev, f, phi0, phi_j, operator, rule, n_
     per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
     np.add.at(eta2, bmesh.owner, sqrt_area[bmesh.owner] * per_seg)
     return eta2
+
+
+# ---------------------------------------------------------------------------
+# einsum forms of the BEM panel products
+
+
+def panel_coordinates_reference(x, p0, d, n):
+    """Tangential and signed normal coordinate ``(s0, H)`` of points ``x`` in every panel frame."""
+    v = np.asarray(x, float)[:, None, :] - p0[None, :, :]
+    return np.einsum("mpd,pd->mp", v, d), np.einsum("mpd,pd->mp", v, n)
+
+
+def collinear_coordinates_reference(p0, p1, d, i, j):
+    """Coordinates ``(A2, B2)`` of the ends of panels ``j`` in the frames of panels ``i``."""
+    return (np.einsum("kd,kd->k", p0[j] - p0[i], d[i]),
+            np.einsum("kd,kd->k", p1[j] - p0[i], d[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _helpers import (double_layer_derivative_closed_form, integrate_double_layer,
-                      integrate_trace, nodal_interpolate_u0, single_layer_pointwise,
+from _helpers import (collinear_coordinates_reference, double_layer_derivative_closed_form,
+                      integrate_double_layer, integrate_trace, nodal_interpolate_u0,
+                      panel_coordinates_reference, single_layer_pointwise,
                       uniform_refine_boundary)
 from fembem import bem
 from fembem.mesh import Mesh, boundary_trace, make_initial_mesh, refine_nvb
+from fembem.model import EXAMPLES, make_problem
 
 TWO_PI = 2.0 * np.pi
 
@@ -311,6 +313,8 @@ def boundary_marking(kind, ns, rng):
     if kind == "neighbours":
         k = int(rng.integers(ns - 1))
         return [k, k + 1]
+    if kind == "alternate":       # kept rows meet new panels on both sides of most vertices
+        return np.arange(0, ns, 2)
     return rng.choice(ns, max(1, ns // 5), replace=False)
 
 
@@ -328,7 +332,7 @@ def test_refined_operators_equal_fresh_bitwise(domain, n_gauss, chain):
     mesh = make_initial_mesh(domain)
     bm = boundary_trace(mesh)
     ops = bem.BemOperators(bm, n_gauss)
-    for kind in ("first", "last", "neighbours", "random", "random", "last"):
+    for kind in ("first", "last", "neighbours", "alternate", "random", "random", "last"):
         for _ in range(chain):
             tris = rng.choice(mesh.num_triangles, 2, replace=False) if kind == "random" else ()
             mesh, rel = refine_nvb(mesh, tris, bmesh=bm,
@@ -338,6 +342,55 @@ def test_refined_operators_equal_fresh_bitwise(domain, n_gauss, chain):
         ops.fill()
         assert ops.bmesh is bm
         assert_bitwise_equal(ops, bem.BemOperators(bm, n_gauss))
+
+
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+@pytest.mark.parametrize("marking", ["uniform", "random"])
+def test_line_ids_join_exactly_the_same_line_pairs(example, marking):
+    """``line[i] == line[j]`` is ``_same_line`` of the pair, for every pair of segments.
+
+    The operators find their same-line pairs by the ids alone, so their
+    bits rest on this.  Random markings also mark a few elements, whose
+    closure grades the trace.
+    """
+    rng = np.random.default_rng(len(example) + len(marking))
+    mesh = make_initial_mesh(make_problem(example).domain)
+    bm = boundary_trace(mesh)
+    for _ in range(5):
+        ns = bm.num_segments
+        if marking == "uniform":
+            tris, segs = (), np.arange(ns)
+        else:
+            tris = rng.choice(mesh.num_triangles, 3, replace=False)
+            segs = rng.choice(ns, max(1, ns // 3), replace=False)
+        mesh, rel = refine_nvb(mesh, tris, bmesh=bm, marked_segments=segs)
+        bm = rel.fine_trace
+        line = bem._line_ids(bm)
+        k = np.arange(bm.num_segments)
+        same = bem._same_line(*bem._panel_frames(bm)[:4], k[:, None], k)
+        np.testing.assert_array_equal(line[:, None] == line, same)
+        assert bem._line_ids(bm) is line
+
+
+@pytest.mark.parametrize("trace", ["graded_lshape", "random_zshape", "rotated_zshape"])
+def test_panel_products_equal_their_einsum_forms(graded_lbm, rng, trace):
+    """``s0``, ``H`` and the collinear ``A2``/``B2`` equal the einsum forms.
+
+    Equal as numbers: the two-term products may give ``-0.0`` where the
+    einsum gives ``+0.0``, which no consumer tells apart.
+    """
+    bm = graded_lbm if trace == "graded_lshape" else random_zshape_trace(int(rng.integers(100)))
+    if trace == "rotated_zshape":
+        bm = rotated(bm, 0.5)
+    p0, p1, d, n, L = bem._panel_frames(bm)
+    x = np.concatenate([bm.gauss_points(4)[0].reshape(-1, 2), rng.uniform(-0.3, 0.3, (50, 2))])
+    s0, H = bem._node_panel_geometry(x, p0, d, n, L)[:2]
+    s0_ref, H_ref = panel_coordinates_reference(x, p0, d, n)
+    assert np.array_equal(s0, s0_ref) and np.array_equal(H, H_ref)
+    i, j = np.indices((len(L), len(L))).reshape(2, -1)
+    A2, B2 = collinear_coordinates_reference(p0, p1, d, i, j)
+    assert np.array_equal(bem._along(p0, p0, d, i, j), A2)
+    assert np.array_equal(bem._along(p1, p0, d, i, j), B2)
 
 
 def test_gauss_sum_has_the_same_bits_in_every_block(rng):

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from fembem import cli
 from fembem.cli import (CSV_COLUMNS, ConfigError, fit_slope, main,
                         parse_config, run_experiment, write_csv)
 from fembem.uzawa import UzawaConfig, run_experiment_config
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 SMALL_CFG = """\
 # smoke experiment
@@ -253,6 +256,14 @@ def test_main_unreadable_config_is_config_error(tmp_path, capsys, content):
         path.write_bytes(content)
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("shipped", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_config_with_a_byte_order_mark_parses_as_the_original(tmp_path, shipped):
+    """A UTF-8 byte-order mark, as some editors save one, is not part of the first key."""
+    path = tmp_path / shipped.name
+    path.write_bytes(b"\xef\xbb\xbf" + shipped.read_bytes())
+    assert parse_config(path) == parse_config(shipped)
 
 
 def test_main_bad_config_is_config_error(tmp_path, capsys):
