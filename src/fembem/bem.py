@@ -12,22 +12,23 @@ outer one by Gauss-Legendre.  Pairs of panels on one straight line
 integral; panels meeting at a corner get the ``s log s`` endpoint
 behaviour of the outer integrand subtracted analytically and the
 remainder integrated on a geometrically graded composite Gauss rule.
-Double-layer integrals of affine densities are closed-form per panel.
-The arclength derivatives of both potentials at a point x with tangent
-tau and normal n come from one closed-form panel integral
+Double-layer integrals of affine densities are closed-form per panel,
+one term for the panel's start value and one for its slope.  The
+arclength derivatives of both potentials at a point x with tangent tau
+and normal n come from one closed-form panel integral
 ``I_j(x) = int_j (x - y) / |x - y|^2 ds_y``: ``d/ds V psi`` sums
 ``-tau . I_j psi_j / (2 pi)``, and on a closed polygon the derivative of
 the double layer of a continuous piecewise-affine trace is the adjoint
 double layer of its slopes, ``d/ds K g = -K' dg/ds``, which sums
 ``n . I_j (dg/ds)_j / (2 pi)``.
 :class:`BemOperators` evaluates all of these in one pass over the
-panel geometry and keeps them as matrices of the boundary mesh; after a
+panel geometry and keeps them as matrices of the boundary mesh, one
+entry per (segment or Gauss node, panel) pair; the ``-1/2`` of the
+double-layer right-hand side is applied with the trace.  After a
 refinement it keeps the entries between unsplit segments and evaluates
-only the rows and columns of the new ones.  In a kept row the
-single-layer and derivative kernels run on the new columns alone, the
-double layer also on both panels at each new vertex.  Pairs of panels
-on one line are found by one line id per segment, kept on the boundary
-mesh.
+only the rows and columns of the new ones, so a kept row runs every
+kernel on the new panels alone.  Pairs of panels on one line are found
+by one line id per segment, kept on the boundary mesh.
 """
 
 from __future__ import annotations
@@ -335,20 +336,6 @@ def double_layer_pointwise(bmesh: BoundaryMesh, g: BoundaryTrace, points) -> np.
 _BLOCK_ENTRIES = 50_000
 
 
-def _onto_vertices(c0, c1, L, prev):
-    """Vertex-value columns of panel coefficients of ``g0`` and the slope ``mu``.
-
-    On panel p the affine trace is ``g0 + mu * s`` with ``g0 = g[p]`` and
-    ``mu = (g[p+1] - g[p]) / L[p]``; this splits ``c0 * g0 + c1 * mu``
-    onto the vertices p and p + 1.  Column k of the result is the vertex
-    at the start of the panel of column k, and ``prev[k]`` is the column
-    of the panel before it; columns whose previous panel is missing from
-    the block are not valid.
-    """
-    c1 = c1 / L[None, :]
-    return c0 - c1 + c1[:, prev]
-
-
 def _gauss_sum(w, block):
     """``sum_q w[i, q] * block[i, q, j]``, added up in node order.
 
@@ -381,8 +368,10 @@ class BemOperators:
     coordinates, the atan span and the logarithms once and fills
 
     * ``V`` (ns, ns): single-layer Galerkin matrix on P0;
-    * ``DL`` (ns, ns): ``DL @ g`` is ``int_E (K - 1/2) g ds`` per segment
-      for the vertex values g of an affine trace;
+    * ``DL0``, ``DL1`` (ns, ns): ``int_E`` of the double-layer terms of
+      each panel, over ``2 pi``, for its start value ``g0`` and for its
+      slope (zero on panels on the node's line); :meth:`dl_rhs` applies
+      them and adds the ``-1/2`` identity part where the trace is known;
     * ``MK``, ``MV`` (ns*q, ns): at the Gauss nodes the arclength
       derivative of ``(K - 1/2) g - V psi`` is
       ``MK @ g.slopes() - MV @ psi - 1/2 dg/ds``; with the panel
@@ -394,19 +383,17 @@ class BemOperators:
     trace of its boundary mesh; the methods refuse those of another
     geometry.  ``n_gauss`` is the outer quadrature of all of them.
 
-    Every entry depends only on the geometry of its pair: a segment or
-    Gauss node, and a panel (a vertex column of ``DL`` on the two panels
-    at that vertex).  So :meth:`refine` carries the matrices
-    to a refined boundary, keeping each entry whose segment and panels
-    did not split, and :meth:`fill` computes only the rows and columns
-    of the new segments; a fresh object is that fill with every segment
-    new, and a refined one equals it bit for bit.  A kept row evaluates
-    the ``V``, ``MK`` and ``MV`` kernels on the new panel columns only,
-    and the panel geometry and ``DL`` also on both panels at each new
-    vertex column.  Same-line pairs (the closed forms of ``V``, the
-    zeros of ``MK``) come from the line ids of the boundary mesh.  Rows
-    are built in segment-aligned blocks of at most ``_BLOCK_ENTRIES``
-    entries, so only one block of temporaries is alive at a time.
+    Every entry depends only on the geometry of its pair, a segment or
+    Gauss node and a panel.  So :meth:`refine` carries the matrices to
+    a refined boundary, keeping each entry whose segment and panel did
+    not split, and :meth:`fill` computes only the rows and columns of
+    the new segments: new rows on every panel, kept rows on the new
+    panels alone.  A fresh object is that fill with every segment new,
+    and a refined one equals it bit for bit.  Same-line pairs (the
+    closed forms of ``V``, the zeros of ``MK``) come from the line ids
+    of the boundary mesh.  Rows are built in segment-aligned blocks of
+    at most ``_BLOCK_ENTRIES`` entries, so only one block of
+    temporaries is alive at a time.
     """
 
     def __init__(self, bmesh: BoundaryMesh, n_gauss: int = 4):
@@ -415,7 +402,8 @@ class BemOperators:
         self.n_gauss = q
         self.points, self.weights = bmesh.gauss_points(q)
         self.V = np.empty((ns, ns))
-        self.DL = np.empty((ns, ns))
+        self.DL0 = np.empty((ns, ns))
+        self.DL1 = np.empty((ns, ns))
         self.MK = np.empty((ns * q, ns))
         self.MV = np.empty((ns * q, ns))
         self._new = np.ones(ns, dtype=bool)     # segments whose rows and columns are unset
@@ -425,7 +413,7 @@ class BemOperators:
         """Carry the matrices to the refined boundary ``relation.fine_trace``.
 
         Every fine entry starts as the entry of its father segments; it
-        is exact when its segment and panels did not split (and were
+        is exact when its segment and panel did not split (and were
         filled), and the next :meth:`fill` recomputes all others.  Each
         old matrix is released as soon as its successor is built.
         """
@@ -437,7 +425,8 @@ class BemOperators:
         self.MK = _carried(self.MK, nodes, father)
         self.MV = _carried(self.MV, nodes, father)
         self.V = _carried(self.V, father, father)
-        self.DL = _carried(self.DL, father, father)
+        self.DL0 = _carried(self.DL0, father, father)
+        self.DL1 = _carried(self.DL1, father, father)
         self._new = (self._new | (n_sons > 1))[father]
         self.bmesh = relation.fine_trace
         self.points, self.weights = self.bmesh.gauss_points(q)
@@ -447,75 +436,46 @@ class BemOperators:
         new = self._new
         if not new.any():
             return
-        L = self.bmesh.lengths()
-        k = np.arange(len(L))
-        nxt = np.roll(k, -1)
-        newv = new | np.roll(new, 1)           # vertex column v joins panels v - 1 and v
         rows = np.flatnonzero(new)
-        # new rows meet every panel; kept rows the new panels and, for DL,
-        # the new vertex columns
-        self._fill_rows(rows, None, None)
-        self._fill_rows(np.flatnonzero(~new), rows, np.flatnonzero(newv))
+        # new rows meet every panel, kept rows the new panels
+        self._fill_rows(rows, None)
+        self._fill_rows(np.flatnonzero(~new), rows)
         Vr = _single_layer_from_gauss(self.V[rows], self.V[:, rows].T, rows, self.bmesh)
         self.V[rows] = Vr
         self.V[:, rows] = Vr.T
-        # the jump term -1/2 g on the new entries (k, k) and (k, k + 1)
-        self.DL[k[newv], k[newv]] -= 0.25 * L[newv]
-        off = newv[nxt]
-        self.DL[k[off], nxt[off]] -= 0.25 * L[off]
-        self._new = np.zeros(len(L), dtype=bool)
+        self._new = np.zeros(len(new), dtype=bool)
 
-    def _fill_rows(self, segs, cols, vcols):
-        """Rows of ``segs``: panel columns ``cols`` and vertex columns ``vcols``.
+    def _fill_rows(self, segs, cols):
+        """Rows of ``segs`` on the panel columns ``cols`` (``None``: whole rows).
 
-        ``V`` gets the unsymmetrized Gauss values of the panel columns
-        ``cols``, ``MV`` and ``MK`` those columns too, and ``DL`` the
-        vertex columns ``vcols``.  The Gauss kernels of ``V``, ``MV``
-        and ``MK`` run on ``cols`` alone; the panel geometry and the
-        double layer also on the panels at each vertex of ``vcols``,
-        which follow ``cols`` in the block.  ``None`` columns are whole
-        rows.
+        ``V`` gets the unsymmetrized Gauss values, ``DL0``, ``DL1``,
+        ``MK`` and ``MV`` their entries.
         """
         p0, d, n, L = _frames(self.bmesh)
         line = _line_ids(self.bmesh)
-        ns, q = len(L), self.n_gauss
-        if cols is None:
-            panels, nc = np.arange(ns), ns
-        else:
-            near = np.union1d(vcols, (vcols - 1) % ns)
-            panels = np.concatenate([cols, np.setdiff1d(near, cols, assume_unique=True)])
-            nc = len(cols)
-        at = np.full(ns, -1)
-        at[panels] = np.arange(len(panels))
-        prev = at[panels - 1]      # -1, a panel not in the block, only in columns not read
+        q = self.n_gauss
+        c = slice(None) if cols is None else cols
+        cp0, cd, cn, cL, cline = p0[c], d[c], n[c], L[c], line[c]
 
-        def put(a, rows, cols, vals):   # a[rows x cols] = vals
+        def put(a, rows, vals):   # a[rows x cols] = vals
             if cols is None:
                 a[rows] = vals
             else:
                 a[np.ix_(rows, cols)] = vals
 
-        pp0, pd, pn, pL = p0[panels], d[panels], n[panels], L[panels]
-        cd, cn, cL, cline = pd[:nc], pn[:nc], pL[:nc], line[panels[:nc]]
-        for r0, r1 in _blocks(len(segs), len(panels) * q, _BLOCK_ENTRIES):
+        for r0, r1 in _blocks(len(segs), len(cL) * q, _BLOCK_ENTRIES):
             s = segs[r0:r1]
             w = self.weights[s]
+            shape = (len(s), q, len(cL))
             s0, H, h, a, b, span, la, lb = _node_panel_geometry(
-                self.points[s].reshape(-1, 2), pp0, pd, pn, pL)
+                self.points[s].reshape(-1, 2), cp0, cd, cn, cL)
             A = 0.5 * (la - lb)
             B = np.sign(H) * span
             # H int g(t)/D dt as _dl_panel_terms: B and H A1 = s0 B - H A are
             # its g0 and slope coefficients; panels on the point's line add zero
-            on_line = h <= _LINE_TOL * np.maximum(pL, 1.0)
-            DL = _gauss_sum(w, _onto_vertices(np.where(on_line, 0.0, B),
-                                              np.where(on_line, 0.0, s0 * B - H * A),
-                                              pL, prev).reshape(len(s), q, -1))
-            if vcols is not None:
-                DL = DL[:, at[vcols]]
-            put(self.DL, s, vcols, DL / TWO_PI)
-            # V, MK and MV on the stored columns only: the first nc panels
-            shape = (len(s), q, nc)
-            h, a, b, span, la, lb, A, B = (x[:, :nc] for x in (h, a, b, span, la, lb, A, B))
+            on_line = h <= _LINE_TOL * np.maximum(cL, 1.0)
+            DL0 = _gauss_sum(w, np.where(on_line, 0.0, B).reshape(shape))
+            DL1 = _gauss_sum(w, np.where(on_line, 0.0, s0 * B - H * A).reshape(shape))
             # int_panel log|x-y| ds(y) in closed form
             J = _gauss_sum(w, (0.5 * (b * lb - a * la) - cL + h * span).reshape(shape))
             # per segment: the tangent against each panel's direction and
@@ -527,9 +487,11 @@ class BemOperators:
             dV = -(td * A + tn * B) / TWO_PI
             dK = np.where(same, 0.0, td * B - tn * A) / TWO_PI
             nodes = _nodes(s, q)
-            put(self.V, s, cols, J)
-            put(self.MK, nodes, cols, dK.reshape(-1, nc))
-            put(self.MV, nodes, cols, dV.reshape(-1, nc))
+            put(self.V, s, J)
+            put(self.DL0, s, DL0 / TWO_PI)
+            put(self.DL1, s, DL1 / TWO_PI)
+            put(self.MK, nodes, dK.reshape(-1, len(cL)))
+            put(self.MV, nodes, dV.reshape(-1, len(cL)))
 
     def check_mesh(self, bmesh: BoundaryMesh) -> None:
         """Raise ``ValueError`` unless the matrices are filled for the geometry of ``bmesh``."""
@@ -542,7 +504,8 @@ class BemOperators:
     def dl_rhs(self, g: BoundaryTrace) -> np.ndarray:
         """Galerkin right-hand side ``int_E (K - 1/2) g ds`` per segment."""
         self.check_mesh(g.bmesh)
-        return self.DL @ g.values
+        g0, g1 = g.endpoint_values()
+        return self.DL0 @ g0 + self.DL1 @ g.slopes() - 0.25 * self.bmesh.lengths() * (g0 + g1)
 
     def residual_derivative(self, psi, g: BoundaryTrace):
         """Arclength derivative of ``(K - 1/2) g - V psi`` at the Gauss nodes.

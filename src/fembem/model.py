@@ -11,6 +11,7 @@ a pole inside the domain, so the exact interface density is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -154,30 +155,16 @@ def _transmission_callbacks(exact: ExactData, flux_of_grad):
     return u0, phi0, du0_ds
 
 
-def _laplace_lshape() -> ProblemSpec:
+def _lshape(name: str, scale: float) -> ProblemSpec:
     exact = _exact_data(2.0 / 3.0)
 
-    # A = I: strongly monotone and Lipschitz, both with constant 1
+    # A = scale * I: strongly monotone and Lipschitz, both with constant scale
     def a_flux(points, grads):
-        return np.asarray(grads, float)
+        return scale * np.asarray(grads, float)
 
     u0, phi0, du0 = _transmission_callbacks(exact, a_flux)
     return ProblemSpec(
-        name="laplace_lshape", domain="lshape", operator=a_flux,
-        f=lambda x: np.zeros(len(np.atleast_2d(x))),
-        u0=u0, phi0=phi0, du0_ds=du0, exact=exact)
-
-
-def _scaled_laplace_lshape() -> ProblemSpec:
-    exact = _exact_data(2.0 / 3.0)
-
-    # A = 0.1 I: strongly monotone and Lipschitz, both with constant 0.1
-    def a_flux(points, grads):
-        return 0.1 * np.asarray(grads, float)
-
-    u0, phi0, du0 = _transmission_callbacks(exact, a_flux)
-    return ProblemSpec(
-        name="scaled_laplace_lshape", domain="lshape", operator=a_flux,
+        name=name, domain="lshape", operator=a_flux,
         f=lambda x: np.zeros(len(np.atleast_2d(x))),
         u0=u0, phi0=phi0, du0_ds=du0, exact=exact)
 
@@ -209,8 +196,8 @@ def _nonlinear_zshape() -> ProblemSpec:
 
 
 EXAMPLES = {
-    "laplace_lshape": _laplace_lshape,
-    "scaled_laplace_lshape": _scaled_laplace_lshape,
+    "laplace_lshape": partial(_lshape, "laplace_lshape", 1.0),
+    "scaled_laplace_lshape": partial(_lshape, "scaled_laplace_lshape", 0.1),
     "nonlinear_zshape": _nonlinear_zshape,
 }
 

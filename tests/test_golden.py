@@ -14,6 +14,10 @@ tolerances), and such a change has to regenerate the tables.
 Regenerate after a change that moves the trajectory on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before it overwrites a table, this prints whether the row count, the
+integer columns and the stop/flag trailer equal the old table's, and
+the largest relative move of each float column.
 """
 
 import dataclasses
@@ -47,6 +51,23 @@ def trailer(path: Path):
             if line.startswith(("# flag:", "# stop:"))]
 
 
+def moves(new: Path, old: Path):
+    """Lines comparing the table ``new`` with ``old``, as the regeneration prints them."""
+    got, ref = read_csv(new), read_csv(old)
+    rows = len(got["iterUZ"]) == len(ref["iterUZ"])
+    ints = rows and all(np.array_equal(got[name], ref[name]) for name in INT_COLUMNS)
+    lines = [f"  rows equal: {rows}", f"  integer columns equal: {ints}",
+             f"  stop/flag trailer equal: {trailer(new) == trailer(old)}"]
+    if rows:
+        for name in FLOAT_COLUMNS:
+            a, b = got[name], ref[name]
+            equal = (a == b) | (np.isnan(a) & np.isnan(b))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.where(equal, 0.0, np.abs(a - b) / np.abs(b))
+            lines.append(f"  {name}: largest relative move {rel.max():.2e}")
+    return lines
+
+
 def test_every_config_has_a_golden():
     assert CONFIGS
     assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == [p.stem for p in CONFIGS]
@@ -70,5 +91,11 @@ def test_trajectory_matches_golden(cfg_path, tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for cfg in CONFIGS:
-        write_golden_run(cfg, GOLDEN / f"{cfg.stem}.csv")
+        path = GOLDEN / f"{cfg.stem}.csv"
+        fresh = path.with_suffix(".new")
+        write_golden_run(cfg, fresh)
+        print(cfg.stem)
+        if path.exists():
+            print("\n".join(moves(fresh, path)))
+        fresh.replace(path)
         print(f"wrote {cfg.stem}", file=sys.stderr)

@@ -350,7 +350,7 @@ def test_carried_bem_operators_equal_a_fresh_build_in_every_round(monkeypatch, c
         refines.clear()
         ops = driver.bem_ops
         fresh = bem.BemOperators(driver.bm, ops.n_gauss)
-        for name in ("V", "DL", "MK", "MV", "points", "weights"):
+        for name in ("V", "DL0", "DL1", "MK", "MV", "points", "weights"):
             assert getattr(ops, name).tobytes() == getattr(fresh, name).tobytes(), name
 
     res = run_experiment_config(cfg, observer=observer)
@@ -503,8 +503,8 @@ def test_benchmark_hooks_find_every_wrapped_name(tmp_path):
 # CSV sha256 of each benchmark workload at seed 0.  A change that moves a
 # trajectory updates these and gives its reason, as with tests/golden/.
 BENCHMARK_FINGERPRINTS = {
-    "lshape_fixed": "4a7066c5dcf53b31e9d975988dd57468aa21d981b7cd836d8f00a6d595739a2e",
-    "lshape_adaptive": "bc716c2a5c9ecb5277b7dec07f8a05f1120587b7e93e0feef7e8b3a1955d532b",
+    "lshape_fixed": "d179a1d2a42aad91c517f950876dce6b2157ce853eef404726f764e9982e917d",
+    "lshape_adaptive": "66a095013728e3b3f2366737b50e083478c99304c0256d015e108b43dbe2635f",
     "zshape_exact": "6b1d64eb84d7cf88ede40a6494aba742d9a6534b37fe1af038dbc413706fa516",
 }
 
