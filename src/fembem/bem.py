@@ -83,16 +83,17 @@ class BoundaryTrace:
         if v.shape != (self.bmesh.num_segments,):
             raise ValueError("trace values do not match the boundary vertices")
         object.__setattr__(self, "values", v)
+        g1 = np.roll(v, -1)
+        object.__setattr__(self, "_ends", (v, g1))
+        object.__setattr__(self, "_slopes", (g1 - v) / self.bmesh.lengths())
 
     def endpoint_values(self):
-        g0 = self.values
-        g1 = np.roll(self.values, -1)
-        return g0, g1
+        """Values at the start and at the end of every segment."""
+        return self._ends
 
     def slopes(self):
         """Arclength derivative per segment."""
-        g0, g1 = self.endpoint_values()
-        return (g1 - g0) / self.bmesh.lengths()
+        return self._slopes
 
 
 # ----------------------------------------------------------------------------

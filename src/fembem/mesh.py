@@ -24,6 +24,7 @@ __all__ = [
     "refine_nvb",
     "boundary_trace",
     "gauss_legendre",
+    "vertex_prolongation_matrix",
 ]
 
 
@@ -137,25 +138,24 @@ class Mesh(_Derived):
         raw = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
         lo, hi = raw.min(axis=1), raw.max(axis=1)
         # one integer per undirected edge; its order is the lexicographic order of (lo, hi)
-        keys, tri2edge = np.unique(lo * nv + hi, return_inverse=True)
-        edges = np.stack([keys // nv, keys % nv], axis=1)
-        tri2edge = tri2edge.reshape(-1, 3)
-        ne = len(edges)
-        edge2tri = np.full((ne, 2), -1, dtype=np.int64)
-        tri_ids = np.repeat(np.arange(self.num_triangles), 3)
-        flat = tri2edge.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        flat_sorted = flat[order]
-        tri_sorted = tri_ids[order]
-        first = np.searchsorted(flat_sorted, np.arange(ne), side="left")
-        last = np.searchsorted(flat_sorted, np.arange(ne), side="right")
+        keys = lo * nv + hi
+        # stable: the local edges of one edge stay in element order
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        run = np.diff(sorted_keys, prepend=-1) != 0     # where a run of one edge starts
+        first = np.flatnonzero(run)
+        last = np.append(first[1:], len(keys))
         counts = last - first
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: edge shared by more than two elements")
-        edge2tri[:, 0] = tri_sorted[first]
+        tri2edge = np.empty_like(order)
+        tri2edge[order] = np.cumsum(run) - 1
+        edges = np.stack([sorted_keys[first] // nv, sorted_keys[first] % nv], axis=1)
+        edge2tri = np.full((len(first), 2), -1, dtype=np.int64)
+        edge2tri[:, 0] = order[first] // 3
         has2 = counts == 2
-        edge2tri[has2, 1] = tri_sorted[last[has2] - 1]
-        return edges, tri2edge, edge2tri
+        edge2tri[has2, 1] = order[last[has2] - 1] // 3
+        return edges, tri2edge.reshape(-1, 3), edge2tri
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ class RefinementRelation(_Derived):
     fine: Mesh
     new_vertex_parents: np.ndarray  # (n_new, 2) endpoints of each bisected edge
     seg_father: np.ndarray     # (ns_fine,) coarse segment of each fine segment
-    fine_trace: BoundaryMesh   # boundary_trace(fine)
+    fine_trace: BoundaryMesh   # equal to boundary_trace(fine)
 
     @property
     def tri_sons(self) -> tuple:
@@ -269,15 +269,25 @@ class RefinementRelation(_Derived):
 
     def vertex_prolongation_matrix(self):
         """Sparse (nv_fine, nv_coarse) interpolation of P1 functions."""
-        from scipy.sparse import csr_matrix
+        return vertex_prolongation_matrix(self.new_vertex_parents, self.coarse.num_vertices)
 
-        nvc = self.coarse.num_vertices
-        nvf = self.fine.num_vertices
-        n_new = nvf - nvc
-        rows = np.concatenate([np.arange(nvc), np.repeat(np.arange(nvc, nvf), 2)])
-        cols = np.concatenate([np.arange(nvc), self.new_vertex_parents.reshape(-1)])
-        vals = np.concatenate([np.ones(nvc), np.full(2 * n_new, 0.5)])
-        return csr_matrix((vals, (rows, cols)), shape=(nvf, nvc))
+
+def vertex_prolongation_matrix(new_vertex_parents, num_coarse: int):
+    """Sparse interpolation of P1 functions onto a refinement.
+
+    The fine mesh keeps the ``num_coarse`` vertices and appends one
+    midpoint per row of ``new_vertex_parents``, the endpoints of its
+    bisected edge.  Returns a (nv_fine, num_coarse) matrix.
+    """
+    from scipy.sparse import csr_matrix
+
+    nvc = num_coarse
+    n_new = len(new_vertex_parents)
+    nvf = nvc + n_new
+    rows = np.concatenate([np.arange(nvc), np.repeat(np.arange(nvc, nvf), 2)])
+    cols = np.concatenate([np.arange(nvc), np.reshape(new_vertex_parents, -1)])
+    vals = np.concatenate([np.ones(nvc), np.full(2 * n_new, 0.5)])
+    return csr_matrix((vals, (rows, cols)), shape=(nvf, nvc))
 
 
 # ----------------------------------------------------------------------------
@@ -405,17 +415,47 @@ _BISECTION = {
 }
 
 
+def _edge_sons() -> np.ndarray:
+    """Where the pieces of each local edge of a father lie in its sons.
+
+    Entry ``[pattern, k, half]`` is ``(son, local edge of the son)`` of
+    the piece of local edge k that starts at its first vertex (half 0)
+    or at its midpoint (half 1, split edges only); -1 where there is no
+    such piece.  Sons traverse their edges in the father's direction.
+    """
+    table = np.full((8, 3, 2, 2), -1, dtype=np.int64)
+    for p, sons in _BISECTION.items():
+        for k in range(3):
+            a, b, m = k, (k + 1) % 3, 3 + k
+            pieces = ((a, m), (m, b)) if p >> k & 1 else ((a, b),)
+            for half, piece in enumerate(pieces):
+                table[p, k, half] = next((s, j) for s, son in enumerate(sons) for j in range(3)
+                                         if (son[j], son[(j + 1) % 3]) == piece)
+    return table
+
+
+_EDGE_SONS = _edge_sons()
+
+
 def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = None):
     """Refine by newest vertex bisection with conforming closure.
 
     ``marked`` holds element ids whose reference edge must be bisected;
     ``marked_segments`` optionally names boundary segments (indices into
-    ``boundary_trace(mesh)``) that must be split as well -- used when the
-    marking is driven by boundary indicators.  The closure iterates
-    "any element with a marked edge gets its reference edge marked"
-    to a fixpoint, then every element is split according to its marked
-    edges (1, 2 or 3 bisections into 2, 3 or 4 sons).  Marked elements
-    never survive; son areas are exactly 1/2 or 1/4 of the father's.
+    ``bmesh``, which defaults to ``boundary_trace(mesh)``) that must be
+    split as well -- used when the marking is driven by boundary
+    indicators.  The closure iterates "any element with a marked edge
+    gets its reference edge marked" to a fixpoint, then every element is
+    split according to its marked edges (1, 2 or 3 bisections into 2, 3
+    or 4 sons).  Marked elements never survive; son areas are exactly
+    1/2 or 1/4 of the father's.
+
+    The fine boundary walk comes from the coarse one: each segment
+    becomes itself or its two halves, in walk order, and its owner is
+    read off the father's split pattern.  New vertex ids exceed the old
+    ones, so the walk keeps its start and equals ``boundary_trace(fine)``
+    whenever ``bmesh`` is a walk that :func:`boundary_trace` or this
+    function built.
 
     Returns ``(fine_mesh, relation)``.
     """
@@ -427,10 +467,10 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     edge_marked = np.zeros(ne, dtype=bool)
     if len(marked):
         edge_marked[tri2edge[marked, 0]] = True
+    if bmesh is None:
+        bmesh = boundary_trace(mesh)
     seg_ids = np.unique(np.asarray(marked_segments, dtype=np.int64))
     if len(seg_ids):
-        if bmesh is None:
-            bmesh = boundary_trace(mesh)
         if seg_ids.min() < 0 or seg_ids.max() >= bmesh.num_segments:
             raise ValueError("marked segment id out of range")
         edge_marked[tri2edge[bmesh.owner[seg_ids], bmesh.owner_edge[seg_ids]]] = True
@@ -465,20 +505,18 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     father = np.repeat(np.arange(mesh.num_triangles), n_sons)
     fine = Mesh(vertices, tris, father)
 
-    # boundary segment genealogy: a coarse segment (v0, v1) keeps its
-    # start vertex, and a bisected one gains the son starting at its midpoint
-    if bmesh is None:
-        bmesh = boundary_trace(mesh)
-    fine_trace = boundary_trace(fine)
-    seg_of_start = np.empty(len(vertices), dtype=np.int64)
-    seg_of_start[fine_trace.segments[:, 0]] = np.arange(fine_trace.num_segments)
+    # the fine boundary walk: each coarse segment, or its two halves, in walk order
     seg_edge = tri2edge[bmesh.owner, bmesh.owner_edge]
     split = edge_marked[seg_edge]
-    starts = np.stack([bmesh.segments[:, 0], new_vertex_of_edge[seg_edge]], axis=1)
-    keep = np.stack([np.ones_like(split), split], axis=1)
-    sons = seg_of_start[starts[keep]]   # row-major: the sons of each segment in walk order
-    seg_father = np.empty(fine_trace.num_segments, dtype=np.int64)
-    seg_father[sons] = np.repeat(np.arange(bmesh.num_segments), 1 + split)
+    seg_father = np.repeat(np.arange(bmesh.num_segments), 1 + split)
+    half = np.zeros(len(seg_father), dtype=np.int64)
+    half[np.cumsum(1 + split)[split] - 1] = 1
+    owner = bmesh.owner[seg_father]
+    son, local = _EDGE_SONS[pattern[owner], bmesh.owner_edge[seg_father], half].T
+    owner = offset[owner] + son
+    segments = np.stack([tris[owner, local], tris[owner, (local + 1) % 3]], axis=1)
+    fine_trace = BoundaryMesh(mesh=fine, segments=segments, owner=owner,
+                              owner_edge=local, boundary_vertices=segments[:, 0])
 
     relation = RefinementRelation(
         coarse=mesh,

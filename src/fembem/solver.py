@@ -8,6 +8,7 @@ matrix), so everything here assumes SPD and fails loudly otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import assemble_riesz, riesz_diagonal
-from .mesh import Mesh, RefinementRelation
+from .mesh import Mesh, RefinementRelation, vertex_prolongation_matrix
 
 __all__ = [
     "NotSpdError",
@@ -97,9 +98,20 @@ class JacobiPreconditioner:
         return self.inverse_diagonal * r
 
 
-@dataclass(frozen=True)
 class _Level:
-    prolongation: sp.csr_matrix | None  # from the previous level; None on level 0
+    """One refinement of the hierarchy: the parents of its new vertices.
+
+    Its prolongation from the previous level is built on first read, so
+    a run that never folds (exact solves) builds none.
+    """
+
+    def __init__(self, new_vertex_parents, num_coarse: int):
+        self._parents = new_vertex_parents
+        self._num_coarse = num_coarse
+
+    @cached_property
+    def prolongation(self) -> sp.csr_matrix:
+        return vertex_prolongation_matrix(self._parents, self._num_coarse).tocsr()
 
 
 # A level is folded into the last block while that block's basis holds at
@@ -152,7 +164,8 @@ class LocalMultilevelDiagonal:
 class MeshHierarchy:
     """Nested mesh sequence feeding the multilevel preconditioner.
 
-    :meth:`push` records each refinement's prolongation P and fine mesh.
+    :meth:`push` records each refinement's new vertices and fine mesh;
+    its prolongation P is built when a fold first reads it.
     :meth:`preconditioner` folds the levels pushed since its last call
     into the blocks and returns one cached preconditioner until the next
     push; a run that never asks for one (exact solves) does no fold.
@@ -172,7 +185,7 @@ class MeshHierarchy:
 
     def __init__(self, mesh: Mesh):
         self.meshes = [mesh]
-        self._levels = [_Level(None)]
+        self._levels = [None]               # level 0 has no previous level
         self._coarse_factor = CholeskyFactor(assemble_riesz(mesh).toarray())
         self._blocks = [(sp.identity(mesh.num_vertices, format="csr"), np.zeros(0))]
         self._folded = 1                   # levels already in the blocks
@@ -185,7 +198,8 @@ class MeshHierarchy:
     def push(self, relation: RefinementRelation) -> None:
         if relation.coarse is not self.finest:
             raise ValueError("refinement does not start from the finest level")
-        self._levels.append(_Level(relation.vertex_prolongation_matrix().tocsr()))
+        # the parents alone: the relation's fine trace would keep boundary facts alive
+        self._levels.append(_Level(relation.new_vertex_parents, relation.coarse.num_vertices))
         self.meshes.append(relation.fine)
         self._preconditioner = None
 

@@ -382,6 +382,48 @@ def test_only_the_finest_mesh_keeps_derived_facts(solver):
     assert max(bem_rounds) >= 4       # Γ refined three times between two FEM rounds
 
 
+@pytest.mark.parametrize("cfg", [
+    UzawaConfig(example="nonlinear_zshape", alpha=0.07, adaptive_gamma=True, eps1=5.0,
+                c_bem=0.1, c_fem=0.3, solver="exact", budget_elements=600),
+    small_config(solver="pcg", budget_elements=600),
+], ids=["zshape_exact", "lshape_pcg"])
+def test_prolongations_are_built_only_when_a_fold_reads_them(monkeypatch, cfg):
+    """Exact solves build no prolongation; PCG gets the relations' own, byte for byte."""
+    import fembem.solver as solver
+    from fembem.mesh import RefinementRelation
+
+    relations, built = [], []
+    plain_push, plain_build = solver.MeshHierarchy.push, solver.vertex_prolongation_matrix
+
+    def push(self, relation):
+        relations.append(relation)
+        plain_push(self, relation)
+
+    def build(*args):
+        built.append(args)
+        return plain_build(*args)
+
+    def refused(self):
+        raise AssertionError("the run asked a relation for its prolongation")
+
+    monkeypatch.setattr(solver.MeshHierarchy, "push", push)
+    monkeypatch.setattr(solver, "vertex_prolongation_matrix", build)
+    monkeypatch.setattr(RefinementRelation, "vertex_prolongation_matrix", refused)
+    drv = UzawaDriver(make_problem(cfg.example), cfg)
+    assert drv.run().stop_reason == "budget"
+    assert len(relations) == len(drv.hierarchy._levels) - 1 > 3
+    if cfg.solver == "exact":
+        assert built == []
+        return
+    assert built
+    monkeypatch.undo()
+    for level, rel in zip(drv.hierarchy._levels[1:], relations):
+        got, ref = level.prolongation, rel.vertex_prolongation_matrix().tocsr()
+        assert got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
 def test_interface_and_exact_data_evaluated_once_per_mesh():
     """phi0, du0/ds, u0 and the exact density run once per boundary mesh and order, u once per mesh."""
     problem = make_problem("laplace_lshape")
