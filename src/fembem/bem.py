@@ -24,11 +24,14 @@ double layer of its slopes, ``d/ds K g = -K' dg/ds``, which sums
 :class:`BemOperators` evaluates all of these in one pass over the
 panel geometry and keeps them as matrices of the boundary mesh, one
 entry per (segment or Gauss node, panel) pair; the ``-1/2`` of the
-double-layer right-hand side is applied with the trace.  After a
-refinement it keeps the entries between unsplit segments and evaluates
-only the rows and columns of the new ones, so a kept row runs every
-kernel on the new panels alone.  Pairs of panels on one line are found
-by one line id per segment, kept on the boundary mesh.
+double-layer right-hand side is applied with the trace.  The matrices
+are stored by slot: a segment keeps its slot through refinements, and
+the second son of a split segment takes a fresh slot at the end.  So a
+refinement copies the old matrices into the top-left blocks of larger
+ones and moves no entry, and the next fill evaluates only the rows and
+columns of the new segments, a kept row running every kernel on the new
+panels alone.  Pairs of panels on one line are found by one line id per
+segment, kept on the boundary mesh.
 """
 
 from __future__ import annotations
@@ -250,21 +253,20 @@ def _wedge_double_integrals(e1, L1, e2, L2):
     return gauss + exact
 
 
-def _single_layer_from_gauss(Jr, Jc, rows, bmesh):
+def _single_layer_from_gauss(Jr, Jc, rows, p0, p1, d, L, line, nxt):
     """Rows ``rows`` of the Galerkin single-layer matrix from its Gauss values.
 
-    ``Jr = J[rows, :]`` and ``Jc = J[:, rows].T`` hold the outer-Gauss
-    double integrals of the pairs touching ``rows``.  These pairs are
-    symmetrized, same-line pairs (equal line ids) get their closed form
-    and corner pairs the graded wedge rule; every value depends on its
-    pair alone, so the rows equal those of the whole matrix (all
-    segments in ``rows``) bit for bit.  Exactly symmetric; positive
-    definite whenever diam(domain) < 1.
+    Panels are indexed by slot: ``p0``, ``p1``, ``d``, ``L`` and the line
+    ids ``line`` are given in slot order, and ``nxt[i]`` is the slot of
+    the panel after panel i along the walk.  ``Jr = J[rows, :]`` and
+    ``Jc = J[:, rows].T`` hold the outer-Gauss double integrals of the
+    pairs touching ``rows``.  These pairs are symmetrized, same-line
+    pairs (equal line ids) get their closed form and corner pairs the
+    graded wedge rule; every value depends on its pair alone, so the rows
+    equal those of the whole matrix (all segments in ``rows``) bit for
+    bit.  Exactly symmetric; positive definite whenever diam(domain) < 1.
     """
-    p0, p1, d, _, L = _panel_frames(bmesh)
-    line = _line_ids(bmesh)
     ns = len(L)
-    k = np.arange(ns)
     at = np.full(ns, -1)
     at[rows] = np.arange(len(rows))
     # R[a, j] is J[rows[a], j] and C[a, j] is J[j, rows[a]], step by step
@@ -280,7 +282,6 @@ def _single_layer_from_gauss(Jr, Jc, rows, bmesh):
     C[a, j] = collinear(j, rows[a])
 
     # panels meeting at a corner (consecutive along the walk, oblique)
-    nxt = np.roll(k, -1)
     pair = np.flatnonzero((at >= 0) | (at[nxt] >= 0))
     kk = pair[line[pair] != line[nxt[pair]]]
     if len(kk):
@@ -354,11 +355,10 @@ def _nodes(segs, q):
     return (segs[:, None] * q + np.arange(q)).reshape(-1)
 
 
-def _carried(a, rows, cols):
-    """``a[rows][:, cols]``, gathered in row blocks so that one block is the only temporary."""
-    out = np.empty((len(rows), len(cols)))
-    for r0, r1 in _blocks(len(rows), len(cols), _BLOCK_ENTRIES):
-        out[r0:r1] = a[rows[r0:r1]][:, cols]
+def _grown(a, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) array holding ``a`` in its top-left block; the rest is unset."""
+    out = np.empty((rows, cols))
+    out[:a.shape[0], :a.shape[1]] = a
     return out
 
 
@@ -384,17 +384,29 @@ class BemOperators:
     trace of its boundary mesh; the methods refuse those of another
     geometry.  ``n_gauss`` is the outer quadrature of all of them.
 
+    The matrices are stored by slot, not by position along the walk:
+    segment k of the walk sits in slot ``slots[k]``, and slot s holds
+    segment ``order[s]``; the Gauss nodes of slot s are the rows
+    ``s*q ... s*q + q - 1`` of ``MK`` and ``MV``.  A fresh object has
+    ``slots[k] == k``.  Vectors cross between the two orders here, at
+    O(ns) per call: :meth:`dl_rhs` returns the right-hand side by slot,
+    the order of the rows of ``V``, while traces, densities and
+    :meth:`residual_derivative` run along the walk.
+
     Every entry depends only on the geometry of its pair, a segment or
     Gauss node and a panel.  So :meth:`refine` carries the matrices to
-    a refined boundary, keeping each entry whose segment and panel did
-    not split, and :meth:`fill` computes only the rows and columns of
-    the new segments: new rows on every panel, kept rows on the new
-    panels alone.  A fresh object is that fill with every segment new,
-    and a refined one equals it bit for bit.  Same-line pairs (the
-    closed forms of ``V``, the zeros of ``MK``) come from the line ids
-    of the boundary mesh.  Rows are built in segment-aligned blocks of
-    at most ``_BLOCK_ENTRIES`` entries, so only one block of
-    temporaries is alive at a time.
+    a refined boundary without moving an entry: an unsplit segment keeps
+    its slot, the first son of a split one takes its father's slot and
+    the second son the next fresh slot at the end, and the old matrices
+    become the top-left blocks of exact-size new ones.  :meth:`fill`
+    then computes only the rows and columns of the new segments: new
+    rows on every panel, kept rows on the new panels alone.  A fresh
+    object is that fill with every segment new, and a refined one equals
+    it, permuted by the slots, bit for bit.  Same-line pairs (the closed
+    forms of ``V``, the zeros of ``MK``) come from the line ids of the
+    boundary mesh.  Rows are built in segment-aligned blocks of at most
+    ``_BLOCK_ENTRIES`` entries, so only one block of temporaries is
+    alive at a time.
     """
 
     def __init__(self, bmesh: BoundaryMesh, n_gauss: int = 4):
@@ -402,33 +414,48 @@ class BemOperators:
         self.bmesh = bmesh
         self.n_gauss = q
         self.points, self.weights = bmesh.gauss_points(q)
+        self.slots = np.arange(ns)              # slot of each segment, in walk order
+        self.order = np.arange(ns)              # segment in each slot
         self.V = np.empty((ns, ns))
         self.DL0 = np.empty((ns, ns))
         self.DL1 = np.empty((ns, ns))
         self.MK = np.empty((ns * q, ns))
         self.MV = np.empty((ns * q, ns))
-        self._new = np.ones(ns, dtype=bool)     # segments whose rows and columns are unset
+        self._new = np.ones(ns, dtype=bool)     # slots whose rows and columns are unset
         self.fill()
 
     def refine(self, relation) -> None:
         """Carry the matrices to the refined boundary ``relation.fine_trace``.
 
-        Every fine entry starts as the entry of its father segments; it
-        is exact when its segment and panel did not split (and were
-        filled), and the next :meth:`fill` recomputes all others.  Each
-        old matrix is released as soon as its successor is built.
+        The sons of a segment follow each other along the walk, as
+        :func:`~fembem.mesh.refine_nvb` makes them.  A first son takes
+        its father's slot, so every entry of the old matrices stays where
+        it is, exact when its segment and panel did not split (and were
+        filled); the next :meth:`fill` computes all others.  Each old
+        matrix is released as soon as its successor is built.
         """
         father, q = relation.seg_father, self.n_gauss
+        ns, nf = len(self.slots), len(father)
         n_sons = np.bincount(father)
-        if len(n_sons) != len(self._new):
+        if len(n_sons) != ns:
             raise ValueError("relation does not refine the boundary mesh of these operators")
-        nodes = _nodes(father, q)
-        self.MK = _carried(self.MK, nodes, father)
-        self.MV = _carried(self.MV, nodes, father)
-        self.V = _carried(self.V, father, father)
-        self.DL0 = _carried(self.DL0, father, father)
-        self.DL1 = _carried(self.DL1, father, father)
-        self._new = (self._new | (n_sons > 1))[father]
+        first = np.ones(nf, dtype=bool)
+        first[1:] = father[1:] != father[:-1]
+        slots = np.empty(nf, dtype=np.int64)
+        slots[first] = self.slots
+        slots[~first] = np.arange(ns, nf)
+        new = np.ones(nf, dtype=bool)
+        new[:ns] = self._new
+        new[self.slots[n_sons > 1]] = True
+        self.MK = _grown(self.MK, nf * q, nf)
+        self.MV = _grown(self.MV, nf * q, nf)
+        self.V = _grown(self.V, nf, nf)
+        self.DL0 = _grown(self.DL0, nf, nf)
+        self.DL1 = _grown(self.DL1, nf, nf)
+        self.slots = slots
+        self.order = np.empty_like(slots)
+        self.order[slots] = np.arange(nf)
+        self._new = new
         self.bmesh = relation.fine_trace
         self.points, self.weights = self.bmesh.gauss_points(q)
 
@@ -437,23 +464,30 @@ class BemOperators:
         new = self._new
         if not new.any():
             return
+        # the panel geometry by slot, and the slot of each panel's walk successor
+        o = self.order
+        p0, p1, d, n, L = (a[o] for a in _panel_frames(self.bmesh))
+        line = _line_ids(self.bmesh)[o]
+        nxt = self.slots[(o + 1) % len(o)]
+        geometry = (p0, d, n, L, line, self.points[o], self.weights[o])
         rows = np.flatnonzero(new)
         # new rows meet every panel, kept rows the new panels
-        self._fill_rows(rows, None)
-        self._fill_rows(np.flatnonzero(~new), rows)
-        Vr = _single_layer_from_gauss(self.V[rows], self.V[:, rows].T, rows, self.bmesh)
+        self._fill_rows(geometry, rows, None)
+        self._fill_rows(geometry, np.flatnonzero(~new), rows)
+        Vr = _single_layer_from_gauss(self.V[rows], self.V[:, rows].T, rows,
+                                      p0, p1, d, L, line, nxt)
         self.V[rows] = Vr
         self.V[:, rows] = Vr.T
         self._new = np.zeros(len(new), dtype=bool)
 
-    def _fill_rows(self, segs, cols):
-        """Rows of ``segs`` on the panel columns ``cols`` (``None``: whole rows).
+    def _fill_rows(self, geometry, segs, cols):
+        """Rows of the slots ``segs`` on the panel columns ``cols`` (``None``: whole rows).
 
-        ``V`` gets the unsymmetrized Gauss values, ``DL0``, ``DL1``,
-        ``MK`` and ``MV`` their entries.
+        ``geometry`` holds the panel frames, line ids, Gauss nodes and
+        weights by slot.  ``V`` gets the unsymmetrized Gauss values,
+        ``DL0``, ``DL1``, ``MK`` and ``MV`` their entries.
         """
-        p0, d, n, L = _frames(self.bmesh)
-        line = _line_ids(self.bmesh)
+        p0, d, n, L, line, points, weights = geometry
         q = self.n_gauss
         c = slice(None) if cols is None else cols
         cp0, cd, cn, cL, cline = p0[c], d[c], n[c], L[c], line[c]
@@ -466,10 +500,10 @@ class BemOperators:
 
         for r0, r1 in _blocks(len(segs), len(cL) * q, _BLOCK_ENTRIES):
             s = segs[r0:r1]
-            w = self.weights[s]
+            w = weights[s]
             shape = (len(s), q, len(cL))
             s0, H, h, a, b, span, la, lb = _node_panel_geometry(
-                self.points[s].reshape(-1, 2), cp0, cd, cn, cL)
+                points[s].reshape(-1, 2), cp0, cd, cn, cL)
             A = 0.5 * (la - lb)
             B = np.sign(H) * span
             # H int g(t)/D dt as _dl_panel_terms: B and H A1 = s0 B - H A are
@@ -503,31 +537,35 @@ class BemOperators:
             raise ValueError("data of another boundary mesh than the operators'")
 
     def dl_rhs(self, g: BoundaryTrace) -> np.ndarray:
-        """Galerkin right-hand side ``int_E (K - 1/2) g ds`` per segment."""
+        """Galerkin right-hand side ``int_E (K - 1/2) g ds``, by slot (the rows of ``V``)."""
         self.check_mesh(g.bmesh)
+        o = self.order
         g0, g1 = g.endpoint_values()
-        return self.DL0 @ g0 + self.DL1 @ g.slopes() - 0.25 * self.bmesh.lengths() * (g0 + g1)
+        return (self.DL0 @ g0[o] + self.DL1 @ g.slopes()[o]
+                - 0.25 * self.bmesh.lengths()[o] * (g0 + g1)[o])
 
     def residual_derivative(self, psi, g: BoundaryTrace):
         """Arclength derivative of ``(K - 1/2) g - V psi`` at the Gauss nodes.
 
-        Returns ``(values, points, weights)`` with shapes (ns, q),
-        (ns, q, 2), (ns, q).  This is the integrand of the boundary
-        residual indicator; Gauss nodes are interior, where the
-        derivative is defined (it jumps at panel ends).
+        ``psi`` (a :class:`BemDensity` or its values) and ``g`` run along
+        the walk, and so does the result: ``(values, points, weights)``
+        with shapes (ns, q), (ns, q, 2), (ns, q).  This is the integrand
+        of the boundary residual indicator; Gauss nodes are interior,
+        where the derivative is defined (it jumps at panel ends).
         """
         self.check_mesh(g.bmesh)
         if isinstance(psi, BemDensity):
             self.check_mesh(psi.bmesh)
             psi = psi.values
+        o = self.order
         slopes = g.slopes()
-        vals = (self.MK @ slopes - self.MV @ np.asarray(psi, float)
-                - 0.5 * np.repeat(slopes, self.n_gauss))
-        return vals.reshape(-1, self.n_gauss), self.points, self.weights
+        by_slot = self.MK @ slopes[o] - self.MV @ np.asarray(psi, float)[o]
+        vals = by_slot.reshape(-1, self.n_gauss)[self.slots] - 0.5 * slopes[:, None]
+        return vals, self.points, self.weights
 
 
 def assemble_single_layer(bmesh: BoundaryMesh, n_gauss: int = 4) -> np.ndarray:
-    """Dense Galerkin matrix of the single-layer operator on P0.
+    """Dense Galerkin matrix of the single-layer operator on P0, in walk order.
 
     Exactly symmetric; positive definite whenever diam(domain) < 1.
     ``n_gauss`` controls the outer quadrature for well-separated pairs.

@@ -17,9 +17,9 @@ with the measured update-norm ratio (clamped below one).  Everything a
 later step reuses - the iterate, the latest update, the density - is
 carried through every refinement by prolongation, and the volume mesh
 hierarchy feeds the multilevel preconditioner.  The BEM operators are
-built once per run: a refinement that splits boundary segments carries
-every entry between unsplit segments to the refined boundary, and the
-next BEM round computes only the rows and columns of the new segments.
+built once per run and stored by slot: a refinement that splits
+boundary segments keeps every entry where it is, and the next BEM round
+computes only the rows and columns of the new segments.
 """
 
 from __future__ import annotations
@@ -230,9 +230,11 @@ class UzawaDriver:
                                 if self.config.solver == "exact"
                                 else JacobiPreconditioner.of(self.bem_ops.V))
         g = self._interface_gap()
-        self.psi_vals, alg2 = self._solve_spd(
-            self.bem_ops.V, self.bem_ops.dl_rhs(g), self.psi_vals,
-            self.bem_precond, tol ** 2)
+        ops = self.bem_ops
+        # V and its right-hand side run by slot, the density along the walk
+        x, alg2 = self._solve_spd(ops.V, ops.dl_rhs(g), self.psi_vals[ops.order],
+                                  self.bem_precond, tol ** 2)
+        self.psi_vals = x[ops.slots]
         psi = bem.BemDensity(self.bm, self.psi_vals)
         mu2 = mu_bem(self.bm, psi, g, du0_ds=self.problem.du0_ds,
                      operators=self.bem_ops)

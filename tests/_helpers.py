@@ -14,12 +14,30 @@ from pathlib import Path
 
 import numpy as np
 
-from fembem.bem import (TWO_PI, BemDensity, BoundaryTrace, _blocks, _frames,
+from fembem.bem import (TWO_PI, BemDensity, BemOperators, BoundaryTrace, _blocks, _frames,
                         _node_panel_geometry, double_layer_pointwise)
 from fembem.cli import CSV_COLUMNS
 from fembem.fem import FeFunction, TriangleRule, _hat_gradients, _scatter, _sym3
 from fembem.mesh import boundary_trace, gauss_legendre, make_initial_mesh, refine_nvb
 from fembem.solver import CholeskyFactor
+
+
+def assert_equal_to_a_fresh_build_by_slot(ops, bmesh):
+    """Each matrix of ``ops`` is a fresh build's on ``bmesh``, permuted by the slots, bit for bit.
+
+    Slot s holds segment ``ops.order[s]`` and the Gauss-node rows
+    ``s*q ... s*q + q - 1``; the nodes and weights run along the walk.
+    """
+    fresh = BemOperators(bmesh, ops.n_gauss)
+    ns, q, o = bmesh.num_segments, ops.n_gauss, ops.order
+    assert np.array_equal(fresh.slots, np.arange(ns)) and np.array_equal(fresh.order, np.arange(ns))
+    assert np.array_equal(np.sort(o), np.arange(ns)) and np.array_equal(ops.slots[o], np.arange(ns))
+    nodes = (o[:, None] * q + np.arange(q)).reshape(-1)
+    for name, rows in (("V", o), ("DL0", o), ("DL1", o), ("MK", nodes), ("MV", nodes)):
+        a, b = getattr(ops, name), getattr(fresh, name)[np.ix_(rows, o)]
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for name in ("points", "weights"):
+        assert getattr(ops, name).tobytes() == getattr(fresh, name).tobytes(), name
 
 
 def uniform_refine(mesh, times=1):

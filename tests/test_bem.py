@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _helpers import (collinear_coordinates_reference, double_layer_derivative_closed_form,
-                      integrate_double_layer, integrate_trace, nodal_interpolate_u0,
+from _helpers import (assert_equal_to_a_fresh_build_by_slot, collinear_coordinates_reference,
+                      double_layer_derivative_closed_form, integrate_double_layer, integrate_trace, nodal_interpolate_u0,
                       panel_coordinates_reference, single_layer_pointwise,
                       uniform_refine_boundary)
 from fembem import bem
@@ -298,12 +298,6 @@ def test_residual_derivative_constant_trace_vanishes(lbm):
 # operators carried through boundary refinements
 
 
-def assert_bitwise_equal(ops, fresh):
-    for name in ("V", "DL0", "DL1", "MK", "MV", "points", "weights"):
-        a, b = getattr(ops, name), getattr(fresh, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-
-
 def boundary_marking(kind, ns, rng):
     if kind == "first":
         return [0]
@@ -321,7 +315,7 @@ def boundary_marking(kind, ns, rng):
 @pytest.mark.parametrize("n_gauss", [2, 4])
 @pytest.mark.parametrize("chain", [1, 3])
 def test_refined_operators_equal_fresh_bitwise(domain, n_gauss, chain):
-    """``refine`` + ``fill`` gives the very bits of a fresh build.
+    """``refine`` + ``fill`` gives the very bits of a fresh build, permuted by the slots.
 
     ``chain`` refinements run between two fills, so sons of segments
     that were split but never filled are split again.  Random markings
@@ -340,7 +334,7 @@ def test_refined_operators_equal_fresh_bitwise(domain, n_gauss, chain):
             bm = rel.fine_trace
         ops.fill()
         assert ops.bmesh is bm
-        assert_bitwise_equal(ops, bem.BemOperators(bm, n_gauss))
+        assert_equal_to_a_fresh_build_by_slot(ops, bm)
 
 
 def test_kept_rows_evaluate_only_the_new_panels(monkeypatch):
@@ -362,6 +356,37 @@ def test_kept_rows_evaluate_only_the_new_panels(monkeypatch):
     ops.fill()
     q = ops.n_gauss
     assert seen == [(2 * q, 65), (63 * q, 2)]
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+def test_refine_keeps_the_old_matrices_as_top_left_blocks(domain):
+    """A refinement moves no entry: each old matrix is the top-left block of its successor.
+
+    Unsplit segments keep their slots, a first son takes its father's,
+    and the second sons take the fresh slots at the end, in walk order.
+    """
+    rng = np.random.default_rng(len(domain))
+    mesh = make_initial_mesh(domain)
+    bm = boundary_trace(mesh)
+    ops = bem.BemOperators(bm)
+    q = ops.n_gauss
+    for kind in ("first", "last", "alternate", "random", "last"):
+        mesh, rel = refine_nvb(mesh, (), bmesh=bm,
+                               marked_segments=boundary_marking(kind, bm.num_segments, rng))
+        ns, nf = bm.num_segments, rel.fine_trace.num_segments
+        old = {name: getattr(ops, name).copy() for name in ("V", "DL0", "DL1", "MK", "MV")}
+        slots = ops.slots.copy()
+        ops.refine(rel)
+        for name, a in old.items():
+            rows = ns * q if name in ("MK", "MV") else ns
+            assert a.shape == (rows, ns)
+            assert getattr(ops, name).shape == (nf * rows // ns, nf)
+            assert getattr(ops, name)[:rows, :ns].tobytes() == a.tobytes(), name
+        first = np.diff(rel.seg_father, prepend=-1) > 0
+        assert np.array_equal(ops.slots[first], slots)
+        assert np.array_equal(ops.slots[~first], np.arange(ns, nf))
+        ops.fill()
+        bm = rel.fine_trace
 
 
 @pytest.mark.parametrize("example", sorted(EXAMPLES))
