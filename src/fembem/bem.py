@@ -25,13 +25,12 @@ double layer of its slopes, ``d/ds K g = -K' dg/ds``, which sums
 panel geometry and keeps them as matrices of the boundary mesh, one
 entry per (segment or Gauss node, panel) pair; the ``-1/2`` of the
 double-layer right-hand side is applied with the trace.  The matrices
-are stored by slot: a segment keeps its slot through refinements, and
-the second son of a split segment takes a fresh slot at the end.  So a
-refinement copies the old matrices into the top-left blocks of larger
-ones and moves no entry, and the next fill evaluates only the rows and
-columns of the new segments, a kept row running every kernel on the new
-panels alone.  Pairs of panels on one line are found by one line id per
-segment, kept on the boundary mesh.
+are stored by slot, which a segment keeps through refinements, so a
+refinement copies each old matrix into the top-left block of a larger
+one, and the next fill evaluates only the rows and columns of the new
+segments, a kept row running every kernel on the new panels alone.
+Pairs of panels on one line are found by one line id per segment, kept
+on the boundary mesh.
 """
 
 from __future__ import annotations
@@ -256,9 +255,9 @@ def _wedge_double_integrals(e1, L1, e2, L2):
 def _single_layer_from_gauss(Jr, Jc, rows, p0, p1, d, L, line, nxt):
     """Rows ``rows`` of the Galerkin single-layer matrix from its Gauss values.
 
-    Panels are indexed by slot: ``p0``, ``p1``, ``d``, ``L`` and the line
-    ids ``line`` are given in slot order, and ``nxt[i]`` is the slot of
-    the panel after panel i along the walk.  ``Jr = J[rows, :]`` and
+    ``p0``, ``p1``, ``d``, ``L`` and the line ids ``line`` are given by
+    slot, and ``nxt[i]`` is the slot of the panel after panel i along
+    the walk.  ``Jr = J[rows, :]`` and
     ``Jc = J[:, rows].T`` hold the outer-Gauss double integrals of the
     pairs touching ``rows``.  These pairs are symmetrized, same-line
     pairs (equal line ids) get their closed form and corner pairs the
@@ -384,29 +383,26 @@ class BemOperators:
     trace of its boundary mesh; the methods refuse those of another
     geometry.  ``n_gauss`` is the outer quadrature of all of them.
 
-    The matrices are stored by slot, not by position along the walk:
-    segment k of the walk sits in slot ``slots[k]``, and slot s holds
-    segment ``order[s]``; the Gauss nodes of slot s are the rows
-    ``s*q ... s*q + q - 1`` of ``MK`` and ``MV``.  A fresh object has
-    ``slots[k] == k``.  Vectors cross between the two orders here, at
-    O(ns) per call: :meth:`dl_rhs` returns the right-hand side by slot,
-    the order of the rows of ``V``, while traces, densities and
+    The matrices are stored by slot: segment k of the walk sits in slot
+    ``slots[k]`` (the Gauss-node rows ``slots[k]*q ...`` of ``MK`` and
+    ``MV``), and slot s holds segment ``order[s]``; a fresh object has
+    ``slots[k] == k``.  :meth:`dl_rhs` returns the right-hand side by
+    slot, the order of ``V``; traces, densities and
     :meth:`residual_derivative` run along the walk.
 
     Every entry depends only on the geometry of its pair, a segment or
-    Gauss node and a panel.  So :meth:`refine` carries the matrices to
-    a refined boundary without moving an entry: an unsplit segment keeps
-    its slot, the first son of a split one takes its father's slot and
-    the second son the next fresh slot at the end, and the old matrices
-    become the top-left blocks of exact-size new ones.  :meth:`fill`
-    then computes only the rows and columns of the new segments: new
-    rows on every panel, kept rows on the new panels alone.  A fresh
-    object is that fill with every segment new, and a refined one equals
-    it, permuted by the slots, bit for bit.  Same-line pairs (the closed
-    forms of ``V``, the zeros of ``MK``) come from the line ids of the
-    boundary mesh.  Rows are built in segment-aligned blocks of at most
-    ``_BLOCK_ENTRIES`` entries, so only one block of temporaries is
-    alive at a time.
+    Gauss node and a panel.  So :meth:`refine` moves no entry: an
+    unsplit segment keeps its slot, the first son of a split one takes
+    its father's and the second son the next fresh slot at the end, and
+    each old matrix becomes the top-left block of an exact-size new one.
+    :meth:`fill` then computes only the rows and columns of the new
+    segments: new rows on every panel, kept rows on the new panels
+    alone.  A fresh object is that fill with every segment new, and a
+    refined one equals it, permuted by the slots, bit for bit.
+    Same-line pairs (the closed forms of ``V``, the zeros of ``MK``)
+    come from the line ids of the boundary mesh.  Rows are built in
+    segment-aligned blocks of at most ``_BLOCK_ENTRIES`` entries, so
+    only one block of temporaries is alive at a time.
     """
 
     def __init__(self, bmesh: BoundaryMesh, n_gauss: int = 4):
@@ -428,19 +424,18 @@ class BemOperators:
         """Carry the matrices to the refined boundary ``relation.fine_trace``.
 
         The sons of a segment follow each other along the walk, as
-        :func:`~fembem.mesh.refine_nvb` makes them.  A first son takes
-        its father's slot, so every entry of the old matrices stays where
-        it is, exact when its segment and panel did not split (and were
-        filled); the next :meth:`fill` computes all others.  Each old
-        matrix is released as soon as its successor is built.
+        :func:`~fembem.mesh.refine_nvb` makes them.  Each old matrix
+        becomes the top-left block of its successor and is released as
+        soon as that is built.  A kept entry is exact when its segment
+        and panel did not split (and were filled); the next :meth:`fill`
+        computes all others.
         """
         father, q = relation.seg_father, self.n_gauss
         ns, nf = len(self.slots), len(father)
         n_sons = np.bincount(father)
         if len(n_sons) != ns:
             raise ValueError("relation does not refine the boundary mesh of these operators")
-        first = np.ones(nf, dtype=bool)
-        first[1:] = father[1:] != father[:-1]
+        first = np.diff(father, prepend=-1) > 0      # the first son of each segment
         slots = np.empty(nf, dtype=np.int64)
         slots[first] = self.slots
         slots[~first] = np.arange(ns, nf)

@@ -267,10 +267,6 @@ class RefinementRelation(_Derived):
         """Sons of each coarse boundary segment, ascending (their order along the walk)."""
         return self._derive("seg_sons", lambda: _sons(self.seg_father))
 
-    def vertex_prolongation_matrix(self):
-        """Sparse (nv_fine, nv_coarse) interpolation of P1 functions."""
-        return vertex_prolongation_matrix(self.new_vertex_parents, self.coarse.num_vertices)
-
 
 def vertex_prolongation_matrix(new_vertex_parents, num_coarse: int):
     """Sparse interpolation of P1 functions onto a refinement.
@@ -450,12 +446,11 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     or 4 sons).  Marked elements never survive; son areas are exactly
     1/2 or 1/4 of the father's.
 
-    The fine boundary walk comes from the coarse one: each segment
-    becomes itself or its two halves, in walk order, and its owner is
-    read off the father's split pattern.  New vertex ids exceed the old
-    ones, so the walk keeps its start and equals ``boundary_trace(fine)``
-    whenever ``bmesh`` is a walk that :func:`boundary_trace` or this
-    function built.
+    The fine boundary walk comes from ``bmesh``: each segment becomes
+    itself or its two halves, in walk order.  New vertex ids exceed the
+    old ones, so the walk keeps its start and equals
+    ``boundary_trace(fine)`` when ``bmesh`` is a walk that
+    :func:`boundary_trace` or this function built.
 
     Returns ``(fine_mesh, relation)``.
     """
@@ -511,9 +506,9 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     seg_father = np.repeat(np.arange(bmesh.num_segments), 1 + split)
     half = np.zeros(len(seg_father), dtype=np.int64)
     half[np.cumsum(1 + split)[split] - 1] = 1
-    owner = bmesh.owner[seg_father]
-    son, local = _EDGE_SONS[pattern[owner], bmesh.owner_edge[seg_father], half].T
-    owner = offset[owner] + son
+    coarse_owner = bmesh.owner[seg_father]
+    son, local = _EDGE_SONS[pattern[coarse_owner], bmesh.owner_edge[seg_father], half].T
+    owner = offset[coarse_owner] + son
     segments = np.stack([tris[owner, local], tris[owner, (local + 1) % 3]], axis=1)
     fine_trace = BoundaryMesh(mesh=fine, segments=segments, owner=owner,
                               owner_edge=local, boundary_vertices=segments[:, 0])

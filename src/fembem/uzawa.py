@@ -236,8 +236,7 @@ class UzawaDriver:
                                   self.bem_precond, tol ** 2)
         self.psi_vals = x[ops.slots]
         psi = bem.BemDensity(self.bm, self.psi_vals)
-        mu2 = mu_bem(self.bm, psi, g, du0_ds=self.problem.du0_ds,
-                     operators=self.bem_ops)
+        mu2 = mu_bem(self.bm, psi, g, du0_ds=self.problem.du0_ds, operators=ops)
         return mu2, alg2, dict(mu2=mu2, alg2=alg2, psi=psi, g=g)
 
     def _fem_round(self, tol: float):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from _helpers import (derived_facts, random_nvb_mesh, shape_regularity, uniform_refine,
                       validate)
-from fembem.mesh import BoundaryMesh, Mesh, boundary_trace, make_initial_mesh, refine_nvb
+from fembem.mesh import (BoundaryMesh, Mesh, boundary_trace, make_initial_mesh, refine_nvb,
+                         vertex_prolongation_matrix)
 
 
 def single_triangle():
@@ -346,7 +347,7 @@ def test_edge_structure_consistency(lshape):
 
 def test_vertex_prolongation_matrix_structure(lshape):
     fine, rel = refine_nvb(lshape, np.arange(12))
-    P = rel.vertex_prolongation_matrix()
+    P = vertex_prolongation_matrix(rel.new_vertex_parents, lshape.num_vertices)
     nvc, nvf = lshape.num_vertices, fine.num_vertices
     assert P.shape == (nvf, nvc)
     dense = P.toarray()

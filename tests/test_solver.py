@@ -8,7 +8,7 @@ from _helpers import (FactorizedPreconditioner, composite_apply_reference,
                       uniform_refine)
 from fembem import solver
 from fembem.fem import assemble_riesz, assemble_stiffness
-from fembem.mesh import boundary_trace, make_initial_mesh, refine_nvb
+from fembem.mesh import boundary_trace, make_initial_mesh, refine_nvb, vertex_prolongation_matrix
 from fembem.solver import (CholeskyFactor, JacobiPreconditioner,
                            LocalMultilevelDiagonal, MeshHierarchy, NotSpdError,
                            SolverBreakdownError, pcg)
@@ -251,7 +251,8 @@ def _per_level_reference(meshes, relations, r):
     the new vertices and the vertices of the coarse elements that were
     refined.
     """
-    prolongations = [rel.vertex_prolongation_matrix() for rel in relations]
+    prolongations = [vertex_prolongation_matrix(rel.new_vertex_parents, rel.coarse.num_vertices)
+                     for rel in relations]
     residuals = [r]
     for p in reversed(prolongations):
         residuals.append(p.T @ residuals[-1])
