@@ -63,10 +63,7 @@ class BemDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.bmesh.num_segments,):
-            raise ValueError("density values do not match the boundary mesh")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", self.bmesh.per_segment(self.values, "density values"))
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,7 @@ class BoundaryTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.bmesh.num_segments,):
-            raise ValueError("trace values do not match the boundary vertices")
+        v = self.bmesh.per_segment(self.values, "trace values")
         object.__setattr__(self, "values", v)
         g1 = np.roll(v, -1)
         object.__setattr__(self, "_ends", (v, g1))
@@ -399,10 +394,11 @@ class BemOperators:
     segments: new rows on every panel, kept rows on the new panels
     alone.  A fresh object is that fill with every segment new, and a
     refined one equals it, permuted by the slots, bit for bit.
-    Same-line pairs (the closed forms of ``V``, the zeros of ``MK``)
-    come from the line ids of the boundary mesh.  Rows are built in
-    segment-aligned blocks of at most ``_BLOCK_ENTRIES`` entries, so
-    only one block of temporaries is alive at a time.
+    Same-line pairs (the closed forms of ``V``, the zeros of ``DL0``,
+    ``DL1`` and ``MK``) come from the line ids of the boundary mesh
+    alone.  Rows are built in segment-aligned blocks of at most
+    ``_BLOCK_ENTRIES`` entries, so only one block of temporaries is
+    alive at a time.
     """
 
     def __init__(self, bmesh: BoundaryMesh, n_gauss: int = 4):
@@ -499,21 +495,20 @@ class BemOperators:
             shape = (len(s), q, len(cL))
             s0, H, h, a, b, span, la, lb = _node_panel_geometry(
                 points[s].reshape(-1, 2), cp0, cd, cn, cL)
-            A = 0.5 * (la - lb)
-            B = np.sign(H) * span
-            # H int g(t)/D dt as _dl_panel_terms: B and H A1 = s0 B - H A are
-            # its g0 and slope coefficients; panels on the point's line add zero
-            on_line = h <= _LINE_TOL * np.maximum(cL, 1.0)
-            DL0 = _gauss_sum(w, np.where(on_line, 0.0, B).reshape(shape))
-            DL1 = _gauss_sum(w, np.where(on_line, 0.0, s0 * B - H * A).reshape(shape))
-            # int_panel log|x-y| ds(y) in closed form
-            J = _gauss_sum(w, (0.5 * (b * lb - a * la) - cL + h * span).reshape(shape))
+            A = (0.5 * (la - lb)).reshape(shape)
+            B = (np.sign(H) * span).reshape(shape)
             # per segment: the tangent against each panel's direction and
-            # normal, and the panels on its line, where dK/ds has no kernel
+            # normal, and the panels on its line, where neither the double
+            # layer nor dK/ds has a kernel
             td = (d[s] @ cd.T)[:, None]
             tn = (d[s] @ cn.T)[:, None]
             same = (line[s, None] == cline)[:, None]
-            A, B = A.reshape(shape), B.reshape(shape)
+            # H int g(t)/D dt as _dl_panel_terms: B and H A1 = s0 B - H A are
+            # its g0 and slope coefficients
+            DL0 = _gauss_sum(w, np.where(same, 0.0, B))
+            DL1 = _gauss_sum(w, np.where(same, 0.0, s0.reshape(shape) * B - H.reshape(shape) * A))
+            # int_panel log|x-y| ds(y) in closed form
+            J = _gauss_sum(w, (0.5 * (b * lb - a * la) - cL + h * span).reshape(shape))
             dV = -(td * A + tn * B) / TWO_PI
             dK = np.where(same, 0.0, td * B - tn * A) / TWO_PI
             nodes = _nodes(s, q)
@@ -584,7 +579,7 @@ def hminushalf_error_surrogate(bmesh: BoundaryMesh, phi_exact, psi,
     ``phi_exact(points, normals)`` is the exact density, ``psi`` the
     piecewise-constant approximation; the weight is ``h|_E = |E|``.
     """
-    psi_v = psi.values if isinstance(psi, BemDensity) else np.asarray(psi, float)
+    psi_v = bmesh.per_segment(psi.values if isinstance(psi, BemDensity) else psi, "psi")
     _, wts = bmesh.gauss_points(n_gauss)
     dev = (bmesh.gauss_values(phi_exact, n_gauss) - psi_v[:, None]) ** 2
     per_seg = np.einsum("sq,sq->s", wts, dev) * bmesh.lengths()

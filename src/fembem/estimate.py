@@ -36,7 +36,8 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
 
     For P1 functions the strong volume residual has no second-order
     part, and normal-flux jumps are constant along each edge.  ``w`` and
-    ``u_prev`` must live on ``mesh`` (``ValueError`` otherwise).
+    ``u_prev`` must live on ``mesh``, and ``phi_j`` must hold one value
+    per segment of ``bmesh`` (``ValueError`` otherwise).
     """
     w.check_mesh(mesh, "w")
     u_prev.check_mesh(mesh, "u_prev")
@@ -59,7 +60,7 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     # boundary edges: flux mismatch against the given interface data
     _, wts_b = bmesh.gauss_points(n_gauss)
     nrm = np.repeat(bmesh.normals()[:, None, :], n_gauss, axis=1)
-    rho = bmesh.gauss_values(phi0, n_gauss) + np.asarray(phi_j, float)[:, None]
+    rho = bmesh.gauss_values(phi0, n_gauss) + bmesh.per_segment(phi_j, "phi_j")[:, None]
     rho = rho - np.einsum("sd,sqd->sq", sigma[bmesh.owner], nrm)
     per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
     return eta2 + np.bincount(bmesh.owner, sqrt_area[bmesh.owner] * per_seg,
@@ -83,7 +84,7 @@ def _interior_edges(mesh: Mesh):
     return mesh._derive("interior_edges", build)
 
 
-def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None, n_gauss: int = 4,
+def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None,
            operators: bem.BemOperators | None = None) -> np.ndarray:
     """Squared boundary indicators, one per segment.
 
@@ -93,19 +94,17 @@ def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None, n_gauss: int = 4,
     where Pi is the panel-mean projection; the second term is the data
     oscillation of the interface jump and is skipped when ``du0_ds`` is
     None.  ``operators`` are prebuilt :class:`~fembem.bem.BemOperators`
-    of the geometry of ``bmesh`` (``ValueError`` otherwise), whose
-    quadrature then replaces ``n_gauss``; without them they are built
-    here.
+    of the geometry of ``bmesh`` (``ValueError`` otherwise); without them
+    they are built here.  Both terms use the operators' quadrature.
     """
     if operators is None:
-        operators = bem.BemOperators(bmesh, n_gauss)
+        operators = bem.BemOperators(bmesh)
     operators.check_mesh(bmesh)
-    n_gauss = operators.n_gauss
     vals, _, wts = operators.residual_derivative(psi, g)
     lengths = bmesh.lengths()
     mu2 = lengths * np.einsum("sq,sq->s", wts, vals ** 2)
     if du0_ds is not None:
-        d = bmesh.gauss_values(du0_ds, n_gauss, "tangents")
+        d = bmesh.gauss_values(du0_ds, operators.n_gauss, "tangents")
         mean = np.einsum("sq,sq->s", wts, d) / lengths
         osc = np.einsum("sq,sq->s", wts, (d - mean[:, None]) ** 2)
         mu2 = mu2 + lengths * osc

@@ -141,25 +141,23 @@ def _hat_gradients(mesh: Mesh) -> np.ndarray:
     return mesh._derive("hat_gradients", build)
 
 
-def _gram(g: np.ndarray) -> np.ndarray:
-    """(nt, 3, 3) products of the hat gradients ``g`` of each element."""
-    return g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
+def _local_stiffness(mesh: Mesh) -> np.ndarray:
+    """(nt, 3, 3) element stiffness: the products of the hat gradients times the area."""
+    g = _hat_gradients(mesh)
+    gram = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
+    return gram * mesh.areas()[:, None, None]
 
 
 def assemble_stiffness(mesh: Mesh) -> csr_matrix:
     """Exact P1 stiffness matrix (grad-grad part only)."""
-    loc = _gram(_hat_gradients(mesh)) * mesh.areas()[:, None, None]
-    return _scatter(mesh, loc)
+    return _scatter(mesh, _local_stiffness(mesh))
 
 
 def assemble_riesz(mesh: Mesh) -> csr_matrix:
     """Galerkin matrix of the H^1 inner product (stiffness + mass), kept read-only on the mesh."""
     def build():
-        area = mesh.areas()
-        loc = _gram(_hat_gradients(mesh)) * area[:, None, None]
         mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        loc = loc + mass[None, :, :] * area[:, None, None]
-        return _scatter(mesh, loc)
+        return _scatter(mesh, _local_stiffness(mesh) + mass * mesh.areas()[:, None, None])
     return mesh._derive("riesz", build)
 
 
@@ -232,9 +230,7 @@ def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFu
     per segment of ``bmesh``; ``phi0`` is a callback ``(points, normals)``.
     """
     u_prev.check_mesh(mesh, "u_prev")
-    phi_j = np.asarray(phi_j, dtype=float)
-    if phi_j.shape != (bmesh.num_segments,):
-        raise ValueError("phi_j must hold one value per boundary segment")
+    phi_j = bmesh.per_segment(phi_j, "phi_j")
     rhs = volume_load(mesh, f, rule)
     rhs += boundary_load(bmesh, bmesh.gauss_values(phi0, n_gauss) + phi_j[:, None], n_gauss)
     rhs -= apply_interior_operator(operator, u_prev)

@@ -186,6 +186,13 @@ class BoundaryMesh(_Derived):
     def num_segments(self) -> int:
         return len(self.segments)
 
+    def per_segment(self, values, name: str) -> np.ndarray:
+        """``values`` as floats, one per segment; ``ValueError`` naming ``name`` otherwise."""
+        v = np.asarray(values, dtype=float)
+        if v.shape != (self.num_segments,):
+            raise ValueError(f"{name} must hold one value per boundary segment")
+        return v
+
     def endpoints(self):
         """Start and end point of every segment, two arrays of shape (ns, 2)."""
         p = self.mesh.vertices

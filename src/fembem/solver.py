@@ -8,7 +8,6 @@ matrix), so everything here assumes SPD and fails loudly otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -17,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import assemble_riesz, riesz_diagonal
-from .mesh import Mesh, RefinementRelation, vertex_prolongation_matrix
+from .mesh import Mesh, RefinementRelation, _Derived, vertex_prolongation_matrix
 
 __all__ = [
     "NotSpdError",
@@ -98,7 +97,7 @@ class JacobiPreconditioner:
         return self.inverse_diagonal * r
 
 
-class _Level:
+class _Level(_Derived):
     """One refinement of the hierarchy: the parents of its new vertices.
 
     Its prolongation from the previous level is built on first read, so
@@ -109,9 +108,10 @@ class _Level:
         self._parents = new_vertex_parents
         self._num_coarse = num_coarse
 
-    @cached_property
+    @property
     def prolongation(self) -> sp.csr_matrix:
-        return vertex_prolongation_matrix(self._parents, self._num_coarse).tocsr()
+        return self._derive("prolongation", lambda: vertex_prolongation_matrix(
+            self._parents, self._num_coarse).tocsr())
 
 
 # A level is folded into the last block while that block's basis holds at
@@ -167,8 +167,8 @@ class MeshHierarchy:
     :meth:`push` records each refinement's new vertices and fine mesh;
     its prolongation P is built when a fold first reads it.
     :meth:`preconditioner` folds the levels pushed since its last call
-    into the blocks and returns one cached preconditioner until the next
-    push; a run that never asks for one (exact solves) does no fold.
+    into the blocks and returns a preconditioner on them; a run that
+    never asks for one (exact solves) does no fold.
 
     Block 0 starts as the identity on level 0.  A level with active
     vertices ``I[:, active]`` and inverse Riesz diagonal d on them is
@@ -179,8 +179,9 @@ class MeshHierarchy:
     entry per level it lies under, and re-multiply the whole basis by
     each P; blocks keep both the fill and the fold cost per level
     bounded, while the operator stays the same additive sum.  Only the
-    finest level keeps the facts its Riesz diagonal derived: the
-    coarser ones are kept for their elements alone.
+    finest level keeps its derived facts: :meth:`push` makes the refined
+    mesh forget them, and each fold those the fold before it derived
+    again; the coarser levels are kept for their elements alone.
     """
 
     def __init__(self, mesh: Mesh):
@@ -189,7 +190,6 @@ class MeshHierarchy:
         self._coarse_factor = CholeskyFactor(assemble_riesz(mesh).toarray())
         self._blocks = [(sp.identity(mesh.num_vertices, format="csr"), np.zeros(0))]
         self._folded = 1                   # levels already in the blocks
-        self._preconditioner = None
 
     @property
     def finest(self) -> Mesh:
@@ -201,16 +201,14 @@ class MeshHierarchy:
         # the parents alone: the relation's fine trace would keep boundary facts alive
         self._levels.append(_Level(relation.new_vertex_parents, relation.coarse.num_vertices))
         self.meshes.append(relation.fine)
-        self._preconditioner = None
+        relation.coarse.drop_derived()
 
     def preconditioner(self) -> LocalMultilevelDiagonal:
-        if self._preconditioner is None:
-            for k in range(self._folded, len(self._levels)):
-                self._fold(self.meshes[k - 1], self.meshes[k], self._levels[k].prolongation)
-                self.meshes[k - 1].drop_derived()
-            self._folded = len(self._levels)
-            self._preconditioner = LocalMultilevelDiagonal(self._blocks, self._coarse_factor)
-        return self._preconditioner
+        for k in range(self._folded, len(self._levels)):
+            self._fold(self.meshes[k - 1], self.meshes[k], self._levels[k].prolongation)
+            self.meshes[k - 1].drop_derived()
+        self._folded = len(self._levels)
+        return LocalMultilevelDiagonal(self._blocks, self._coarse_factor)
 
     def _fold(self, coarse: Mesh, fine: Mesh, prolongation) -> None:
         active = np.zeros(fine.num_vertices, dtype=bool)

@@ -17,7 +17,7 @@ with the measured update-norm ratio (clamped below one).  Everything a
 later step reuses - the iterate, the latest update, the density - is
 carried through every refinement by prolongation, and the volume mesh
 hierarchy feeds the multilevel preconditioner.  The BEM operators are
-built once per run and stored by slot: a refinement that splits
+built with the driver and stored by slot: a refinement that splits
 boundary segments keeps every entry where it is, and the next BEM round
 computes only the rows and columns of the new segments.
 """
@@ -145,9 +145,9 @@ class UzawaDriver:
         self.u = FeFunction(self.mesh, np.zeros(nv))
         self.w_carry = FeFunction(self.mesh, np.zeros(nv))
         self.psi_vals = np.zeros(ns)
-        self.bem_ops = None            # BemOperators of self.bm and the Jacobi scaling
-        self.bem_precond = None        # (pcg) or Cholesky factor (exact) of their V;
-                                       # None until the next BEM round fills them
+        self.bem_ops = bem.BemOperators(self.bm, n_gauss=config.mu_gauss)
+        self.bem_precond = None        # Jacobi scaling (pcg) or Cholesky factor (exact)
+                                       # of V; None until the next BEM round fills V
         self.eps = config.eps1
         self.prev_w_norm = None
         self.flags: set = set()
@@ -159,13 +159,11 @@ class UzawaDriver:
         fine, rel = refine_nvb(self.mesh, marked_tris,
                                marked_segments=marked_segments, bmesh=self.bm)
         self.hierarchy.push(rel)
-        self.mesh.drop_derived()    # kept by the hierarchy, which reads only its elements
         self.u = prolongate(self.u, rel)
         self.w_carry = prolongate(self.w_carry, rel)
         self.psi_vals = self.psi_vals[rel.seg_father]
         if len(rel.seg_father) > self.bm.num_segments:
-            if self.bem_ops is not None:
-                self.bem_ops.refine(rel)
+            self.bem_ops.refine(rel)
             self.bem_precond = None
         self.mesh = fine
         self.bm = rel.fine_trace
@@ -221,16 +219,12 @@ class UzawaDriver:
 
     def _bem_round(self, tol: float):
         """A round of step [i]: solve the integral equation for the density."""
-        if self.bem_precond is None:         # the boundary is new
-            if self.bem_ops is None:
-                self.bem_ops = bem.BemOperators(self.bm, n_gauss=self.config.mu_gauss)
-            else:
-                self.bem_ops.fill()
-            self.bem_precond = (CholeskyFactor(self.bem_ops.V)
-                                if self.config.solver == "exact"
-                                else JacobiPreconditioner.of(self.bem_ops.V))
-        g = self._interface_gap()
         ops = self.bem_ops
+        if self.bem_precond is None:         # the boundary is new
+            ops.fill()
+            self.bem_precond = (CholeskyFactor(ops.V) if self.config.solver == "exact"
+                                else JacobiPreconditioner.of(ops.V))
+        g = self._interface_gap()
         # V and its right-hand side run by slot, the density along the walk
         x, alg2 = self._solve_spd(ops.V, ops.dl_rhs(g), self.psi_vals[ops.order],
                                   self.bem_precond, tol ** 2)

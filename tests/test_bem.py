@@ -417,6 +417,43 @@ def test_line_ids_join_exactly_the_same_line_pairs(example, marking):
         assert bem._line_ids(bm) is line
 
 
+def assert_same_line_pairs_are_zero(ops):
+    """``DL0``, ``DL1`` and the ``MK`` rows of the Gauss nodes are 0.0 at equal line ids."""
+    line = bem._line_ids(ops.bmesh)[ops.order]         # by slot
+    same = line[:, None] == line
+    assert same.sum() > len(line)                      # more pairs than the diagonal
+    assert np.count_nonzero(ops.DL0[~same]) > 0
+    for name in ("DL0", "DL1"):
+        assert (getattr(ops, name)[same] == 0.0).all(), name
+    MK = ops.MK.reshape(len(line), ops.n_gauss, len(line))
+    assert (MK[np.broadcast_to(same[:, None], MK.shape)] == 0.0).all()
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+@pytest.mark.parametrize("angle", [0.0, 0.5])
+def test_same_line_zeros_come_from_the_line_ids(domain, angle):
+    """The line ids alone decide the same-line zeros, fresh and after ``refine`` + ``fill``.
+
+    Turned by 0.5, no segment is axis-aligned and the Gauss nodes lie
+    off their own panel's line by rounding, where only the ids give 0.0.
+    """
+    rng = np.random.default_rng(len(domain) + 1)
+    base = make_initial_mesh(domain)
+    c, s = np.cos(angle), np.sin(angle)
+    mesh = Mesh(base.vertices @ np.array([[c, s], [-s, c]]), base.triangles)
+    bm = boundary_trace(mesh)
+    ops = bem.BemOperators(bm)
+    assert_same_line_pairs_are_zero(ops)
+    for kind in ("first", "last", "alternate", "random"):
+        mesh, rel = refine_nvb(mesh, (), bmesh=bm,
+                               marked_segments=boundary_marking(kind, bm.num_segments, rng))
+        bm = rel.fine_trace
+        ops.refine(rel)
+        ops.fill()
+        assert_same_line_pairs_are_zero(ops)
+        assert_same_line_pairs_are_zero(bem.BemOperators(bm))
+
+
 @pytest.mark.parametrize("trace", ["graded_lshape", "random_zshape", "rotated_zshape"])
 def test_panel_products_equal_their_einsum_forms(graded_lbm, rng, trace):
     """``s0``, ``H`` and the collinear ``A2``/``B2`` equal the einsum forms.
@@ -575,6 +612,14 @@ def test_error_surrogate_exact_cases(lbm):
     expected = np.sqrt((lbm.lengths() ** 4 * slopes ** 2 / 12.0).sum())
     got = bem.hminushalf_error_surrogate(lbm, phi, mids, n_gauss=4)
     assert abs(got - expected) <= 1e-13 * expected
+
+
+def test_error_surrogate_rejects_a_density_not_given_per_segment(lbm):
+    """One value for the whole boundary fails instead of broadcasting over the segments."""
+    zero = lambda p, n: np.zeros(len(p))
+    for psi in (np.array([0.5]), np.zeros(lbm.num_segments + 1)):
+        with pytest.raises(ValueError, match="psi must hold one value per boundary segment"):
+            bem.hminushalf_error_surrogate(lbm, zero, psi)
 
 
 def test_error_surrogate_halves_with_constant_deviation():

@@ -1,5 +1,6 @@
 """Config parsing, CSV tables, slope fitting, command-line entry point."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -326,10 +327,13 @@ def test_main_runtime_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_module_entry_point_subprocess(tmp_path):
     cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("150", "60"))
     out = tmp_path / "sub.csv"
+    # the child imports the package from where this process found it
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "fembem", "run", str(cfg_path),
          "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("budget:")
     assert out.exists()

@@ -77,6 +77,15 @@ def test_functions_of_another_mesh_are_rejected(lshape):
                           assemble_w_rhs(mesh, bm, f_one, phi0_zero, psi, own, LAPLACE_OP))
 
 
+def test_eta_rejects_a_density_not_given_per_segment(lshape):
+    """One value for the whole boundary fails instead of broadcasting over the segments."""
+    bm = boundary_trace(lshape)
+    for phi_j in (np.array([0.5]), np.zeros(bm.num_segments + 1)):
+        with pytest.raises(ValueError, match="phi_j must hold one value per boundary segment"):
+            eta_fem(lshape, bm, zero_fe(lshape), zero_fe(lshape), f_one, phi0_zero,
+                    phi_j, LAPLACE_OP)
+
+
 def test_eta_boundary_term_closed_form(lshape):
     bm = boundary_trace(lshape)
     eta2 = eta_fem(lshape, bm, zero_fe(lshape), zero_fe(lshape),

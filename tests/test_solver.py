@@ -298,7 +298,6 @@ def _random_hierarchy(domain, fold_after=(1, 4)):
 
 def _assert_matches_per_level_sum(hierarchy, meshes, relations):
     pre = hierarchy.preconditioner()
-    assert hierarchy.preconditioner() is pre
     rng = np.random.default_rng(12)
     for _ in range(3):
         r = rng.standard_normal(meshes[-1].num_vertices)

@@ -269,7 +269,8 @@ def test_bem_operators_built_once_per_boundary_geometry(monkeypatch):
             super().__init__(bmesh, n_gauss)
 
         def fill(self):
-            fills.append(self.bmesh.num_segments)
+            if self._new.any():        # a fill that computes something
+                fills.append(self.bmesh.num_segments)
             super().fill()
 
     monkeypatch.setattr(bem, "BemOperators", CountingOperators)
@@ -304,7 +305,8 @@ def test_exact_mode_factorizes_v_once_per_boundary(monkeypatch):
 
     class CountingOperators(bem.BemOperators):
         def fill(self):
-            fills.append(self.bmesh.num_segments)
+            if self._new.any():        # a fill that computes something
+                fills.append(self.bmesh.num_segments)
             super().fill()
 
     class CountingFactor(uzawa.CholeskyFactor):
