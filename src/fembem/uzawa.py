@@ -146,8 +146,8 @@ class UzawaDriver:
         self.w_carry = FeFunction(self.mesh, np.zeros(nv))
         self.psi_vals = np.zeros(ns)
         self.bem_ops = bem.BemOperators(self.bm, n_gauss=config.mu_gauss)
-        self.bem_precond = None        # Jacobi scaling (pcg) or Cholesky factor (exact)
-                                       # of V; None until the next BEM round fills V
+        self.bem_precond = None        # Jacobi scaling (pcg) or Cholesky factor (exact) of V;
+                                       # None until a BEM round builds it for this boundary
         self.eps = config.eps1
         self.prev_w_norm = None
         self.flags: set = set()
