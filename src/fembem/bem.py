@@ -255,25 +255,24 @@ def _single_layer_from_gauss(Jr, Jc, rows, p0, p1, d, L, line, nxt):
     the walk.  ``Jr = J[rows, :]`` and
     ``Jc = J[:, rows].T`` hold the outer-Gauss double integrals of the
     pairs touching ``rows``.  These pairs are symmetrized, same-line
-    pairs (equal line ids) get their closed form and corner pairs the
-    graded wedge rule; every value depends on its pair alone, so the rows
-    equal those of the whole matrix (all segments in ``rows``) bit for
-    bit.  Exactly symmetric; positive definite whenever diam(domain) < 1.
+    pairs (equal line ids) the mean of their closed forms in both orders
+    and corner pairs the graded wedge rule; every value depends on its
+    pair alone, so the rows equal those of the whole matrix (all
+    segments in ``rows``) bit for bit.  Exactly symmetric; positive
+    definite whenever diam(domain) < 1.
     """
     ns = len(L)
     at = np.full(ns, -1)
     at[rows] = np.arange(len(rows))
-    # R[a, j] is J[rows[a], j] and C[a, j] is J[j, rows[a]], step by step
-    R = 0.5 * (Jr + Jc)
-    C = R.copy()
+    # S[a, j] is the symmetrized double integral of the pair (rows[a], j)
+    S = 0.5 * (Jr + Jc)
 
     # panels on a common straight line: fully closed form
     def collinear(i, j):
         return _collinear_double_integral(_along(p0, p0, d, i, j), _along(p1, p0, d, i, j), L[i])
 
     a, j = np.nonzero(line[rows, None] == line)
-    R[a, j] = collinear(rows[a], j)
-    C[a, j] = collinear(j, rows[a])
+    S[a, j] = 0.5 * (collinear(rows[a], j) + collinear(j, rows[a]))
 
     # panels meeting at a corner (consecutive along the walk, oblique)
     pair = np.flatnonzero((at >= 0) | (at[nxt] >= 0))
@@ -283,9 +282,9 @@ def _single_layer_from_gauss(Jr, Jc, rows, p0, p1, d, L, line, nxt):
         vals = _wedge_double_integrals(-d[kk], L[kk], d[kn], L[kn])
         for i, j in ((kk, kn), (kn, kk)):
             m = at[i] >= 0
-            R[at[i[m]], j[m]] = C[at[i[m]], j[m]] = vals[m]
+            S[at[i[m]], j[m]] = vals[m]
 
-    return -(0.5 * (R + C)) / TWO_PI
+    return -S / TWO_PI
 
 
 # ----------------------------------------------------------------------------
@@ -405,7 +404,6 @@ class BemOperators:
         ns, q = bmesh.num_segments, n_gauss
         self.bmesh = bmesh
         self.n_gauss = q
-        self.points, self.weights = bmesh.gauss_points(q)
         self.slots = np.arange(ns)              # slot of each segment, in walk order
         self.order = np.arange(ns)              # segment in each slot
         self.V = np.empty((ns, ns))
@@ -448,7 +446,6 @@ class BemOperators:
         self.order[slots] = np.arange(nf)
         self._new = new
         self.bmesh = relation.fine_trace
-        self.points, self.weights = self.bmesh.gauss_points(q)
 
     def fill(self) -> None:
         """Compute the rows and columns of the segments new since the last fill."""
@@ -460,7 +457,7 @@ class BemOperators:
         p0, p1, d, n, L = (a[o] for a in _panel_frames(self.bmesh))
         line = _line_ids(self.bmesh)[o]
         nxt = self.slots[(o + 1) % len(o)]
-        geometry = (p0, d, n, L, line, self.points[o], self.weights[o])
+        geometry = (p0, d, n, L, line, *(a[o] for a in self.bmesh.gauss_points(self.n_gauss)))
         rows = np.flatnonzero(new)
         # new rows meet every panel, kept rows the new panels
         self._fill_rows(geometry, rows, None)
@@ -551,7 +548,7 @@ class BemOperators:
         slopes = g.slopes()
         by_slot = self.MK @ slopes[o] - self.MV @ np.asarray(psi, float)[o]
         vals = by_slot.reshape(-1, self.n_gauss)[self.slots] - 0.5 * slopes[:, None]
-        return vals, self.points, self.weights
+        return (vals, *self.bmesh.gauss_points(self.n_gauss))
 
 
 def assemble_single_layer(bmesh: BoundaryMesh, n_gauss: int = 4) -> np.ndarray:
@@ -563,9 +560,9 @@ def assemble_single_layer(bmesh: BoundaryMesh, n_gauss: int = 4) -> np.ndarray:
     return BemOperators(bmesh, n_gauss).V
 
 
-def assemble_dl_rhs(bmesh: BoundaryMesh, g: BoundaryTrace, n_gauss: int = 4) -> np.ndarray:
+def assemble_dl_rhs(bmesh: BoundaryMesh, g: BoundaryTrace) -> np.ndarray:
     """Galerkin right-hand side ``int_E (K - 1/2) g ds`` per segment."""
-    return BemOperators(bmesh, n_gauss).dl_rhs(g)
+    return BemOperators(bmesh).dl_rhs(g)
 
 
 # ----------------------------------------------------------------------------
@@ -576,10 +573,10 @@ def hminushalf_error_surrogate(bmesh: BoundaryMesh, phi_exact, psi,
                                n_gauss: int = 4) -> float:
     """Mesh-weighted L2 distance ``|| h^(1/2) (phi - psi) ||_{L2(Gamma)}``.
 
-    ``phi_exact(points, normals)`` is the exact density, ``psi`` the
-    piecewise-constant approximation; the weight is ``h|_E = |E|``.
+    ``phi_exact(points, normals)`` is the exact density, ``psi`` the P0
+    approximation, one value per segment; the weight is ``h|_E = |E|``.
     """
-    psi_v = bmesh.per_segment(psi.values if isinstance(psi, BemDensity) else psi, "psi")
+    psi_v = bmesh.per_segment(psi, "psi")
     _, wts = bmesh.gauss_points(n_gauss)
     dev = (bmesh.gauss_values(phi_exact, n_gauss) - psi_v[:, None]) ** 2
     per_seg = np.einsum("sq,sq->s", wts, dev) * bmesh.lengths()

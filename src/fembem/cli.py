@@ -89,8 +89,6 @@ def parse_config(path) -> UzawaConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return "%.8e" % float(value)
 
 

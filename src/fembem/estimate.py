@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bem
-from .fem import TRI_P5, FeFunction, TriangleRule
+from .fem import TRI_P5, FeFunction
 from .mesh import BoundaryMesh, Mesh
 
 __all__ = [
@@ -26,8 +26,7 @@ __all__ = [
 
 
 def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
-            f, phi0, phi_j, operator, rule: TriangleRule = TRI_P5,
-            n_gauss: int = 2) -> np.ndarray:
+            f, phi0, phi_j, operator) -> np.ndarray:
     """Squared volume indicators, one per element.
 
     eta(T)^2 = |T| * || f - w ||_{L2(T)}^2
@@ -35,15 +34,16 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
              + |T|^(1/2) * sum_{E in dT cap Gamma} || phi0 + phi_j - (A grad u_prev + grad w) . n ||_{L2(E)}^2
 
     For P1 functions the strong volume residual has no second-order
-    part, and normal-flux jumps are constant along each edge.  ``w`` and
+    part, and normal-flux jumps are constant along each edge; the volume
+    term uses ``TRI_P5``, the boundary term 2 Gauss nodes per segment.  ``w`` and
     ``u_prev`` must live on ``mesh``, and ``phi_j`` must hold one value
     per segment of ``bmesh`` (``ValueError`` otherwise).
     """
     w.check_mesh(mesh, "w")
     u_prev.check_mesh(mesh, "u_prev")
     area = mesh.areas()
-    dens = rule.values(mesh, f) - w.at_barycentric(rule.barycentric)
-    eta2 = area ** 2 * np.einsum("q,tq->t", rule.weights, dens ** 2)
+    dens = TRI_P5.values(mesh, f) - w.at_barycentric(TRI_P5.barycentric)
+    eta2 = area ** 2 * np.einsum("q,tq->t", TRI_P5.weights, dens ** 2)
 
     # total discrete flux, constant per element
     sigma = u_prev.flux(operator) + w.element_gradients()
@@ -58,9 +58,9 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     eta2 = eta2 + sqrt_area * per_tri_edges
 
     # boundary edges: flux mismatch against the given interface data
-    _, wts_b = bmesh.gauss_points(n_gauss)
-    nrm = np.repeat(bmesh.normals()[:, None, :], n_gauss, axis=1)
-    rho = bmesh.gauss_values(phi0, n_gauss) + bmesh.per_segment(phi_j, "phi_j")[:, None]
+    _, wts_b = bmesh.gauss_points(2)
+    nrm = np.repeat(bmesh.normals()[:, None, :], 2, axis=1)
+    rho = bmesh.gauss_values(phi0, 2) + bmesh.per_segment(phi_j, "phi_j")[:, None]
     rho = rho - np.einsum("sd,sqd->sq", sigma[bmesh.owner], nrm)
     per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
     return eta2 + np.bincount(bmesh.owner, sqrt_area[bmesh.owner] * per_seg,
@@ -84,7 +84,7 @@ def _interior_edges(mesh: Mesh):
     return mesh._derive("interior_edges", build)
 
 
-def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None,
+def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds,
            operators: bem.BemOperators | None = None) -> np.ndarray:
     """Squared boundary indicators, one per segment.
 
@@ -92,8 +92,8 @@ def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None,
             + |E| * || (1 - Pi) du0/ds ||_{L2(E)}^2
 
     where Pi is the panel-mean projection; the second term is the data
-    oscillation of the interface jump and is skipped when ``du0_ds`` is
-    None.  ``operators`` are prebuilt :class:`~fembem.bem.BemOperators`
+    oscillation of the interface jump ``du0_ds(points, tangents)``.
+    ``operators`` are prebuilt :class:`~fembem.bem.BemOperators`
     of the geometry of ``bmesh`` (``ValueError`` otherwise); without them
     they are built here.  Both terms use the operators' quadrature.
     """
@@ -102,13 +102,10 @@ def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds=None,
     operators.check_mesh(bmesh)
     vals, _, wts = operators.residual_derivative(psi, g)
     lengths = bmesh.lengths()
-    mu2 = lengths * np.einsum("sq,sq->s", wts, vals ** 2)
-    if du0_ds is not None:
-        d = bmesh.gauss_values(du0_ds, operators.n_gauss, "tangents")
-        mean = np.einsum("sq,sq->s", wts, d) / lengths
-        osc = np.einsum("sq,sq->s", wts, (d - mean[:, None]) ** 2)
-        mu2 = mu2 + lengths * osc
-    return mu2
+    d = bmesh.gauss_values(du0_ds, operators.n_gauss, "tangents")
+    mean = np.einsum("sq,sq->s", wts, d) / lengths
+    osc = np.einsum("sq,sq->s", wts, (d - mean[:, None]) ** 2)
+    return lengths * np.einsum("sq,sq->s", wts, vals ** 2) + lengths * osc
 
 
 def doerfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:

@@ -183,25 +183,26 @@ def _sum_to_vertices(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
                        minlength=mesh.num_vertices)
 
 
-def volume_load(mesh: Mesh, f, rule: TriangleRule = TRI_P5) -> np.ndarray:
-    """Vector of ``(f, hat_i)`` via triangle quadrature."""
-    fv = rule.values(mesh, f)
+def volume_load(mesh: Mesh, f) -> np.ndarray:
+    """Vector of ``(f, hat_i)`` via the triangle rule ``TRI_P5``."""
+    fv = TRI_P5.values(mesh, f)
     area = mesh.areas()
-    contrib = ((fv * rule.weights) @ rule.barycentric) * area[:, None]
+    contrib = ((fv * TRI_P5.weights) @ TRI_P5.barycentric) * area[:, None]
     return _sum_to_vertices(mesh, contrib)
 
 
-def boundary_load(bmesh: BoundaryMesh, values: np.ndarray, n_gauss: int = 4) -> np.ndarray:
+def boundary_load(bmesh: BoundaryMesh, values: np.ndarray) -> np.ndarray:
     """Vector of ``(phi, hat_i)_Gamma`` from values at Gauss nodes.
 
-    ``values`` has shape (ns, n_gauss) holding the integrand at the
-    nodes of :meth:`BoundaryMesh.gauss_points` with the same order.
+    ``values`` has shape (ns, q) holding the integrand at the nodes of
+    :meth:`BoundaryMesh.gauss_points` of order q.
     """
-    pts, wts = bmesh.gauss_points(n_gauss)
-    xi, _ = gauss_legendre(n_gauss)
+    values = np.asarray(values)
+    _, wts = bmesh.gauss_points(values.shape[1])
+    xi, _ = gauss_legendre(values.shape[1])
     lam = 0.5 * (xi + 1.0)           # position of each node along the segment
-    c0 = np.einsum("sq,q,sq->s", wts, 1.0 - lam, np.asarray(values))
-    c1 = np.einsum("sq,q,sq->s", wts, lam, np.asarray(values))
+    c0 = np.einsum("sq,q,sq->s", wts, 1.0 - lam, values)
+    c1 = np.einsum("sq,q,sq->s", wts, lam, values)
     return np.bincount(bmesh.segments.T.reshape(-1), np.concatenate([c0, c1]),
                        minlength=bmesh.mesh.num_vertices)
 
@@ -221,7 +222,7 @@ def apply_interior_operator(operator, u: FeFunction) -> np.ndarray:
 
 
 def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFunction,
-                   operator, rule: TriangleRule = TRI_P5, n_gauss: int = 4) -> np.ndarray:
+                   operator) -> np.ndarray:
     """Right-hand side of the Riesz update problem.
 
     Functional ``v -> (f, v) + (phi0 + phi_j, v)_Gamma - a(u_prev; v)``
@@ -231,8 +232,8 @@ def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFu
     """
     u_prev.check_mesh(mesh, "u_prev")
     phi_j = bmesh.per_segment(phi_j, "phi_j")
-    rhs = volume_load(mesh, f, rule)
-    rhs += boundary_load(bmesh, bmesh.gauss_values(phi0, n_gauss) + phi_j[:, None], n_gauss)
+    rhs = volume_load(mesh, f)
+    rhs += boundary_load(bmesh, bmesh.gauss_values(phi0, 4) + phi_j[:, None])
     rhs -= apply_interior_operator(operator, u_prev)
     return rhs
 
@@ -246,13 +247,13 @@ def prolongate(u: FeFunction, relation: RefinementRelation) -> FeFunction:
     return FeFunction(relation.fine, np.concatenate([old, new]))
 
 
-def h1_error(u_h: FeFunction, u_exact, grad_exact, rule: TriangleRule = TRI_P5) -> float:
-    """Full H^1 norm of ``u_exact - u_h`` by element quadrature."""
+def h1_error(u_h: FeFunction, u_exact, grad_exact) -> float:
+    """Full H^1 norm of ``u_exact - u_h`` by the triangle rule ``TRI_P5``."""
     mesh = u_h.mesh
-    du = rule.values(mesh, u_exact) - u_h.at_barycentric(rule.barycentric)
-    dg = rule.values(mesh, grad_exact) - u_h.element_gradients()[:, None, :]
+    du = TRI_P5.values(mesh, u_exact) - u_h.at_barycentric(TRI_P5.barycentric)
+    dg = TRI_P5.values(mesh, grad_exact) - u_h.element_gradients()[:, None, :]
     dens = du ** 2 + (dg[..., 0] ** 2 + dg[..., 1] ** 2)
-    total = np.einsum("t,q,tq->", mesh.areas(), rule.weights, dens)
+    total = np.einsum("t,q,tq->", mesh.areas(), TRI_P5.weights, dens)
     return float(np.sqrt(total))
 
 

@@ -24,7 +24,7 @@ computes only the rows and columns of the new segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,6 +67,9 @@ class UzawaConfig:
     mu_gauss: int = 4
 
     def __post_init__(self):
+        for f in fields(self):   # an int for a float is kept as a float, as a file gives it
+            if f.type == "float" and type(getattr(self, f.name)) is int:
+                setattr(self, f.name, float(getattr(self, f.name)))
         if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}; known: {sorted(EXAMPLES)}")
         if self.solver not in ("pcg", "exact"):

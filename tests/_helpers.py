@@ -2,7 +2,8 @@
 
 Mesh builders and callbacks shared by the test modules; the API only
 the tests use (an 8th-degree triangle rule, mesh checks, the pointwise
-single-layer potential, boundary integrals, CSV reading); and the
+single-layer potential, boundary integrals, CSV reading, the platform
+signature that bit-level pins name when they fail); and the
 einsum / ``np.add.at`` forms of the FEM kernels, kept as references for
 the matmul / ``np.bincount`` code in ``fembem.fem`` and
 ``fembem.estimate``, and of the panel products in ``fembem.bem``; and
@@ -10,6 +11,7 @@ the single-basis multilevel apply, the reference for a one-block
 ``fembem.solver.LocalMultilevelDiagonal``.
 """
 
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ def assert_equal_to_a_fresh_build_by_slot(ops, bmesh):
     """Each matrix of ``ops`` is a fresh build's on ``bmesh``, permuted by the slots, bit for bit.
 
     Slot s holds segment ``ops.order[s]`` and the Gauss-node rows
-    ``s*q ... s*q + q - 1``; the nodes and weights run along the walk.
+    ``s*q ... s*q + q - 1``.
     """
     fresh = BemOperators(bmesh, ops.n_gauss)
     ns, q, o = bmesh.num_segments, ops.n_gauss, ops.order
@@ -36,8 +38,6 @@ def assert_equal_to_a_fresh_build_by_slot(ops, bmesh):
     for name, rows in (("V", o), ("DL0", o), ("DL1", o), ("MK", nodes), ("MV", nodes)):
         a, b = getattr(ops, name), getattr(fresh, name)[np.ix_(rows, o)]
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    for name in ("points", "weights"):
-        assert getattr(ops, name).tobytes() == getattr(fresh, name).tobytes(), name
 
 
 def uniform_refine(mesh, times=1):
@@ -230,6 +230,29 @@ def integrate_trace(bmesh, g) -> np.ndarray:
     """Exact per-segment integrals of an affine trace."""
     g0, g1 = g.endpoint_values()
     return 0.5 * bmesh.lengths() * (g0 + g1)
+
+
+def platform_signature() -> str:
+    """The SIMD targets NumPy dispatches to and the core its OpenBLAS runs.
+
+    Bit-level pins (CSV hashes, golden tables) hold on the platform they
+    were recorded on; their failure messages name the platform of the
+    run.  Either part reads ``unknown`` when it cannot be found.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+        simd = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+    except (ImportError, AttributeError):
+        simd = "unknown"
+    try:
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        corename = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*")))) \
+            .scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (StopIteration, OSError, AttributeError):
+        core = "unknown"
+    return f"NumPy SIMD targets: {simd or 'none'}; OpenBLAS core: {core}"
 
 
 def read_csv(path):

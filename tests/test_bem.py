@@ -169,9 +169,9 @@ def test_dl_rhs_zero_trace_and_quadrature_refinement(lbm):
                           np.zeros(lbm.num_segments))
     pts = lbm.mesh.vertices[lbm.boundary_vertices]
     smooth = bem.BoundaryTrace(lbm, np.cos(pts[:, 0]) + pts[:, 1] ** 2)
-    r4 = bem.assemble_dl_rhs(lbm, smooth, n_gauss=4)
-    r12 = bem.assemble_dl_rhs(lbm, smooth, n_gauss=12)
-    r24 = bem.assemble_dl_rhs(lbm, smooth, n_gauss=24)
+    r4 = bem.assemble_dl_rhs(lbm, smooth)
+    r12 = bem.BemOperators(lbm, 12).dl_rhs(smooth)
+    r24 = bem.BemOperators(lbm, 24).dl_rhs(smooth)
     # the integrand has corner singularities in higher derivatives, so
     # Gauss converges algebraically: 4 points are already at 1e-5 and
     # each refinement gains well over an order of magnitude
@@ -502,7 +502,8 @@ def test_operators_refuse_data_of_another_boundary_mesh(lbm, rng):
     with pytest.raises(ValueError, match="another boundary mesh"):
         ops.residual_derivative(psi_other, g)
     with pytest.raises(ValueError, match="another boundary mesh"):
-        mu_bem(other, bem.BemDensity(lbm, psi_other.values), g, operators=ops)
+        mu_bem(other, bem.BemDensity(lbm, psi_other.values), g,
+               du0_ds=lambda p, t: np.zeros(len(p)), operators=ops)
     # a trace of an equal geometry is accepted
     twin = boundary_trace(lbm.mesh)
     assert np.array_equal(ops.dl_rhs(bem.BoundaryTrace(twin, g.values)), ops.dl_rhs(g))
@@ -600,14 +601,13 @@ def test_trace_of_and_nodal_interpolation(lbm):
 
 def test_error_surrogate_exact_cases(lbm):
     zero = lambda p, n: np.zeros(len(p))
-    psi = bem.BemDensity(lbm, np.zeros(lbm.num_segments))
-    assert bem.hminushalf_error_surrogate(lbm, zero, psi) == 0.0
+    assert bem.hminushalf_error_surrogate(lbm, zero, np.zeros(lbm.num_segments)) == 0.0
 
     # affine deviation with zero panel mean: contribution L^4 b^2 / 12
     c = np.array([0.8, -0.3])
     phi = lambda p, n: p @ c
     a, b = lbm.endpoints()
-    mids = bem.BemDensity(lbm, 0.5 * (a + b) @ c)
+    mids = 0.5 * (a + b) @ c
     slopes = lbm.tangents() @ c
     expected = np.sqrt((lbm.lengths() ** 4 * slopes ** 2 / 12.0).sum())
     got = bem.hminushalf_error_surrogate(lbm, phi, mids, n_gauss=4)
@@ -626,9 +626,7 @@ def test_error_surrogate_halves_with_constant_deviation():
     zero = lambda p, n: np.zeros(len(p))
     mesh = make_initial_mesh("lshape")
     bm = boundary_trace(mesh)
-    coarse = bem.hminushalf_error_surrogate(
-        bm, zero, bem.BemDensity(bm, np.ones(bm.num_segments)))
+    coarse = bem.hminushalf_error_surrogate(bm, zero, np.ones(bm.num_segments))
     _, bmf, _ = uniform_refine_boundary(mesh, 1)
-    fine = bem.hminushalf_error_surrogate(
-        bmf, zero, bem.BemDensity(bmf, np.ones(bmf.num_segments)))
+    fine = bem.hminushalf_error_surrogate(bmf, zero, np.ones(bmf.num_segments))
     assert abs(fine / coarse - np.sqrt(0.5)) <= 1e-15

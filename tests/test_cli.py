@@ -200,6 +200,20 @@ def test_csv_bytes_are_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_int_for_a_float_field_writes_the_bytes_of_its_config_file(tmp_path):
+    """``eps1 = 5`` in code and in a file give one table: header and rows print floats."""
+    config = UzawaConfig(example="laplace_lshape", eps1=5, theta=1, c_bem=0.1,
+                         budget_elements=60)
+    assert type(config.eps1) is float and type(config.theta) is float
+    write_csv(run_experiment_config(config), config, tmp_path / "code.csv")
+    cfg_path = write_cfg(tmp_path, "example = laplace_lshape\neps1 = 5\ntheta = 1\n"
+                                   "c_bem = 0.1\nbudget_elements = 60\n")
+    run_experiment(cfg_path, out_path=tmp_path / "file.csv")
+    code = (tmp_path / "code.csv").read_bytes()
+    assert b"# eps1 = 5.0\n" in code and b"# theta = 1.0\n" in code
+    assert code == (tmp_path / "file.csv").read_bytes()
+
+
 def test_run_experiment_default_output_path(tmp_path):
     cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("150", "60"))
     result = run_experiment(cfg_path)

@@ -118,7 +118,8 @@ def test_eta_decays_for_smooth_load(lshape):
 def test_mu_zero_data_is_zero(lshape):
     bm = boundary_trace(lshape)
     mu2 = mu_bem(bm, bem.BemDensity(bm, np.zeros(bm.num_segments)),
-                 bem.BoundaryTrace(bm, np.zeros(bm.num_segments)))
+                 bem.BoundaryTrace(bm, np.zeros(bm.num_segments)),
+                 du0_ds=lambda p, t: np.zeros(len(p)))
     assert np.array_equal(mu2, np.zeros(bm.num_segments))
 
 

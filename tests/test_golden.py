@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import read_csv
+from _helpers import platform_signature, read_csv
 from fembem.cli import parse_config, write_csv
 from fembem.uzawa import run_experiment_config
 
@@ -79,13 +79,14 @@ def test_trajectory_matches_golden(cfg_path, tmp_path):
     write_golden_run(cfg_path, out)
     ref_path = GOLDEN / f"{cfg_path.stem}.csv"
     got, ref = read_csv(out), read_csv(ref_path)
-    assert len(got["iterUZ"]) == len(ref["iterUZ"])
+    where = f"on {platform_signature()}"
+    assert len(got["iterUZ"]) == len(ref["iterUZ"]), where
     for name in INT_COLUMNS:
-        assert np.array_equal(got[name], ref[name]), name
+        assert np.array_equal(got[name], ref[name]), f"{name} {where}"
     for name in FLOAT_COLUMNS:
         np.testing.assert_allclose(got[name], ref[name], rtol=FLOAT_RTOL,
-                                   atol=0.0, equal_nan=True, err_msg=name)
-    assert trailer(out) == trailer(ref_path)
+                                   atol=0.0, equal_nan=True, err_msg=f"{name} {where}")
+    assert trailer(out) == trailer(ref_path), where
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import assert_equal_to_a_fresh_build_by_slot, derived_facts
+from _helpers import assert_equal_to_a_fresh_build_by_slot, derived_facts, platform_signature
 from fembem import bem
 from fembem.fem import h1_norm
 from fembem.model import ExactData, make_problem
@@ -539,6 +539,8 @@ def test_benchmark_hooks_find_every_wrapped_name(tmp_path):
 
 # CSV sha256 of each benchmark workload at seed 0.  A change that moves a
 # trajectory updates these and gives its reason, as with tests/golden/.
+# They hold on NumPy SIMD targets X86_V3 X86_V4 AVX512_ICL AVX512_SPR
+# with the OpenBLAS core SkylakeX (``_helpers.platform_signature``).
 BENCHMARK_FINGERPRINTS = {
     "lshape_fixed": "3e6a6bb460a5a8db37ab1098e80ffe90ab1ebe383701af8879842b0ea6cfa8b9",
     "lshape_adaptive": "08721c974dd70f5a734f5e8666e03b1d2beaef90ca268cd46e43454878204743",
@@ -565,4 +567,5 @@ def test_benchmark_csv_fingerprint_at_seed_0(tmp_path, workload):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["problems"] == []
-    assert hashlib.sha256(csv.read_bytes()).hexdigest() == BENCHMARK_FINGERPRINTS[workload]
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == BENCHMARK_FINGERPRINTS[workload], \
+        f"CSV hash moved on {platform_signature()}"
