@@ -25,10 +25,10 @@ double layer of its slopes, ``d/ds K g = -K' dg/ds``, which sums
 panel geometry and keeps them as matrices of the boundary mesh, one
 entry per (segment or Gauss node, panel) pair; the ``-1/2`` of the
 double-layer right-hand side is applied with the trace.  The matrices
-are stored by slot, which a segment keeps through refinements, so a
-refinement copies each old matrix into the top-left block of a larger
-one, and the next fill evaluates only the rows and columns of the new
-segments, a kept row running every kernel on the new panels alone.
+are stored by slot, which a segment keeps through refinements, so the
+next fill grows each matrix once, the old one its top-left block, and
+evaluates only the rows and columns of the new segments, a kept row
+running every kernel on the new panels alone.
 Pairs of panels on one line are found by one line id per segment, kept
 on the boundary mesh.
 """
@@ -374,8 +374,8 @@ class BemOperators:
       (``d/ds K g = -K' dg/ds``), zero on panels on the node's line.
 
     Nothing depends on data, so one object serves every density and
-    trace of its boundary mesh; the methods refuse those of another
-    geometry.  ``n_gauss`` is the outer quadrature of all of them.
+    trace of its boundary mesh; the methods refuse those of any other
+    mesh object.  ``n_gauss`` is the outer quadrature of all of them.
 
     The matrices are stored by slot: segment k of the walk sits in slot
     ``slots[k]`` (the Gauss-node rows ``slots[k]*q ...`` of ``MK`` and
@@ -385,14 +385,15 @@ class BemOperators:
     :meth:`residual_derivative` run along the walk.
 
     Every entry depends only on the geometry of its pair, a segment or
-    Gauss node and a panel.  So :meth:`refine` moves no entry: an
-    unsplit segment keeps its slot, the first son of a split one takes
-    its father's and the second son the next fresh slot at the end, and
-    each old matrix becomes the top-left block of an exact-size new one.
-    :meth:`fill` then computes only the rows and columns of the new
-    segments: new rows on every panel, kept rows on the new panels
-    alone.  A fresh object is that fill with every segment new, and a
-    refined one equals it, permuted by the slots, bit for bit.
+    Gauss node and a panel.  So :meth:`refine`, run on every refinement
+    of the trace, moves no entry: an unsplit segment keeps its slot, the
+    first son of a split one takes its father's and the second son the
+    next fresh slot at the end.  :meth:`fill` grows each matrix once,
+    the old one its top-left block, and computes only the rows and
+    columns of the new segments: new rows on every panel, kept rows on
+    the new panels alone.  A fresh object is the fill of empty
+    operators, and a refined one equals it, permuted by the slots, bit
+    for bit.
     Same-line pairs (the closed forms of ``V``, the zeros of ``DL0``,
     ``DL1`` and ``MK``) come from the line ids of the boundary mesh
     alone.  Rows are built in segment-aligned blocks of at most
@@ -401,33 +402,27 @@ class BemOperators:
     """
 
     def __init__(self, bmesh: BoundaryMesh, n_gauss: int = 4):
-        ns, q = bmesh.num_segments, n_gauss
+        ns = bmesh.num_segments
         self.bmesh = bmesh
-        self.n_gauss = q
+        self.n_gauss = n_gauss
         self.slots = np.arange(ns)              # slot of each segment, in walk order
         self.order = np.arange(ns)              # segment in each slot
-        self.V = np.empty((ns, ns))
-        self.DL0 = np.empty((ns, ns))
-        self.DL1 = np.empty((ns, ns))
-        self.MK = np.empty((ns * q, ns))
-        self.MV = np.empty((ns * q, ns))
+        self.V = self.DL0 = self.DL1 = self.MK = self.MV = np.empty((0, 0))
         self._new = np.ones(ns, dtype=bool)     # slots whose rows and columns are unset
         self.fill()
 
     def refine(self, relation) -> None:
-        """Carry the matrices to the refined boundary ``relation.fine_trace``.
+        """Re-slot the segments for the refined boundary ``relation.fine_trace``.
 
-        The sons of a segment follow each other along the walk, as
-        :func:`~fembem.mesh.refine_nvb` makes them.  Each old matrix
-        becomes the top-left block of its successor and is released as
-        soon as that is built.  A kept entry is exact when its segment
-        and panel did not split (and were filled); the next :meth:`fill`
-        computes all others.
+        Any refinement of the trace is accepted, split or not; the sons of
+        a segment follow each other along the walk, as
+        :func:`~fembem.mesh.refine_nvb` makes them.  No matrix changes: the
+        next :meth:`fill` computes every entry of a split segment or panel.
         """
-        father, q = relation.seg_father, self.n_gauss
+        father = relation.seg_father
         ns, nf = len(self.slots), len(father)
         n_sons = np.bincount(father)
-        if len(n_sons) != ns:
+        if relation.coarse is not self.bmesh.mesh or len(n_sons) != ns:
             raise ValueError("relation does not refine the boundary mesh of these operators")
         first = np.diff(father, prepend=-1) > 0      # the first son of each segment
         slots = np.empty(nf, dtype=np.int64)
@@ -436,28 +431,30 @@ class BemOperators:
         new = np.ones(nf, dtype=bool)
         new[:ns] = self._new
         new[self.slots[n_sons > 1]] = True
-        self.MK = _grown(self.MK, nf * q, nf)
-        self.MV = _grown(self.MV, nf * q, nf)
-        self.V = _grown(self.V, nf, nf)
-        self.DL0 = _grown(self.DL0, nf, nf)
-        self.DL1 = _grown(self.DL1, nf, nf)
         self.slots = slots
         self.order = np.empty_like(slots)
         self.order[slots] = np.arange(nf)
         self._new = new
         self.bmesh = relation.fine_trace
 
-    def fill(self) -> None:
-        """Compute the rows and columns of the segments new since the last fill."""
+    def fill(self) -> bool:
+        """Compute the rows and columns of the segments new since the last fill.
+
+        Each matrix first grows to the slot count, the old one its
+        top-left block.  Returns whether anything was computed.
+        """
         new = self._new
         if not new.any():
-            return
+            return False
+        ns, q = len(new), self.n_gauss
+        for name, height in (("MK", ns * q), ("MV", ns * q), ("V", ns), ("DL0", ns), ("DL1", ns)):
+            setattr(self, name, _grown(getattr(self, name), height, ns))
         # the panel geometry by slot, and the slot of each panel's walk successor
         o = self.order
         p0, p1, d, n, L = (a[o] for a in _panel_frames(self.bmesh))
         line = _line_ids(self.bmesh)[o]
-        nxt = self.slots[(o + 1) % len(o)]
-        geometry = (p0, d, n, L, line, *(a[o] for a in self.bmesh.gauss_points(self.n_gauss)))
+        nxt = self.slots[(o + 1) % ns]
+        geometry = (p0, d, n, L, line, *(a[o] for a in self.bmesh.gauss_points(q)))
         rows = np.flatnonzero(new)
         # new rows meet every panel, kept rows the new panels
         self._fill_rows(geometry, rows, None)
@@ -466,7 +463,8 @@ class BemOperators:
                                       p0, p1, d, L, line, nxt)
         self.V[rows] = Vr
         self.V[:, rows] = Vr.T
-        self._new = np.zeros(len(new), dtype=bool)
+        self._new = np.zeros(ns, dtype=bool)
+        return True
 
     def _fill_rows(self, geometry, segs, cols):
         """Rows of the slots ``segs`` on the panel columns ``cols`` (``None``: whole rows).
@@ -516,11 +514,10 @@ class BemOperators:
             put(self.MV, nodes, dV.reshape(-1, len(cL)))
 
     def check_mesh(self, bmesh: BoundaryMesh) -> None:
-        """Raise ``ValueError`` unless the matrices are filled for the geometry of ``bmesh``."""
+        """Raise ``ValueError`` unless the matrices are filled for ``bmesh`` itself."""
         if self._new.any():
             raise ValueError("operators not filled since the last refinement")
-        own = self.bmesh
-        if bmesh is not own and not all(map(np.array_equal, own.endpoints(), bmesh.endpoints())):
+        if bmesh is not self.bmesh:
             raise ValueError("data of another boundary mesh than the operators'")
 
     def dl_rhs(self, g: BoundaryTrace) -> np.ndarray:

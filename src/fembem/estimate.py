@@ -94,7 +94,7 @@ def mu_bem(bmesh: BoundaryMesh, psi, g, du0_ds,
     where Pi is the panel-mean projection; the second term is the data
     oscillation of the interface jump ``du0_ds(points, tangents)``.
     ``operators`` are prebuilt :class:`~fembem.bem.BemOperators`
-    of the geometry of ``bmesh`` (``ValueError`` otherwise); without them
+    of ``bmesh`` itself (``ValueError`` otherwise); without them
     they are built here.  Both terms use the operators' quadrature.
     """
     if operators is None:

@@ -53,13 +53,8 @@ class FeFunction(_Derived):
         object.__setattr__(self, "values", v)
 
     def check_mesh(self, mesh: Mesh, name: str) -> None:
-        """Raise ``ValueError`` unless this function lives on ``mesh``.
-
-        That is the same object, else one with equal vertices and triangles.
-        """
-        own = self.mesh
-        if own is not mesh and not (np.array_equal(own.vertices, mesh.vertices)
-                                    and np.array_equal(own.triangles, mesh.triangles)):
+        """Raise ``ValueError`` unless this function lives on the object ``mesh`` itself."""
+        if self.mesh is not mesh:
             raise ValueError(f"{name} does not live on the given mesh")
 
     def element_gradients(self) -> np.ndarray:

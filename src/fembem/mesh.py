@@ -297,7 +297,7 @@ def vertex_prolongation_matrix(new_vertex_parents, num_coarse: int):
 # initial meshes
 
 
-def _normalize_reference_edges(vertices, triangles, refedge):
+def _normalize_reference_edges(triangles, refedge):
     """Rotate each connectivity row so the reference edge is (v0, v1)."""
     t = np.asarray(triangles, dtype=np.int64).copy()
     for i, k in enumerate(refedge):
@@ -353,7 +353,7 @@ def make_initial_mesh(domain: str) -> Mesh:
     else:
         raise ValueError(f"unknown domain {domain!r}; expected 'lshape' or 'zshape'")
     refedge = _longest_edge_refedge(vertices, triangles)
-    tris = _normalize_reference_edges(vertices, triangles, refedge)
+    tris = _normalize_reference_edges(triangles, refedge)
     return Mesh(vertices, tris)
 
 

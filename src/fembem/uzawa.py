@@ -17,9 +17,9 @@ with the measured update-norm ratio (clamped below one).  Everything a
 later step reuses - the iterate, the latest update, the density - is
 carried through every refinement by prolongation, and the volume mesh
 hierarchy feeds the multilevel preconditioner.  The BEM operators are
-built with the driver and stored by slot: a refinement that splits
-boundary segments keeps every entry where it is, and the next BEM round
-computes only the rows and columns of the new segments.
+built with the driver and follow every refinement, keeping each entry
+in its slot; a BEM round computes only the rows and columns of new
+segments and, if it computed any, rebuilds the solver of ``V``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _GAMMA_CLAMP = 0.99
+_ACCEPTS = {"bool": bool, "int": int, "float": (int, float), "str": str}   # by field type
 
 
 @dataclass
@@ -67,9 +68,14 @@ class UzawaConfig:
     mu_gauss: int = 4
 
     def __post_init__(self):
-        for f in fields(self):   # an int for a float is kept as a float, as a file gives it
-            if f.type == "float" and type(getattr(self, f.name)) is int:
-                setattr(self, f.name, float(getattr(self, f.name)))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a bool is an int to Python, so only a bool field takes one
+            if (isinstance(value, bool) != (f.type == "bool")
+                    or not isinstance(value, _ACCEPTS[f.type])):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float":    # an int is kept as a float, as a file gives it
+                setattr(self, f.name, float(value))
         if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}; known: {sorted(EXAMPLES)}")
         if self.solver not in ("pcg", "exact"):
@@ -149,8 +155,7 @@ class UzawaDriver:
         self.w_carry = FeFunction(self.mesh, np.zeros(nv))
         self.psi_vals = np.zeros(ns)
         self.bem_ops = bem.BemOperators(self.bm, n_gauss=config.mu_gauss)
-        self.bem_precond = None        # Jacobi scaling (pcg) or Cholesky factor (exact) of V;
-                                       # None until a BEM round builds it for this boundary
+        self.bem_precond = self._v_solver()
         self.eps = config.eps1
         self.prev_w_norm = None
         self.flags: set = set()
@@ -165,9 +170,7 @@ class UzawaDriver:
         self.u = prolongate(self.u, rel)
         self.w_carry = prolongate(self.w_carry, rel)
         self.psi_vals = self.psi_vals[rel.seg_father]
-        if len(rel.seg_father) > self.bm.num_segments:
-            self.bem_ops.refine(rel)
-            self.bem_precond = None
+        self.bem_ops.refine(rel)
         self.mesh = fine
         self.bm = rel.fine_trace
 
@@ -177,6 +180,11 @@ class UzawaDriver:
         """Affine boundary datum of the integral equation: trace(u) - I_h u0."""
         vals = self.u.values[self.bm.boundary_vertices] - self.bm.vertex_values(self.problem.u0)
         return bem.BoundaryTrace(self.bm, vals)
+
+    def _v_solver(self):
+        """Jacobi scaling (pcg) or Cholesky factor (exact) of the current ``V``."""
+        V = self.bem_ops.V
+        return CholeskyFactor(V) if self.config.solver == "exact" else JacobiPreconditioner.of(V)
 
     def _solve_spd(self, matrix, rhs, x0, precond, abs_cap):
         """SPD solve honouring both the relative and the absolute tolerance.
@@ -223,10 +231,8 @@ class UzawaDriver:
     def _bem_round(self, tol: float):
         """A round of step [i]: solve the integral equation for the density."""
         ops = self.bem_ops
-        if self.bem_precond is None:         # the boundary is new
-            ops.fill()
-            self.bem_precond = (CholeskyFactor(ops.V) if self.config.solver == "exact"
-                                else JacobiPreconditioner.of(ops.V))
+        if ops.fill():
+            self.bem_precond = self._v_solver()
         g = self._interface_gap()
         # V and its right-hand side run by slot, the density along the walk
         x, alg2 = self._solve_spd(ops.V, ops.dl_rhs(g), self.psi_vals[ops.order],

@@ -360,10 +360,14 @@ def test_kept_rows_evaluate_only_the_new_panels(monkeypatch):
 
 @pytest.mark.parametrize("domain", ["lshape", "zshape"])
 def test_refine_keeps_the_old_matrices_as_top_left_blocks(domain):
-    """A refinement moves no entry: each old matrix is the top-left block of its successor.
+    """A refinement moves no entry: the old matrices sit in the top-left blocks of the new.
 
-    Unsplit segments keep their slots, a first son takes its father's,
-    and the second sons take the fresh slots at the end, in walk order.
+    ``refine`` re-slots and keeps the matrices themselves; the next
+    ``fill`` grows each once, keeps every entry of a pair of unsplit
+    segments where it was and computes the rest, and a second fill has
+    nothing to do.  Unsplit segments keep their slots, a first son takes its
+    father's, and the second sons take the fresh slots at the end, in
+    walk order.
     """
     rng = np.random.default_rng(len(domain))
     mesh = make_initial_mesh(domain)
@@ -374,18 +378,23 @@ def test_refine_keeps_the_old_matrices_as_top_left_blocks(domain):
         mesh, rel = refine_nvb(mesh, (), bmesh=bm,
                                marked_segments=boundary_marking(kind, bm.num_segments, rng))
         ns, nf = bm.num_segments, rel.fine_trace.num_segments
-        old = {name: getattr(ops, name).copy() for name in ("V", "DL0", "DL1", "MK", "MV")}
+        kept = {name: getattr(ops, name) for name in ("V", "DL0", "DL1", "MK", "MV")}
+        old = {name: a.copy() for name, a in kept.items()}
         slots = ops.slots.copy()
+        unsplit = slots[np.bincount(rel.seg_father) == 1]
         ops.refine(rel)
-        for name, a in old.items():
-            rows = ns * q if name in ("MK", "MV") else ns
-            assert a.shape == (rows, ns)
-            assert getattr(ops, name).shape == (nf * rows // ns, nf)
-            assert getattr(ops, name)[:rows, :ns].tobytes() == a.tobytes(), name
+        assert all(getattr(ops, name) is a for name, a in kept.items())
         first = np.diff(rel.seg_father, prepend=-1) > 0
         assert np.array_equal(ops.slots[first], slots)
         assert np.array_equal(ops.slots[~first], np.arange(ns, nf))
-        ops.fill()
+        assert ops.fill() is True
+        assert ops.fill() is False
+        for name, a in old.items():
+            per = q if name in ("MK", "MV") else 1      # rows per segment
+            assert a.shape == (ns * per, ns)
+            assert getattr(ops, name).shape == (nf * per, nf)
+            block = np.ix_(bem._nodes(unsplit, per), unsplit)
+            assert getattr(ops, name)[block].tobytes() == a[block].tobytes(), name
         bm = rel.fine_trace
 
 
@@ -504,9 +513,13 @@ def test_operators_refuse_data_of_another_boundary_mesh(lbm, rng):
     with pytest.raises(ValueError, match="another boundary mesh"):
         mu_bem(other, bem.BemDensity(lbm, psi_other.values), g,
                du0_ds=lambda p, t: np.zeros(len(p)), operators=ops)
-    # a trace of an equal geometry is accepted
+    # a trace of an equal geometry is another boundary mesh too
     twin = boundary_trace(lbm.mesh)
-    assert np.array_equal(ops.dl_rhs(bem.BoundaryTrace(twin, g.values)), ops.dl_rhs(g))
+    with pytest.raises(ValueError, match="another boundary mesh"):
+        ops.dl_rhs(bem.BoundaryTrace(twin, g.values))
+    # and a refinement of another mesh, with the same segment count
+    with pytest.raises(ValueError, match="does not refine"):
+        ops.refine(refine_nvb(other.mesh, (), bmesh=other)[1])
 
     mesh, rel = refine_nvb(lbm.mesh, (), marked_segments=[0], bmesh=lbm)
     ops.refine(rel)
@@ -517,6 +530,22 @@ def test_operators_refuse_data_of_another_boundary_mesh(lbm, rng):
     assert np.array_equal(ops.dl_rhs(fine), np.zeros(rel.fine_trace.num_segments))
     with pytest.raises(ValueError, match="does not refine"):
         ops.refine(rel)
+
+
+def test_refine_follows_a_refinement_that_splits_no_segment(rng):
+    """The operators move to the fine trace, keep their bits and compute nothing."""
+    mesh, bm, _ = uniform_refine_boundary(make_initial_mesh("lshape"), 2)
+    ops = bem.BemOperators(bm)
+    g = bem.BoundaryTrace(bm, rng.standard_normal(bm.num_segments))
+    rhs = ops.dl_rhs(g)
+    mesh, rel = refine_nvb(mesh, [0], bmesh=bm)
+    assert rel.fine_trace.num_segments == bm.num_segments
+    ops.refine(rel)
+    assert ops.bmesh is rel.fine_trace
+    assert ops.fill() is False
+    with pytest.raises(ValueError, match="another boundary mesh"):
+        ops.dl_rhs(g)
+    assert ops.dl_rhs(bem.BoundaryTrace(rel.fine_trace, g.values)).tobytes() == rhs.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing, CSV tables, slope fitting, command-line entry point."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,12 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import read_csv
 from fembem import cli
 from fembem.cli import (CSV_COLUMNS, ConfigError, fit_slope, main,
                         parse_config, run_experiment, write_csv)
-from fembem.uzawa import UzawaConfig, run_experiment_config
+from fembem.model import EXAMPLES
+from fembem.uzawa import UzawaConfig, UzawaResult, run_experiment_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -124,6 +128,58 @@ mu_gauss = 6
 def test_parse_config_error_messages(tmp_path, text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(write_cfg(tmp_path, text))
+
+
+def _positive():
+    """Positive finite values; an int is stored as a float, in code as from a file."""
+    return st.one_of(st.floats(1e-6, 1e6), st.integers(1, 1000))
+
+
+VALID_VALUES = dict(
+    example=st.sampled_from(sorted(EXAMPLES)),
+    alpha=_positive(), eps1=_positive(), c_bem=_positive(), c_fem=_positive(),
+    gamma=st.floats(1e-6, 1.0 - 1e-6),
+    adaptive_gamma=st.booleans(),
+    theta=st.one_of(st.floats(1e-6, 1.0), st.just(1)),
+    tau_rel=st.floats(1e-9, 0.5),
+    solver=st.sampled_from(["pcg", "exact"]),
+    budget_elements=st.integers(1, 10 ** 6),
+    target_nu=st.one_of(st.floats(0.0, 10.0), st.integers(0, 10)),
+    max_outer=st.integers(1, 10 ** 4),
+    mu_gauss=st.integers(1, 8),
+)
+# values of another type than the field's; a bool is an int to Python
+WRONG_VALUES = {
+    "str": st.one_of(st.integers(), st.floats(), st.booleans()),
+    "bool": st.one_of(st.integers(), st.floats(), st.text()),
+    "int": st.one_of(st.floats(), st.booleans(), st.text()),
+    "float": st.one_of(st.booleans(), st.text()),
+}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(values=st.fixed_dictionaries(VALID_VALUES), data=st.data())
+def test_config_survives_its_file_form(tmp_path_factory, values, data):
+    """``key = value`` lines parse to the config and write its CSV header.
+
+    A value of another type than its field's is refused by the API.
+    """
+    types = {f.name: f.type for f in dataclasses.fields(UzawaConfig)}
+    assert set(types) == set(VALID_VALUES)
+    tmp = tmp_path_factory.getbasetemp()
+    config = UzawaConfig(**values)
+    parsed = parse_config(write_cfg(tmp, "".join(f"{k} = {v}\n" for k, v in values.items())))
+    assert parsed == config
+    result = UzawaResult(records=[], u=None, psi=None, mesh=None, bmesh=None,
+                         stop_reason="budget")
+    write_csv(result, config, tmp / "code.csv")
+    write_csv(result, parsed, tmp / "file.csv")
+    assert (tmp / "code.csv").read_bytes() == (tmp / "file.csv").read_bytes()
+
+    name = data.draw(st.sampled_from(sorted(types)))
+    wrong = data.draw(WRONG_VALUES[types[name]])
+    with pytest.raises(ValueError, match=f"{name} must be of type {types[name]}"):
+        dataclasses.replace(config, **{name: wrong})
 
 
 # ---------------------------------------------------------------------------

@@ -206,13 +206,12 @@ def test_prolongate_rejects_a_same_size_mesh_of_other_triangles(lshape, rng):
     """A function must live on the coarse mesh itself, not one with its vertex count."""
     fine, rel = refine_nvb(lshape, np.arange(12))
     values = rng.standard_normal(lshape.num_vertices)
-    # the same vertices, every element listed from another corner
+    # the same vertices, every element listed from another corner, and a copy
     other = Mesh(lshape.vertices, np.roll(lshape.triangles, 1, axis=1))
-    with pytest.raises(ValueError, match="u does not live"):
-        prolongate(FeFunction(other, values), rel)
     twin = Mesh(lshape.vertices, lshape.triangles)
-    assert np.array_equal(prolongate(FeFunction(twin, values), rel).values,
-                          prolongate(FeFunction(lshape, values), rel).values)
+    for mesh in (other, twin):
+        with pytest.raises(ValueError, match="u does not live"):
+            prolongate(FeFunction(mesh, values), rel)
 
 
 # ---------------------------------------------------------------------------

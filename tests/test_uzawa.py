@@ -63,6 +63,17 @@ def test_config_rejects_bad_values():
         UzawaConfig(example="laplace_lshape", alpha=0.0)
 
 
+WRONGLY_TYPED = [("budget_elements", 60.5), ("max_outer", 2.5), ("mu_gauss", 4.0),
+                 ("mu_gauss", True), ("alpha", True), ("adaptive_gamma", 1),
+                 ("adaptive_gamma", "yes")]
+
+
+@pytest.mark.parametrize("name, value", WRONGLY_TYPED)
+def test_config_rejects_values_of_the_wrong_type(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be of type"):
+        UzawaConfig(example="laplace_lshape", **{name: value})
+
+
 # ---------------------------------------------------------------------------
 # single steps
 
@@ -269,9 +280,10 @@ def test_bem_operators_built_once_per_boundary_geometry(monkeypatch):
             super().__init__(bmesh, n_gauss)
 
         def fill(self):
-            if self._new.any():        # a fill that computes something
+            computed = super().fill()
+            if computed:
                 fills.append(self.bmesh.num_segments)
-            super().fill()
+            return computed
 
     monkeypatch.setattr(bem, "BemOperators", CountingOperators)
     geometries = set()
@@ -305,9 +317,10 @@ def test_exact_mode_factorizes_v_once_per_boundary(monkeypatch):
 
     class CountingOperators(bem.BemOperators):
         def fill(self):
-            if self._new.any():        # a fill that computes something
+            computed = super().fill()
+            if computed:
                 fills.append(self.bmesh.num_segments)
-            super().fill()
+            return computed
 
     class CountingFactor(uzawa.CholeskyFactor):
         def __init__(self, matrix):
@@ -326,6 +339,32 @@ def test_exact_mode_factorizes_v_once_per_boundary(monkeypatch):
     assert res.stop_reason == "budget"
     assert factorizations == fills
     assert rounds > len(fills)      # some rounds solve on an unchanged boundary
+
+
+@pytest.mark.parametrize("solver", ["pcg", "exact"])
+def test_operators_hold_the_driver_trace_in_every_bem_round(solver):
+    """Every BEM round solves on the driver's boundary object itself.
+
+    A round after refinements that split no segment reuses the V
+    solver of the round before; one after a split gets a new one.
+    """
+    last = {}             # boundary, segment count and V solver of the previous round
+    unsplit = 0
+
+    def observer(driver, phase, payload):
+        nonlocal unsplit
+        if phase != "bem":
+            return
+        assert driver.bem_ops.bmesh is driver.bm
+        if last:
+            same = driver.bm.num_segments == last["ns"]
+            assert (driver.bem_precond is last["solver"]) == same
+            unsplit += same and driver.bm is not last["bm"]
+        last.update(bm=driver.bm, ns=driver.bm.num_segments, solver=driver.bem_precond)
+
+    res = run_experiment_config(small_config(solver=solver), observer=observer)
+    assert res.stop_reason == "budget"
+    assert unsplit > 0
 
 
 @pytest.mark.parametrize("cfg", [
