@@ -29,8 +29,8 @@ are stored by slot, which a segment keeps through refinements, so the
 next fill grows each matrix once, the old one its top-left block, and
 evaluates only the rows and columns of the new segments, a kept row
 running every kernel on the new panels alone.
-Pairs of panels on one line are found by one line id per segment, kept
-on the boundary mesh.
+Pairs of panels on one line are found by the line id of each segment,
+which the boundary mesh carries through refinement.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoundaryMesh, gauss_legendre
+from .mesh import _LINE_TOL, BoundaryMesh, gauss_legendre
 
 __all__ = [
     "BemDensity",
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-_LINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -151,42 +150,10 @@ def _psi_antiderivative(z):
     return 0.5 * z2 * _safe_log(z2) * 0.5 - 0.75 * z2
 
 
-def _same_line(p0, p1, d, n, i, j):
-    """Whether panels ``i`` and ``j`` lie on one straight line.
-
-    ``i`` and ``j`` are panel index arrays broadcast against each other:
-    a column and a row of ids give a block of pairs.
-    """
-    def off(p):   # distance of an end of panel j from the line of panel i
-        return np.abs(n[i, 0] * (p[j, 0] - p0[i, 0]) + n[i, 1] * (p[j, 1] - p0[i, 1]))
-
-    cross = np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0])
-    return (cross < _LINE_TOL) & (off(p0) < _LINE_TOL) & (off(p1) < _LINE_TOL)
-
-
 def _panel_frames(bmesh: BoundaryMesh):
     """``(p0, p1, d, n, L)`` of every panel, with the end ``p1 = p0 + L d``."""
     p0, d, n, L = _frames(bmesh)
     return p0, p0 + L[:, None] * d, d, n, L
-
-
-def _line_ids(bmesh: BoundaryMesh) -> np.ndarray:
-    """One id per segment for its straight line, kept on ``bmesh``.
-
-    Two panels have the same id exactly when :func:`_same_line` puts
-    them on one line: each round labels the segments on the line of the
-    first unlabelled one.
-    """
-    def build():
-        p0, p1, d, n, _ = _panel_frames(bmesh)
-        line = np.full(bmesh.num_segments, -1)
-        count = 0
-        while (line < 0).any():
-            free = np.flatnonzero(line < 0)
-            line[free[_same_line(p0, p1, d, n, free[0], free)]] = count
-            count += 1
-        return line
-    return bmesh._derive("line_ids", build)
 
 
 def _along(p, p0, d, i, j):
@@ -452,7 +419,7 @@ class BemOperators:
         # the panel geometry by slot, and the slot of each panel's walk successor
         o = self.order
         p0, p1, d, n, L = (a[o] for a in _panel_frames(self.bmesh))
-        line = _line_ids(self.bmesh)[o]
+        line = self.bmesh.line_ids[o]
         nxt = self.slots[(o + 1) % ns]
         geometry = (p0, d, n, L, line, *(a[o] for a in self.bmesh.gauss_points(q)))
         rows = np.flatnonzero(new)

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+# Two segments of a boundary walk meet on one straight line when the cross
+# product of their unit tangents is below this
+_LINE_TOL = 1e-9
+
+
 def _read_only(fact):
     """Mark every array of a derived fact read-only: an array, a tuple or a CSR matrix."""
     if isinstance(fact, np.ndarray):
@@ -164,7 +169,10 @@ class BoundaryMesh(_Derived):
 
     Segments run counterclockwise (domain on the left); segment k joins
     boundary_vertices[k] to boundary_vertices[(k+1) % n].  ``normals``
-    point out of the domain.
+    point out of the domain.  Two segments have the same ``line_ids``
+    entry exactly when they lie on one straight line: a trace of an
+    initial mesh takes them from the sides of its polygon, and
+    :func:`refine_nvb` gives each son the id of its father.
 
     Like those of :class:`Mesh`, the facts derived from these arrays are
     built on first use and kept, read-only, for the life of the trace:
@@ -177,9 +185,10 @@ class BoundaryMesh(_Derived):
     owner: np.ndarray           # (ns,) element id owning each segment
     owner_edge: np.ndarray      # (ns,) local edge index in the owner
     boundary_vertices: np.ndarray  # (ns,) global vertex ids along the walk
+    line_ids: np.ndarray        # (ns,) id of the straight line of each segment
 
     def __post_init__(self):
-        for name in ("segments", "owner", "owner_edge", "boundary_vertices"):
+        for name in ("segments", "owner", "owner_edge", "boundary_vertices", "line_ids"):
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int64)))
 
     @property
@@ -392,7 +401,25 @@ def boundary_trace(mesh: Mesh) -> BoundaryMesh:
         owner=owner[walk],
         owner_edge=local[walk],
         boundary_vertices=start[walk],
+        line_ids=_side_ids(mesh.vertices[segments]),
     )
+
+
+def _side_ids(ends: np.ndarray) -> np.ndarray:
+    """The side of the boundary polygon of each segment of a closed walk.
+
+    ``ends`` holds the (ns, 2, 2) end points in walk order.  A walk
+    vertex is a corner unless the unit tangents of its two segments are
+    parallel to ``_LINE_TOL``; the sides, the runs between corners, are
+    numbered along the walk from the side of segment 0.  No two sides of
+    the L- or the Z-shape lie on one line, so equal ids mark exactly the
+    segments on one straight line.
+    """
+    e = ends[:, 1] - ends[:, 0]
+    t = e / np.linalg.norm(e, axis=1)[:, None]
+    prev = np.roll(t, 1, axis=0)
+    corner = np.abs(prev[:, 0] * t[:, 1] - prev[:, 1] * t[:, 0]) >= _LINE_TOL
+    return (np.cumsum(corner) - corner[0]) % corner.sum()
 
 
 # ----------------------------------------------------------------------------
@@ -454,9 +481,9 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     1/2 or 1/4 of the father's.
 
     The fine boundary walk comes from ``bmesh``: each segment becomes
-    itself or its two halves, in walk order.  New vertex ids exceed the
-    old ones, so the walk keeps its start and equals
-    ``boundary_trace(fine)`` when ``bmesh`` is a walk that
+    itself or its two halves, in walk order, and keeps its line id.  New
+    vertex ids exceed the old ones, so the walk keeps its start and
+    equals ``boundary_trace(fine)`` when ``bmesh`` is a walk that
     :func:`boundary_trace` or this function built.
 
     Returns ``(fine_mesh, relation)``.
@@ -518,7 +545,8 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     owner = offset[coarse_owner] + son
     segments = np.stack([tris[owner, local], tris[owner, (local + 1) % 3]], axis=1)
     fine_trace = BoundaryMesh(mesh=fine, segments=segments, owner=owner,
-                              owner_edge=local, boundary_vertices=segments[:, 0])
+                              owner_edge=local, boundary_vertices=segments[:, 0],
+                              line_ids=bmesh.line_ids[seg_father])
 
     relation = RefinementRelation(
         coarse=mesh,

@@ -6,8 +6,9 @@ single-layer potential, boundary integrals, CSV reading, the platform
 signature that bit-level pins name when they fail); and the
 einsum / ``np.add.at`` forms of the FEM kernels, kept as references for
 the matmul / ``np.bincount`` code in ``fembem.fem`` and
-``fembem.estimate``, and of the panel products in ``fembem.bem``; and
-the single-basis multilevel apply, the reference for a one-block
+``fembem.estimate``, and of the panel products in ``fembem.bem``; the
+pairwise same-line test that the line ids of a boundary mesh replace;
+and the single-basis multilevel apply, the reference for a one-block
 ``fembem.solver.LocalMultilevelDiagonal``.
 """
 
@@ -17,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from fembem.bem import (TWO_PI, BemDensity, BemOperators, BoundaryTrace, _blocks, _frames,
-                        _node_panel_geometry, double_layer_pointwise)
+                        _node_panel_geometry, _panel_frames, double_layer_pointwise)
 from fembem.cli import CSV_COLUMNS
 from fembem.fem import FeFunction, TriangleRule, _hat_gradients, _scatter, _sym3
-from fembem.mesh import boundary_trace, gauss_legendre, make_initial_mesh, refine_nvb
+from fembem.mesh import _LINE_TOL, boundary_trace, gauss_legendre, make_initial_mesh, refine_nvb
 from fembem.solver import CholeskyFactor
 
 
@@ -377,6 +378,24 @@ def collinear_coordinates_reference(p0, p1, d, i, j):
     """Coordinates ``(A2, B2)`` of the ends of panels ``j`` in the frames of panels ``i``."""
     return (np.einsum("kd,kd->k", p0[j] - p0[i], d[i]),
             np.einsum("kd,kd->k", p1[j] - p0[i], d[i]))
+
+
+def same_line_reference(bmesh):
+    """``(ns, ns)``: whether each pair of panels lies on one straight line, by distances.
+
+    Panels i and j are on one line when their unit tangents are parallel
+    and both ends of panel j lie on the line of panel i, each to
+    ``_LINE_TOL``; the line ids of ``bmesh`` must join exactly these pairs.
+    """
+    p0, p1, d, n, _ = _panel_frames(bmesh)
+    j = np.arange(len(p0))
+    i = j[:, None]
+
+    def off(p):   # distance of an end of panel j from the line of panel i
+        return np.abs(n[i, 0] * (p[j, 0] - p0[i, 0]) + n[i, 1] * (p[j, 1] - p0[i, 1]))
+
+    cross = np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0])
+    return (cross < _LINE_TOL) & (off(p0) < _LINE_TOL) & (off(p1) < _LINE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from _helpers import (assert_equal_to_a_fresh_build_by_slot, collinear_coordinates_reference,
                       double_layer_derivative_closed_form, integrate_double_layer, integrate_trace, nodal_interpolate_u0,
-                      panel_coordinates_reference, single_layer_pointwise,
+                      panel_coordinates_reference, same_line_reference, single_layer_pointwise,
                       uniform_refine_boundary)
 from fembem import bem
 from fembem.mesh import Mesh, boundary_trace, make_initial_mesh, refine_nvb
@@ -401,15 +401,17 @@ def test_refine_keeps_the_old_matrices_as_top_left_blocks(domain):
 @pytest.mark.parametrize("example", sorted(EXAMPLES))
 @pytest.mark.parametrize("marking", ["uniform", "random"])
 def test_line_ids_join_exactly_the_same_line_pairs(example, marking):
-    """``line[i] == line[j]`` is ``_same_line`` of the pair, for every pair of segments.
+    """``line[i] == line[j]`` is the distance test of the pair, for every pair of segments.
 
     The operators find their same-line pairs by the ids alone, so their
-    bits rest on this.  Random markings also mark a few elements, whose
-    closure grades the trace.
+    bits rest on this.  The initial ids come from the sides of the
+    polygon, the refined ones from the fathers.  Random markings also
+    mark a few elements, whose closure grades the trace.
     """
     rng = np.random.default_rng(len(example) + len(marking))
     mesh = make_initial_mesh(make_problem(example).domain)
     bm = boundary_trace(mesh)
+    np.testing.assert_array_equal(bm.line_ids[:, None] == bm.line_ids, same_line_reference(bm))
     for _ in range(5):
         ns = bm.num_segments
         if marking == "uniform":
@@ -419,16 +421,12 @@ def test_line_ids_join_exactly_the_same_line_pairs(example, marking):
             segs = rng.choice(ns, max(1, ns // 3), replace=False)
         mesh, rel = refine_nvb(mesh, tris, bmesh=bm, marked_segments=segs)
         bm = rel.fine_trace
-        line = bem._line_ids(bm)
-        k = np.arange(bm.num_segments)
-        same = bem._same_line(*bem._panel_frames(bm)[:4], k[:, None], k)
-        np.testing.assert_array_equal(line[:, None] == line, same)
-        assert bem._line_ids(bm) is line
+        np.testing.assert_array_equal(bm.line_ids[:, None] == bm.line_ids, same_line_reference(bm))
 
 
 def assert_same_line_pairs_are_zero(ops):
     """``DL0``, ``DL1`` and the ``MK`` rows of the Gauss nodes are 0.0 at equal line ids."""
-    line = bem._line_ids(ops.bmesh)[ops.order]         # by slot
+    line = ops.bmesh.line_ids[ops.order]               # by slot
     same = line[:, None] == line
     assert same.sum() > len(line)                      # more pairs than the diagonal
     assert np.count_nonzero(ops.DL0[~same]) > 0
