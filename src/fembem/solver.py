@@ -3,6 +3,10 @@
 The outer iteration only ever solves symmetric positive definite
 systems (the boundary-integral Galerkin matrix and the H1 Riesz
 matrix), so everything here assumes SPD and fails loudly otherwise.
+A PCG run needs no direct solver: the coarse level of the multilevel
+preconditioner is an inverse computed once in NumPy, so SciPy's
+factorizations (LAPACK ``potrs``, SuperLU) are imported by the first
+:class:`CholeskyFactor`, which only exact solves build.
 """
 
 from __future__ import annotations
@@ -10,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fem import assemble_riesz, riesz_diagonal
 from .mesh import Mesh, RefinementRelation, _Derived, vertex_prolongation_matrix
@@ -44,10 +45,14 @@ class CholeskyFactor:
     Sparse matrices go through an LU factorization with pivoting
     disabled on a symmetric fill-reducing permutation, which coincides
     with (scaled) Cholesky for SPD input; a non-positive pivot on the
-    diagonal of U exposes an indefinite matrix.
+    diagonal of U exposes an indefinite matrix.  SciPy's dense and
+    sparse solvers are imported with the first factor.
     """
 
     def __init__(self, matrix):
+        import scipy.linalg as sla
+        import scipy.sparse.linalg as spla
+
         if sp.issparse(matrix):
             lu = spla.splu(
                 matrix.tocsc(),
@@ -64,18 +69,37 @@ class CholeskyFactor:
                 factor = sla.cho_factor(a, lower=True, check_finite=False)
             except sla.LinAlgError as exc:
                 raise NotSpdError("dense Cholesky failed") from exc
-            self._solve = lambda b: _potrs(factor[0], b)
+
+            def potrs(b):   # solve with the lower factor, LAPACK ``potrs``
+                x, info = sla.lapack.dpotrs(factor[0], b, lower=True)
+                if info:
+                    raise ValueError(f"LAPACK potrs rejected argument {-info}")
+                return x
+            self._solve = potrs
 
     def solve(self, b):
         return self._solve(np.asarray(b, dtype=float))
 
 
-def _potrs(factor, b):
-    """Solve with the lower Cholesky factor ``factor`` (LAPACK ``potrs``)."""
-    x, info = lapack.dpotrs(factor, b, lower=True)
-    if info:
-        raise ValueError(f"LAPACK potrs rejected argument {-info}")
-    return x
+def _spd_inverse(matrix) -> np.ndarray:
+    """Inverse of a small SPD matrix by Gauss-Jordan elimination, without BLAS.
+
+    Elementwise row operations on ``[A | I]`` without pivoting; for a
+    symmetric matrix every pivot is positive exactly when it is positive
+    definite, so a non-positive pivot raises :class:`NotSpdError`.  The
+    result is symmetrized, so it is exactly symmetric.
+    """
+    n = len(matrix)
+    m = np.hstack([np.asarray(matrix, dtype=float), np.eye(n)])
+    for k in range(n):
+        if not m[k, k] > 0.0:
+            raise NotSpdError("Gauss-Jordan elimination hit a non-positive pivot")
+        m[k] /= m[k, k]
+        factors = m[:, k].copy()
+        factors[k] = 0.0
+        m -= factors[:, None] * m[k]
+    inverse = m[:, n:]
+    return 0.5 * (inverse + inverse.T)
 
 
 # ----------------------------------------------------------------------------
@@ -127,8 +151,10 @@ class LocalMultilevelDiagonal:
     prolongated hat function of one vertex that was active on its level
     (new, or in a patch that refinement changed), and d holds the inverse
     Riesz diagonal of each such hat function on its level.  The coarsest
-    level is solved exactly (it never outgrows the initial mesh).
-    Optimal for newest-vertex bisection hierarchies.
+    level is solved exactly (it never outgrows the initial mesh): its
+    inverse ``A0^{-1}``, computed once, is applied by ``np.einsum``,
+    which calls no BLAS.  Optimal for newest-vertex bisection
+    hierarchies.
 
     The levels come in consecutive runs, the blocks of a
     :class:`MeshHierarchy`.  Block b is one CSR basis ``[C_b Q_b]``:
@@ -140,11 +166,11 @@ class LocalMultilevelDiagonal:
     With a single block this is ``[C Q] (A0^{-1} ⊕ d) [C Q]' r``.
     """
 
-    def __init__(self, blocks, coarse_factor):
+    def __init__(self, blocks, coarse_inverse):
         # (basis, its CSC transpose view, d, number of coarse columns)
         self._blocks = [(basis, basis.T, d, basis.shape[1] - d.size)
                         for basis, d in blocks]
-        self._coarse_factor = coarse_factor
+        self._coarse_inverse = coarse_inverse
 
     def apply(self, r):
         x = np.asarray(r, dtype=float)
@@ -154,7 +180,7 @@ class LocalMultilevelDiagonal:
             y[nc:] *= d
             restricted.append(y)
             x = y[:nc]
-        z = self._coarse_factor.solve(x)
+        z = np.einsum("ij,j->i", self._coarse_inverse, x)
         for (basis, _, _, nc), y in zip(self._blocks, reversed(restricted)):
             y[:nc] = z
             z = basis @ y
@@ -187,7 +213,7 @@ class MeshHierarchy:
     def __init__(self, mesh: Mesh):
         self.meshes = [mesh]
         self._levels = [None]               # level 0 has no previous level
-        self._coarse_factor = CholeskyFactor(assemble_riesz(mesh).toarray())
+        self._coarse_inverse = _spd_inverse(assemble_riesz(mesh).toarray())
         self._blocks = [(sp.identity(mesh.num_vertices, format="csr"), np.zeros(0))]
         self._folded = 1                   # levels already in the blocks
 
@@ -208,7 +234,7 @@ class MeshHierarchy:
             self._fold(self.meshes[k - 1], self.meshes[k], self._levels[k].prolongation)
             self.meshes[k - 1].drop_derived()
         self._folded = len(self._levels)
-        return LocalMultilevelDiagonal(self._blocks, self._coarse_factor)
+        return LocalMultilevelDiagonal(self._blocks, self._coarse_inverse)
 
     def _fold(self, coarse: Mesh, fine: Mesh, prolongation) -> None:
         active = np.zeros(fine.num_vertices, dtype=bool)

@@ -402,10 +402,10 @@ def same_line_reference(bmesh):
 # single-basis multilevel apply
 
 
-def composite_apply_reference(basis, inverse_diagonal, coarse_factor, r):
+def composite_apply_reference(basis, inverse_diagonal, coarse_inverse, r):
     """``[C Q] (A0^{-1} ⊕ d) [C Q]' r`` with one CSR basis ``[C Q]``."""
     y = basis.T @ np.asarray(r, dtype=float)
     n0 = basis.shape[1] - inverse_diagonal.size
-    y[:n0] = coarse_factor.solve(y[:n0])
+    y[:n0] = np.einsum("ij,j->i", coarse_inverse, y[:n0])
     y[n0:] *= inverse_diagonal
     return basis @ y

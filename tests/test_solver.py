@@ -54,6 +54,8 @@ def test_not_spd_is_detected():
         CholeskyFactor(sp.diags([1.0, -1.0]).tocsc())
     with pytest.raises(NotSpdError):
         JacobiPreconditioner.of(np.diag([1.0, -2.0]))
+    with pytest.raises(NotSpdError):
+        solver._spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_sparse_and_dense_factor_agree(lshape, rng):
@@ -219,6 +221,15 @@ def test_single_level_hierarchy_is_exact_solver(lshape, rng):
     assert res.iterations == 1 and res.converged
 
 
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+def test_coarse_inverse_is_symmetric_and_equals_the_lapack_inverse(domain):
+    mesh = make_initial_mesh(domain)
+    inverse = MeshHierarchy(mesh)._coarse_inverse
+    assert (inverse == inverse.T).all()
+    np.testing.assert_allclose(inverse, np.linalg.inv(assemble_riesz(mesh).toarray()),
+                               rtol=1e-12)
+
+
 def test_hierarchy_rejects_disconnected_relation(lshape):
     hierarchy = MeshHierarchy(lshape)
     other = uniform_refine(lshape, 1)
@@ -330,7 +341,7 @@ def test_one_block_apply_has_the_bits_of_the_composite_basis(domain):
     for _ in range(3):
         r = rng.standard_normal(meshes[-1].num_vertices)
         ref = composite_apply_reference(basis, inverse_diagonal,
-                                        hierarchy._coarse_factor, r)
+                                        hierarchy._coarse_inverse, r)
         assert pre.apply(r).tobytes() == ref.tobytes()
 
 

@@ -531,6 +531,42 @@ def test_pcg_and_exact_solvers_agree_on_errors():
     assert 0.5 <= ratio <= 2.0
 
 
+_SOLVERS_LOADED = """
+import dataclasses, sys
+from fembem.cli import parse_config
+from fembem.model import make_problem
+from fembem.uzawa import UzawaDriver
+
+def driver(name, **changes):
+    config = dataclasses.replace(parse_config(sys.argv[1] + "/" + name), **changes)
+    return UzawaDriver(make_problem(config.example), config)
+
+def loaded():
+    print([name in sys.modules for name in ("scipy.linalg", "scipy.sparse.linalg")])
+
+driver("lshape_gamma095.cfg", budget_elements=200).run()
+loaded()
+driver("zshape_nonlinear.cfg")
+loaded()
+"""
+
+
+def test_a_pcg_run_loads_no_direct_solver():
+    """SciPy's dense and sparse solvers stay unloaded through a whole PCG run.
+
+    An exact-mode driver loads both while it is built, with its first
+    factor of V.  A fresh process, so no other test has loaded them.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVERS_LOADED, str(root / "scripts" / "configs")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[False, False]", "[True, True]"]
+
+
 def test_result_containers():
     res = run_experiment_config(small_config(max_outer=2,
                                              budget_elements=10_000))
@@ -581,8 +617,8 @@ def test_benchmark_hooks_find_every_wrapped_name(tmp_path):
 # They hold on NumPy SIMD targets X86_V3 X86_V4 AVX512_ICL AVX512_SPR
 # with the OpenBLAS core SkylakeX (``_helpers.platform_signature``).
 BENCHMARK_FINGERPRINTS = {
-    "lshape_fixed": "3e6a6bb460a5a8db37ab1098e80ffe90ab1ebe383701af8879842b0ea6cfa8b9",
-    "lshape_adaptive": "08721c974dd70f5a734f5e8666e03b1d2beaef90ca268cd46e43454878204743",
+    "lshape_fixed": "523b4a9cad1d6b7e9ad7809b45d88fe4c389eb4fa4366b8f3a558e583e4408ca",
+    "lshape_adaptive": "5756fd85d8d35ba3e499c02d4f3241248ba144d0d57bff80a7f0a5c1555d46cb",
     "zshape_exact": "6b1d64eb84d7cf88ede40a6494aba742d9a6534b37fe1af038dbc413706fa516",
 }
 
