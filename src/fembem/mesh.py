@@ -28,8 +28,9 @@ __all__ = [
 ]
 
 
-# Two segments of a boundary walk meet on one straight line when the cross
-# product of their unit tangents is below this
+# Tolerance of the straight-line tests: two consecutive segments of a
+# boundary walk are collinear when the cross product of their unit tangents
+# is below it (also the on-line test of the pointwise double layer in bem)
 _LINE_TOL = 1e-9
 
 
@@ -169,10 +170,11 @@ class BoundaryMesh(_Derived):
 
     Segments run counterclockwise (domain on the left); segment k joins
     boundary_vertices[k] to boundary_vertices[(k+1) % n].  ``normals``
-    point out of the domain.  Two segments have the same ``line_ids``
-    entry exactly when they lie on one straight line: a trace of an
-    initial mesh takes them from the sides of its polygon, and
-    :func:`refine_nvb` gives each son the id of its father.
+    point out of the domain.  ``line_ids`` numbers the sides of the
+    polygon, one entry per segment: :func:`boundary_trace` finds them
+    at the corners of the walk, and :func:`refine_nvb` gives each son
+    the id of its father.  The operators of :mod:`fembem.bem` take
+    equal ids for one straight line.
 
     Like those of :class:`Mesh`, the facts derived from these arrays are
     built on first use and kept, read-only, for the life of the trace:

@@ -45,8 +45,7 @@ class CholeskyFactor:
     Sparse matrices go through an LU factorization with pivoting
     disabled on a symmetric fill-reducing permutation, which coincides
     with (scaled) Cholesky for SPD input; a non-positive pivot on the
-    diagonal of U exposes an indefinite matrix.  SciPy's dense and
-    sparse solvers are imported with the first factor.
+    diagonal of U exposes an indefinite matrix.
     """
 
     def __init__(self, matrix):
