@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -33,24 +32,8 @@ class ConfigError(Exception):
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
-
-
-def _coerce(name: str, raw: str, target_type, line_no: int):
-    try:
-        if target_type is bool:
-            try:
-                return _BOOL_WORDS[raw.lower()]
-            except KeyError:
-                raise ValueError(raw) from None
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(
-            f"line {line_no}: cannot parse {name} = {raw!r} as {target_type.__name__}"
-        ) from None
+# parsers by the annotation string of a field, the one UzawaConfig checks
+_PARSE = {"bool": lambda raw: _BOOL_WORDS[raw.lower()], "int": int, "float": float, "str": str}
 
 
 def parse_config(path) -> UzawaConfig:
@@ -59,10 +42,12 @@ def parse_config(path) -> UzawaConfig:
     Unknown keys and syntax problems are reported with their line
     number; a missing ``example`` key is an error, and so is a file that
     cannot be read as UTF-8 text (a leading byte-order mark is
-    skipped).  Defaults follow the dataclass (theta 0.25, tau_rel 1e-3,
-    ...).
+    skipped).  Each value is parsed by the type its field declares in
+    :class:`UzawaConfig`: ``bool`` (true/false, yes/no, on/off, 1/0),
+    ``int``, ``float`` or ``str``.  Defaults follow the dataclass (theta
+    0.25, tau_rel 1e-3, ...).
     """
-    types = typing.get_type_hints(UzawaConfig)
+    types = {f.name: f.type for f in dataclasses.fields(UzawaConfig)}
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -79,7 +64,11 @@ def parse_config(path) -> UzawaConfig:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        values[key] = _coerce(key, raw, types[key], line_no)
+        try:
+            values[key] = _PARSE[types[key]](raw)
+        except (KeyError, ValueError):    # a KeyError is a word that is no bool
+            raise ConfigError(
+                f"line {line_no}: cannot parse {key} = {raw!r} as {types[key]}") from None
     if "example" not in values:
         raise ConfigError("missing key: example")
     try:
@@ -113,7 +102,7 @@ def fit_slope(num_elements, values) -> float:
     """Least-squares slope of log(values) against log(num_elements).
 
     Fitted over the final decade of element counts; needs at least five
-    rows there to be meaningful.
+    rows there, all positive and finite (``ValueError`` otherwise).
     """
     ne = np.asarray(num_elements, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -122,8 +111,8 @@ def fit_slope(num_elements, values) -> float:
     sel = ne >= ne.max() / 10.0
     if sel.sum() < 5:
         raise ValueError("fewer than five rows in the final decade")
-    if np.any(vals[sel] <= 0.0):
-        raise ValueError("values must be positive for a log-log fit")
+    if not np.all((vals[sel] > 0.0) & np.isfinite(vals[sel])):
+        raise ValueError("values must be positive and finite for a log-log fit")
     design = np.stack([np.log(ne[sel]), np.ones(int(sel.sum()))], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.log(vals[sel]), rcond=None)
     return float(coef[0])

@@ -36,9 +36,10 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     For P1 functions the strong volume residual has no second-order
     part, and normal-flux jumps are constant along each edge; the volume
     term uses ``TRI_P5``, the boundary term 2 Gauss nodes per segment.  ``w`` and
-    ``u_prev`` must live on ``mesh``, and ``phi_j`` must hold one value
-    per segment of ``bmesh`` (``ValueError`` otherwise).
+    ``u_prev`` must live on ``mesh``, ``bmesh`` must be a trace of it, and
+    ``phi_j`` must hold one value per segment of ``bmesh`` (``ValueError`` otherwise).
     """
+    bmesh.check_mesh(mesh)
     w.check_mesh(mesh, "w")
     u_prev.check_mesh(mesh, "u_prev")
     area = mesh.areas()

@@ -63,12 +63,11 @@ class FeFunction(_Derived):
             "tk,tkd->td", self.values[self.mesh.triangles], _hat_gradients(self.mesh)))
 
     def flux(self, operator) -> np.ndarray:
-        """``operator(centroids, element_gradients())``, (nt, 2), kept per ``operator``.
+        """``operator(element_gradients())``, (nt, 2), kept per ``operator``.
 
         P1 gradients are constant per element, so this is the exact flux.
         """
-        return self._derive(("flux", operator), lambda: operator(
-            self.mesh.centroids(), self.element_gradients()))
+        return self._derive(("flux", operator), lambda: operator(self.element_gradients()))
 
     def at_barycentric(self, lam: np.ndarray) -> np.ndarray:
         """Values at barycentric points, shape (nt, nq)."""
@@ -205,10 +204,9 @@ def boundary_load(bmesh: BoundaryMesh, values: np.ndarray) -> np.ndarray:
 def apply_interior_operator(operator, u: FeFunction) -> np.ndarray:
     """Vector of ``a(u; hat_i) = (A(grad u), grad hat_i)`` for a flux map ``A``.
 
-    ``operator(points (n,2), grads (n,2))`` returns the fluxes (n, 2).  P1
-    gradients are constant per element, so the flux is evaluated at each
-    centroid, once per ``u`` and operator (:meth:`FeFunction.flux`), and
-    the form is exact.
+    ``operator(grads (n,2))`` returns the fluxes (n, 2).  P1 gradients
+    are constant per element, so the flux is evaluated once per element,
+    ``u`` and operator (:meth:`FeFunction.flux`), and the form is exact.
     """
     mesh = u.mesh
     contrib = np.einsum("td,tkd->tk", u.flux(operator), _hat_gradients(mesh)) \
@@ -224,7 +222,10 @@ def assemble_w_rhs(mesh: Mesh, bmesh: BoundaryMesh, f, phi0, phi_j, u_prev: FeFu
     where ``a`` applies the (possibly nonlinear) flux map ``operator``.
     ``phi_j`` is a piecewise-constant boundary density given by one value
     per segment of ``bmesh``; ``phi0`` is a callback ``(points, normals)``.
+    ``bmesh`` must be a trace of ``mesh`` and ``u_prev`` live on it
+    (``ValueError`` otherwise).
     """
+    bmesh.check_mesh(mesh)
     u_prev.check_mesh(mesh, "u_prev")
     phi_j = bmesh.per_segment(phi_j, "phi_j")
     rhs = volume_load(mesh, f)

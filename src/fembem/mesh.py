@@ -87,7 +87,7 @@ class Mesh(_Derived):
     father      -- (nt,) element id in the previous mesh (-1 for roots)
 
     Facts derived from these arrays are built on first use and kept,
-    read-only, on the mesh: corners, areas, centroids and the edge
+    read-only, on the mesh: corners, areas and the edge
     structure here, the hat gradients, quadrature points and Riesz matrix
     in :mod:`fembem.fem`, the interior edges in :mod:`fembem.estimate`.
     :meth:`drop_derived` forgets all of them.
@@ -123,10 +123,6 @@ class Mesh(_Derived):
             e2 = p[:, 2] - p[:, 0]
             return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         return self._derive("areas", build)
-
-    def centroids(self) -> np.ndarray:
-        """Element centroids, shape (nt, 2)."""
-        return self._derive("centroids", lambda: self.corners().mean(axis=1))
 
     def edge_structure(self):
         """Unique (undirected) edges and the triangle->edge incidence.
@@ -169,7 +165,7 @@ class BoundaryMesh(_Derived):
     """Trace of a volume mesh on the boundary polygon.
 
     Segments run counterclockwise (domain on the left); segment k joins
-    boundary_vertices[k] to boundary_vertices[(k+1) % n].  ``normals``
+    its start boundary_vertices[k] to boundary_vertices[(k+1) % n].  ``normals``
     point out of the domain.  ``line_ids`` numbers the sides of the
     polygon, one entry per segment: :func:`boundary_trace` finds them
     at the corners of the walk, and :func:`refine_nvb` gives each son
@@ -186,16 +182,25 @@ class BoundaryMesh(_Derived):
     segments: np.ndarray        # (ns, 2) global vertex ids, ordered along the walk
     owner: np.ndarray           # (ns,) element id owning each segment
     owner_edge: np.ndarray      # (ns,) local edge index in the owner
-    boundary_vertices: np.ndarray  # (ns,) global vertex ids along the walk
     line_ids: np.ndarray        # (ns,) id of the straight line of each segment
 
     def __post_init__(self):
-        for name in ("segments", "owner", "owner_edge", "boundary_vertices", "line_ids"):
+        for name in ("segments", "owner", "owner_edge", "line_ids"):
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int64)))
 
     @property
     def num_segments(self) -> int:
         return len(self.segments)
+
+    @property
+    def boundary_vertices(self) -> np.ndarray:
+        """(ns,) global vertex ids along the walk: the start of each segment."""
+        return self.segments[:, 0]
+
+    def check_mesh(self, mesh: Mesh) -> None:
+        """Raise ``ValueError`` unless this is a trace of the object ``mesh`` itself."""
+        if self.mesh is not mesh:
+            raise ValueError("bmesh is not a trace of the given mesh")
 
     def per_segment(self, values, name: str) -> np.ndarray:
         """``values`` as floats, one per segment; ``ValueError`` naming ``name`` otherwise."""
@@ -308,22 +313,6 @@ def vertex_prolongation_matrix(new_vertex_parents, num_coarse: int):
 # initial meshes
 
 
-def _normalize_reference_edges(triangles, refedge):
-    """Rotate each connectivity row so the reference edge is (v0, v1)."""
-    t = np.asarray(triangles, dtype=np.int64).copy()
-    for i, k in enumerate(refedge):
-        t[i] = np.roll(t[i], -k)
-    return t
-
-
-def _longest_edge_refedge(vertices, triangles):
-    p = np.asarray(vertices, float)[np.asarray(triangles, int)]
-    l0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    l1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-    l2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-    return np.argmax(np.stack([l0, l1, l2], axis=1), axis=1)
-
-
 def make_initial_mesh(domain: str) -> Mesh:
     """Coarse triangulation of the L-shaped or Z-shaped domain.
 
@@ -334,7 +323,8 @@ def make_initial_mesh(domain: str) -> Mesh:
     3*pi/2 at the origin; the Z-shape removes only the wedge between
     the positive x-axis and the ray at -pi/4, leaving an angle of
     7*pi/4.  Each quarter square is split into four elements via its
-    center; the reference edges are the longest edges.
+    center.  Each element lists its strictly longest edge first, so the
+    reference edges are the longest edges.
     """
     h = 0.25
     if domain == "lshape":
@@ -363,9 +353,7 @@ def make_initial_mesh(domain: str) -> Mesh:
         ]
     else:
         raise ValueError(f"unknown domain {domain!r}; expected 'lshape' or 'zshape'")
-    refedge = _longest_edge_refedge(vertices, triangles)
-    tris = _normalize_reference_edges(triangles, refedge)
-    return Mesh(vertices, tris)
+    return Mesh(vertices, triangles)
 
 
 # ----------------------------------------------------------------------------
@@ -402,7 +390,6 @@ def boundary_trace(mesh: Mesh) -> BoundaryMesh:
         segments=segments,
         owner=owner[walk],
         owner_edge=local[walk],
-        boundary_vertices=start[walk],
         line_ids=_side_ids(mesh.vertices[segments]),
     )
 
@@ -476,7 +463,8 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     ``marked_segments`` optionally names boundary segments (indices into
     ``bmesh``, which defaults to ``boundary_trace(mesh)``) that must be
     split as well -- used when the marking is driven by boundary
-    indicators.  The closure iterates "any element with a marked edge
+    indicators; ``bmesh`` must be a trace of ``mesh`` itself
+    (``ValueError`` otherwise).  The closure iterates "any element with a marked edge
     gets its reference edge marked" to a fixpoint, then every element is
     split according to its marked edges (1, 2 or 3 bisections into 2, 3
     or 4 sons).  Marked elements never survive; son areas are exactly
@@ -500,6 +488,7 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
         edge_marked[tri2edge[marked, 0]] = True
     if bmesh is None:
         bmesh = boundary_trace(mesh)
+    bmesh.check_mesh(mesh)
     seg_ids = np.unique(np.asarray(marked_segments, dtype=np.int64))
     if len(seg_ids):
         if seg_ids.min() < 0 or seg_ids.max() >= bmesh.num_segments:
@@ -547,8 +536,7 @@ def refine_nvb(mesh: Mesh, marked, marked_segments=(), bmesh: BoundaryMesh = Non
     owner = offset[coarse_owner] + son
     segments = np.stack([tris[owner, local], tris[owner, (local + 1) % 3]], axis=1)
     fine_trace = BoundaryMesh(mesh=fine, segments=segments, owner=owner,
-                              owner_edge=local, boundary_vertices=segments[:, 0],
-                              line_ids=bmesh.line_ids[seg_father])
+                              owner_edge=local, line_ids=bmesh.line_ids[seg_father])
 
     relation = RefinementRelation(
         coarse=mesh,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -46,16 +46,16 @@ class ExactData:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Everything the solver needs about one example."""
+    """Everything the solver needs about one example, its exact solution included."""
 
     name: str
     domain: str
-    operator: Callable                # flux map A, (points (n,2), grads (n,2)) -> (n,2)
+    operator: Callable                # flux map A of the gradient alone, (n,2) -> (n,2)
     f: Callable                       # volume load, (n,2) -> (n,)
     u0: Callable                      # jump of traces, (n,2) -> (n,)
     phi0: Callable                    # jump of fluxes, (points, normals) -> (n,)
     du0_ds: Callable                  # arclength derivative of u0, (points, tangents) -> (n,)
-    exact: Optional[ExactData] = None
+    exact: ExactData
 
 
 # ----------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def _transmission_callbacks(exact: ExactData, flux_of_grad):
         return exact.u(points) - exact.u_ext(points)
 
     def phi0(points, normals):
-        flux = flux_of_grad(points, exact.grad_u(points)) - exact.grad_u_ext(points)
+        flux = flux_of_grad(exact.grad_u(points)) - exact.grad_u_ext(points)
         return np.einsum("nd,nd->n", np.asarray(normals, float), flux)
 
     def du0_ds(points, tangents):
@@ -159,7 +159,7 @@ def _lshape(name: str, scale: float) -> ProblemSpec:
     exact = _exact_data(2.0 / 3.0)
 
     # A = scale * I: strongly monotone and Lipschitz, both with constant scale
-    def a_flux(points, grads):
+    def a_flux(grads):
         return scale * np.asarray(grads, float)
 
     u0, phi0, du0 = _transmission_callbacks(exact, a_flux)
@@ -174,7 +174,7 @@ def _nonlinear_zshape() -> ProblemSpec:
     exact = _exact_data(beta)
 
     # A = chi(|g|) g: strongly monotone with constant 1, Lipschitz with constant 2
-    def a_flux(points, grads):
+    def a_flux(grads):
         g = np.asarray(grads, float)
         t = np.linalg.norm(g, axis=-1)
         return chi(t)[..., None] * g

@@ -291,12 +291,10 @@ class UzawaDriver:
         est_fem, est_bem = float(np.sqrt(eta2.sum())), float(np.sqrt(mu2.sum()))
         nu = est_fem + est_bem + w_norm + np.sqrt(fem_alg2) + np.sqrt(bem_alg2)
 
-        err_h1 = err_gamma = float("nan")
         exact = self.problem.exact
-        if exact is not None:
-            err_h1 = h1_error(self.u, exact.u, exact.grad_u)
-            err_gamma = bem.hminushalf_error_surrogate(
-                self.bm, exact.phi, self.psi_vals, n_gauss=cfg.mu_gauss)
+        err_h1 = h1_error(self.u, exact.u, exact.grad_u)
+        err_gamma = bem.hminushalf_error_surrogate(
+            self.bm, exact.phi, self.psi_vals, n_gauss=cfg.mu_gauss)
 
         return UzawaStepRecord(
             j=j, num_elements=self.mesh.num_triangles,

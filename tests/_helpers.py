@@ -64,15 +64,6 @@ def derived_facts(mesh):
     return sorted(map(str, vars(mesh).get("_facts", {})))
 
 
-def uniform_refine_relations(mesh, times=1):
-    """Like :func:`uniform_refine` but also returns the relation chain."""
-    relations = []
-    for _ in range(times):
-        mesh, rel = refine_nvb(mesh, np.arange(mesh.num_triangles))
-        relations.append(rel)
-    return mesh, relations
-
-
 def uniform_refine_boundary(mesh, times=1):
     """Refine every triangle and split every boundary segment each round."""
     bm = boundary_trace(mesh)
@@ -140,10 +131,6 @@ def zero_fe(mesh):
 
 def f_one(points):
     return np.ones(len(points))
-
-
-def f_zero(points):
-    return np.zeros(len(points))
 
 
 def phi0_zero(points, normals):
@@ -322,7 +309,7 @@ def boundary_load_reference(bmesh, values, n_gauss=4):
 
 def apply_interior_operator_reference(operator, u):
     mesh = u.mesh
-    flux = operator(mesh.centroids(), _element_gradients_reference(u))
+    flux = operator(_element_gradients_reference(u))
     contrib = np.einsum("td,tkd->tk", flux, _hat_gradients(mesh)) * mesh.areas()[:, None]
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.triangles.reshape(-1), contrib.reshape(-1))
@@ -341,7 +328,7 @@ def eta_fem_reference(mesh, bmesh, w, u_prev, f, phi0, phi_j, operator, rule, n_
     area = mesh.areas()
     dens = rule.values(mesh, f) - w.at_barycentric(rule.barycentric)
     eta2 = area ** 2 * np.einsum("q,tq->t", rule.weights, dens ** 2)
-    sigma = operator(mesh.centroids(), _element_gradients_reference(u_prev)) \
+    sigma = operator(_element_gradients_reference(u_prev)) \
         + _element_gradients_reference(w)
     edges, tri2edge, edge2tri = mesh.edge_structure()
     evec = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]

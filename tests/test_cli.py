@@ -205,6 +205,10 @@ def test_fit_slope_error_messages():
     vals[3] = 0.0
     with pytest.raises(ValueError, match="values must be positive"):
         fit_slope(ne, vals)
+    for bad in (np.nan, np.inf):
+        vals[3] = bad
+        with pytest.raises(ValueError, match="values must be positive and finite"):
+            fit_slope(ne, vals)
 
 
 # ---------------------------------------------------------------------------

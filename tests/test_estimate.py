@@ -12,7 +12,7 @@ from _helpers import (f_one, nodal_interpolate_u0, phi0_zero, uniform_refine,
 from fembem import bem
 from fembem.estimate import doerfler_mark, eta_fem, mu_bem
 from fembem.fem import FeFunction, assemble_riesz, assemble_w_rhs, volume_load
-from fembem.mesh import Mesh, boundary_trace, make_initial_mesh
+from fembem.mesh import Mesh, boundary_trace, make_initial_mesh, refine_nvb
 from fembem.model import make_problem
 from fembem.solver import CholeskyFactor
 
@@ -72,6 +72,21 @@ def test_functions_of_another_mesh_are_rejected(lshape):
             eta_fem(mesh, bm, foreign, own, f_one, phi0_zero, psi, LAPLACE_OP)
         with pytest.raises(ValueError, match="u_prev does not live"):
             eta_fem(mesh, bm, own, foreign, f_one, phi0_zero, psi, LAPLACE_OP)
+
+
+def test_traces_of_another_mesh_are_rejected(lshape):
+    """``bmesh`` must be a trace of the mesh object itself: not of its father, nor of a twin."""
+    mesh = uniform_refine(lshape, 1)
+    own = zero_fe(mesh)
+    twin = Mesh(mesh.vertices, mesh.triangles)
+    for foreign in (boundary_trace(lshape), boundary_trace(twin)):
+        psi = np.zeros(foreign.num_segments)
+        with pytest.raises(ValueError, match="bmesh is not a trace of the given mesh"):
+            refine_nvb(mesh, [0], bmesh=foreign)
+        with pytest.raises(ValueError, match="bmesh is not a trace of the given mesh"):
+            assemble_w_rhs(mesh, foreign, f_one, phi0_zero, psi, own, LAPLACE_OP)
+        with pytest.raises(ValueError, match="bmesh is not a trace of the given mesh"):
+            eta_fem(mesh, foreign, own, own, f_one, phi0_zero, psi, LAPLACE_OP)
 
 
 def test_eta_rejects_a_density_not_given_per_segment(lshape):

@@ -19,7 +19,7 @@ from fembem.model import make_problem
 from fembem.solver import CholeskyFactor
 
 
-def identity_flux(points, grads):
+def identity_flux(grads):
     """Flux map A(g) = g, whose form is the stiffness bilinear form."""
     return grads
 
@@ -316,7 +316,6 @@ EXACT = make_problem("laplace_lshape").exact
 MESH_FACTS = {
     "corners": Mesh.corners,
     "areas": Mesh.areas,
-    "centroids": Mesh.centroids,
     "edge_structure": Mesh.edge_structure,
     "interior_edges": _interior_edges,
     "hat_gradients": _hat_gradients,
@@ -354,7 +353,6 @@ def test_mesh_facts_are_kept_read_only_and_equal_a_fresh_build(domain, seed):
             assert got.tobytes() == ref.tobytes(), key
     p = mesh.corners()
     assert p.tobytes() == mesh.vertices[mesh.triangles].tobytes()
-    assert mesh.centroids().tobytes() == p.mean(axis=1).tobytes()
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     assert mesh.areas().tobytes() == area.tobytes()
@@ -432,9 +430,9 @@ def test_flux_runs_once_per_function_and_operator(rng):
     psi = np.zeros(bm.num_segments)
     calls = []
 
-    def counting(points, grads):
+    def counting(grads):
         calls.append(len(grads))
-        return NONLINEAR_OP(points, grads)
+        return NONLINEAR_OP(grads)
 
     u = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
     rhs = assemble_w_rhs(mesh, bm, load, phi0_zero, psi, u, counting)

@@ -146,7 +146,7 @@ def test_jump_callbacks_are_consistent(name):
     du0 = prob.u0(pts) - (prob.exact.u(pts) - prob.exact.u_ext(pts))
     assert np.abs(du0).max() <= 1e-12
 
-    flux = prob.operator(pts, prob.exact.grad_u(pts))
+    flux = prob.operator(prob.exact.grad_u(pts))
     dphi0 = prob.phi0(pts, nrm) - (np.einsum("nd,nd->n", flux, nrm)
                                    - prob.exact.phi(pts, nrm))
     assert np.abs(dphi0).max() <= 1e-12
