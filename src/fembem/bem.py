@@ -26,7 +26,7 @@ panel geometry and keeps them as matrices of the boundary mesh, one
 entry per (segment or Gauss node, panel) pair; the ``-1/2`` of the
 double-layer right-hand side is applied with the trace.  The matrices
 are stored by slot, which a segment keeps through refinements, so the
-next fill grows each matrix once, the old one its top-left block, and
+next fill grows each matrix in place, the old one its top-left block, and
 evaluates only the rows and columns of the new segments, a kept row
 running every kernel on the new panels alone.
 Pairs of panels on one line are found by the line id of each segment,
@@ -35,6 +35,7 @@ which the boundary mesh carries through refinement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,10 +293,13 @@ def double_layer_pointwise(bmesh: BoundaryMesh, g: BoundaryTrace, points) -> np.
 # ----------------------------------------------------------------------------
 # operators of one boundary mesh
 
-# entries of one (Gauss nodes x panels) block of the assembly pass; a block
-# keeps about 25 temporaries of this size alive, and larger blocks only
-# raise the peak memory without building faster
-_BLOCK_ENTRIES = 50_000
+# entries of one (Gauss nodes x panels) block of the assembly pass.  A block
+# keeps about 16 temporaries of this size alive, 1 MB at 8 000 entries, which
+# stays in a 2 MB L2 cache.  In fresh runs (2-core Xeon VM, one BLAS thread,
+# median of 8) the fills of lshape_adaptive_a005 at 10 000 elements took
+# 0.20, 0.15, 0.14 and 0.17 s at 4 000, 8 000, 16 000 and 50 000 entries, and
+# lshape_gamma095 at 920 peaked at 59.2, 59.2, 59.9 and 61.0 MB
+_BLOCK_ENTRIES = 8_000
 
 
 def _gauss_sum(w, block):
@@ -315,11 +319,18 @@ def _nodes(segs, q):
     return (segs[:, None] * q + np.arange(q)).reshape(-1)
 
 
-def _grown(a, rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) array holding ``a`` in its top-left block; the rest is unset."""
-    out = np.empty((rows, cols))
-    out[:a.shape[0], :a.shape[1]] = a
-    return out
+# ``ndarray.resize`` with NumPy's reference check on, called from C: under a
+# profiler or tracer (cProfile, coverage, a debugger) a method call from Python
+# holds one more reference to the array, which the check takes for a view
+_resize = functools.partial(np.ndarray.resize)
+
+
+def _matrix(name):
+    """The matrix ``name`` of :class:`BemOperators`: a view of the front of its buffer."""
+    def view(ops):
+        rows, width = ops._per_slot[name] * ops._width, ops._width
+        return ops._buffers[name][:rows * width].reshape(rows, width)
+    return property(view)
 
 
 class BemOperators:
@@ -355,18 +366,31 @@ class BemOperators:
     Gauss node and a panel.  So :meth:`refine`, run on every refinement
     of the trace, moves no entry: an unsplit segment keeps its slot, the
     first son of a split one takes its father's and the second son the
-    next fresh slot at the end.  :meth:`fill` grows each matrix once,
-    the old one its top-left block, and computes only the rows and
-    columns of the new segments: new rows on every panel, kept rows on
-    the new panels alone.  A fresh object is the fill of empty
-    operators, and a refined one equals it, permuted by the slots, bit
-    for bit.
+    next fresh slot at the end.  :meth:`fill` grows each matrix, the old
+    one its top-left block, and computes only the rows and columns of
+    the new segments: new rows on every panel, kept rows on the new
+    panels alone.  A fresh object is the fill of empty operators, and a
+    refined one equals it, permuted by the slots, bit for bit.
     Same-line pairs (the closed forms of ``V``, the zeros of ``DL0``,
     ``DL1`` and ``MK``) come from the line ids of the boundary mesh
-    alone.  Rows are built in segment-aligned blocks of at most
-    ``_BLOCK_ENTRIES`` entries, so only one block of temporaries is
-    alive at a time.
+    alone.
+
+    A fill holds one copy of each matrix and one block of temporaries:
+    rows are built, and ``V`` symmetrized, in segment-aligned blocks of
+    at most ``_BLOCK_ENTRIES`` entries, and each matrix lives in a
+    private 1-D buffer that grows in place.  The attributes ``V``,
+    ``DL0``, ``DL1``, ``MK`` and ``MV`` are views of these buffers, made
+    on every read.  NumPy resizes a buffer only while no other array
+    views it, so a caller that holds a matrix (or any view of one)
+    across a fill gets NumPy's ``ValueError``; to keep a matrix, keep a
+    copy.  The driver reads them only between fills.
     """
+
+    V = _matrix("V")
+    DL0 = _matrix("DL0")
+    DL1 = _matrix("DL1")
+    MK = _matrix("MK")
+    MV = _matrix("MV")
 
     def __init__(self, bmesh: BoundaryMesh, n_gauss: int = 4):
         ns = bmesh.num_segments
@@ -374,7 +398,9 @@ class BemOperators:
         self.n_gauss = n_gauss
         self.slots = np.arange(ns)              # slot of each segment, in walk order
         self.order = np.arange(ns)              # segment in each slot
-        self.V = self.DL0 = self.DL1 = self.MK = self.MV = np.empty((0, 0))
+        self._per_slot = dict(V=1, DL0=1, DL1=1, MK=n_gauss, MV=n_gauss)   # rows per slot
+        self._buffers = {name: np.empty(0) for name in self._per_slot}
+        self._width = 0                         # slots the matrices are filled for
         self._new = np.ones(ns, dtype=bool)     # slots whose rows and columns are unset
         self.fill()
 
@@ -407,15 +433,22 @@ class BemOperators:
     def fill(self) -> bool:
         """Compute the rows and columns of the segments new since the last fill.
 
-        Each matrix first grows to the slot count, the old one its
-        top-left block.  Returns whether anything was computed.
+        Each matrix first grows in place to the slot count, the old one
+        its top-left block; this raises NumPy's ``ValueError`` while a
+        caller still holds a matrix.  Returns whether anything was
+        computed.
         """
         new = self._new
         if not new.any():
             return False
         ns, q = len(new), self.n_gauss
-        for name, height in (("MK", ns * q), ("MV", ns * q), ("V", ns), ("DL0", ns), ("DL1", ns)):
-            setattr(self, name, _grown(getattr(self, name), height, ns))
+        # every buffer grows before any row moves: a resize refused while a
+        # matrix is held leaves each matrix as it was, to fill again later
+        for name, per in self._per_slot.items():
+            _resize(self._buffers[name], per * ns * ns)
+        for name in self._per_slot:
+            self._widen(name, ns)
+        self._width = ns
         # the panel geometry by slot, and the slot of each panel's walk successor
         o = self.order
         p0, p1, d, n, L = (a[o] for a in _panel_frames(self.bmesh))
@@ -426,12 +459,31 @@ class BemOperators:
         # new rows meet every panel, kept rows the new panels
         self._fill_rows(geometry, rows, None)
         self._fill_rows(geometry, np.flatnonzero(~new), rows)
-        Vr = _single_layer_from_gauss(self.V[rows], self.V[:, rows].T, rows,
-                                      p0, p1, d, L, line, nxt)
-        self.V[rows] = Vr
-        self.V[:, rows] = Vr.T
+        # V by blocks of new rows and their columns; the pairs with the new
+        # rows of later blocks keep their Gauss values, which those blocks read
+        V = self.V
+        for r0, r1 in _blocks(len(rows), ns, _BLOCK_ENTRIES):
+            r, later = rows[r0:r1], rows[r1:]
+            Jr, Jc = V[r], V[:, r].T
+            Vr = _single_layer_from_gauss(Jr, Jc, r, p0, p1, d, L, line, nxt)
+            Vr[:, later] = Jr[:, later]
+            V[r] = Vr
+            Vr[:, later] = Jc[:, later]
+            V[:, r] = Vr.T
         self._new = np.zeros(ns, dtype=bool)
         return True
+
+    def _widen(self, name, ns):
+        """Move the rows of the matrix ``name``, in its grown buffer, to their places at ``ns`` slots.
+
+        Each old row moves to the start of its wider new row, last row
+        first and a block at a time, so no row is overwritten before it
+        has moved; the rest of the new rows is left unset.
+        """
+        old, buf = self._width, self._buffers[name]
+        wide = buf.reshape(-1, ns)
+        for r0, r1 in reversed(list(_blocks(self._per_slot[name] * old, old, _BLOCK_ENTRIES))):
+            wide[r0:r1, :old] = buf[r0 * old:r1 * old].reshape(-1, old)
 
     def _fill_rows(self, geometry, segs, cols):
         """Rows of the slots ``segs`` on the panel columns ``cols`` (``None``: whole rows).
@@ -457,22 +509,28 @@ class BemOperators:
             shape = (len(s), q, len(cL))
             s0, H, h, a, b, span, la, lb = _node_panel_geometry(
                 points[s].reshape(-1, 2), cp0, cd, cn, cL)
-            A = (0.5 * (la - lb)).reshape(shape)
-            B = (np.sign(H) * span).reshape(shape)
-            # per segment: the tangent against each panel's direction and
-            # normal, and the panels on its line, where neither the double
-            # layer nor dK/ds has a kernel
-            td = (d[s] @ cd.T)[:, None]
-            tn = (d[s] @ cn.T)[:, None]
-            same = (line[s, None] == cline)[:, None]
-            # H int g(t)/D dt as _dl_panel_terms: B and H A1 = s0 B - H A are
-            # its g0 and slope coefficients
-            DL0 = _gauss_sum(w, np.where(same, 0.0, B))
-            DL1 = _gauss_sum(w, np.where(same, 0.0, s0.reshape(shape) * B - H.reshape(shape) * A))
             # int_panel log|x-y| ds(y) in closed form
             J = _gauss_sum(w, (0.5 * (b * lb - a * la) - cL + h * span).reshape(shape))
+            A = (0.5 * (la - lb)).reshape(shape)
+            B = (np.sign(H) * span).reshape(shape)
+            del h, a, b, span, la, lb
+            # per segment: the tangent against each panel's direction and normal
+            td = (d[s] @ cd.T)[:, None]
+            tn = (d[s] @ cn.T)[:, None]
+            # H int g(t)/D dt as _dl_panel_terms: B and H A1 = s0 B - H A are
+            # its g0 and slope coefficients
+            DL0 = _gauss_sum(w, B)
+            DL1 = _gauss_sum(w, s0.reshape(shape) * B - H.reshape(shape) * A)
+            del s0, H
             dV = -(td * A + tn * B) / TWO_PI
-            dK = np.where(same, 0.0, td * B - tn * A) / TWO_PI
+            dK = td * B - tn * A
+            # the panels on the segment's line, where neither the double
+            # layer nor dK/ds has a kernel
+            same = line[s, None] == cline
+            DL0[same] = 0.0
+            DL1[same] = 0.0
+            np.copyto(dK, 0.0, where=same[:, None])
+            dK /= TWO_PI
             nodes = _nodes(s, q)
             put(self.V, s, J)
             put(self.DL0, s, DL0 / TWO_PI)

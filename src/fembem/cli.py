@@ -122,8 +122,9 @@ def run_experiment(config_path, out_path=None, budget_elements=None,
                    verbose=False) -> UzawaResult:
     """Parse, run, write; the core of the command-line entry point.
 
-    An output path that is a directory, or whose directory is missing,
-    is a :class:`ConfigError`, raised before the solve.
+    An output path that is a directory, whose directory is missing, or
+    that is the config file itself is a :class:`ConfigError`, raised
+    before the solve.
     """
     config = parse_config(config_path)
     if budget_elements is not None:
@@ -136,6 +137,8 @@ def run_experiment(config_path, out_path=None, budget_elements=None,
         raise ConfigError(f"cannot write {out_path}: it is a directory")
     if not out_path.parent.is_dir():
         raise ConfigError(f"cannot write {out_path}: no directory {out_path.parent}")
+    if out_path.exists() and out_path.samefile(config_path):
+        raise ConfigError(f"cannot write {out_path}: it is the config file")
     observer = None
     if verbose:
         def observer(driver, phase, payload):

@@ -1,5 +1,8 @@
 """Boundary-element layer: single/double layer potentials and surrogates."""
 
+import cProfile
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,12 +365,13 @@ def test_kept_rows_evaluate_only_the_new_panels(monkeypatch):
 def test_refine_keeps_the_old_matrices_as_top_left_blocks(domain):
     """A refinement moves no entry: the old matrices sit in the top-left blocks of the new.
 
-    ``refine`` re-slots and keeps the matrices themselves; the next
-    ``fill`` grows each once, keeps every entry of a pair of unsplit
+    ``refine`` re-slots and leaves the matrices as they are; the next
+    ``fill`` grows each in place, keeps every entry of a pair of unsplit
     segments where it was and computes the rest, and a second fill has
     nothing to do.  Unsplit segments keep their slots, a first son takes its
     father's, and the second sons take the fresh slots at the end, in
-    walk order.
+    walk order.  Only copies of the matrices are kept across the fill,
+    which refuses to grow a matrix that is still held.
     """
     rng = np.random.default_rng(len(domain))
     mesh = make_initial_mesh(domain)
@@ -378,12 +382,11 @@ def test_refine_keeps_the_old_matrices_as_top_left_blocks(domain):
         mesh, rel = refine_nvb(mesh, (), bmesh=bm,
                                marked_segments=boundary_marking(kind, bm.num_segments, rng))
         ns, nf = bm.num_segments, rel.fine_trace.num_segments
-        kept = {name: getattr(ops, name) for name in ("V", "DL0", "DL1", "MK", "MV")}
-        old = {name: a.copy() for name, a in kept.items()}
+        old = {name: getattr(ops, name).copy() for name in ("V", "DL0", "DL1", "MK", "MV")}
         slots = ops.slots.copy()
         unsplit = slots[np.bincount(rel.seg_father) == 1]
         ops.refine(rel)
-        assert all(getattr(ops, name) is a for name, a in kept.items())
+        assert all(getattr(ops, name).tobytes() == a.tobytes() for name, a in old.items())
         first = np.diff(rel.seg_father, prepend=-1) > 0
         assert np.array_equal(ops.slots[first], slots)
         assert np.array_equal(ops.slots[~first], np.arange(ns, nf))
@@ -544,6 +547,97 @@ def test_refine_follows_a_refinement_that_splits_no_segment(rng):
     with pytest.raises(ValueError, match="another boundary mesh"):
         ops.dl_rhs(g)
     assert ops.dl_rhs(bem.BoundaryTrace(rel.fine_trace, g.values)).tobytes() == rhs.tobytes()
+
+
+MATRICES = ("V", "DL0", "DL1", "MK", "MV")
+
+
+def matrices_along_a_refinement_chain(domain):
+    """Bytes of the matrices of a fresh build, of each fill of a chain, and of a fresh build at its end."""
+    rng = np.random.default_rng(11)
+    mesh, bm, _ = uniform_refine_boundary(make_initial_mesh(domain), 3)
+    ops = bem.BemOperators(bm)
+    out = [[getattr(ops, name).tobytes() for name in MATRICES]]
+    for kind in ("alternate", "random", "first", "last", "neighbours"):
+        mesh, rel = refine_nvb(mesh, (), bmesh=bm,
+                               marked_segments=boundary_marking(kind, bm.num_segments, rng))
+        ops.refine(rel)
+        bm = rel.fine_trace
+        ops.fill()
+        out.append([getattr(ops, name).tobytes() for name in MATRICES])
+    out.append([getattr(bem.BemOperators(bm), name).tobytes() for name in MATRICES])
+    return out
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+def test_the_block_size_changes_no_bit(domain, monkeypatch):
+    """One segment per block (and one row per move) gives every matrix the bits of the default blocks."""
+    default = matrices_along_a_refinement_chain(domain)
+    monkeypatch.setattr(bem, "_BLOCK_ENTRIES", 1)
+    assert matrices_along_a_refinement_chain(domain) == default
+
+
+@pytest.mark.parametrize("block", [None, 2_000], ids=["default", "2000"])
+def test_a_fill_holds_one_copy_of_each_matrix_and_one_block_of_temporaries(monkeypatch, block):
+    """Traced by tracemalloc, a fill's peak above what it leaves alive is a few blocks.
+
+    That is, the peak of a fresh build, and of a refine + fill that
+    splits 4 of 256 segments, less the five matrices and the facts of
+    the trace that stay: at most 24 blocks of ``_BLOCK_ENTRIES`` doubles
+    and 512 bytes a segment.  Neither a second copy of a growing matrix
+    nor a temporary of the size of ``V`` fits in that.
+    """
+    if block is not None:
+        monkeypatch.setattr(bem, "_BLOCK_ENTRIES", block)
+    mesh, bm, _ = uniform_refine_boundary(make_initial_mesh("lshape"), 5)
+    ns = bm.num_segments
+    assert ns == 256
+    budget = 24 * 8 * bem._BLOCK_ENTRIES + 512 * ns
+    tracemalloc.start()
+    try:
+        ops = bem.BemOperators(bm)
+        current, peak = tracemalloc.get_traced_memory()
+        assert current >= sum(getattr(ops, name).nbytes for name in MATRICES)
+        assert peak - current <= budget
+        mesh, rel = refine_nvb(mesh, (), marked_segments=np.arange(0, ns, 64), bmesh=bm)
+        tracemalloc.reset_peak()
+        ops.refine(rel)
+        assert ops.fill() is True
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ops.V.shape == (ns + 4, ns + 4)
+    assert peak - current <= budget
+
+
+def test_a_matrix_held_across_a_fill_stops_it_until_let_go(lbm):
+    """The matrices grow in place, so a fill refuses with NumPy's ``ValueError`` while one is viewed.
+
+    ``MV`` grows last: the refused fill leaves every matrix as it was,
+    and once the view is gone the same fill equals a fresh build.
+    """
+    ops = bem.BemOperators(lbm)
+    old = {name: getattr(ops, name).copy() for name in MATRICES}
+    mesh, rel = refine_nvb(lbm.mesh, (), marked_segments=[0, 3], bmesh=lbm)
+    ops.refine(rel)
+    held = ops.MV.diagonal()
+    with pytest.raises(ValueError, match="cannot resize"):
+        ops.fill()
+    assert all(getattr(ops, name).tobytes() == a.tobytes() for name, a in old.items())
+    with pytest.raises(ValueError, match="not filled"):
+        ops.dl_rhs(bem.BoundaryTrace(rel.fine_trace, np.zeros(rel.fine_trace.num_segments)))
+    del held
+    assert ops.fill() is True
+    assert_equal_to_a_fresh_build_by_slot(ops, rel.fine_trace)
+
+
+def test_a_fill_grows_its_matrices_under_a_profiler(lbm):
+    """A profiler's own reference to each method call's array is not taken for a held matrix."""
+    ops = bem.BemOperators(lbm)
+    mesh, rel = refine_nvb(lbm.mesh, (), marked_segments=[1, 5], bmesh=lbm)
+    ops.refine(rel)
+    assert cProfile.Profile().runcall(ops.fill) is True
+    assert_equal_to_a_fresh_build_by_slot(ops, rel.fine_trace)
 
 
 # ---------------------------------------------------------------------------

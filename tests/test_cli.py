@@ -387,6 +387,24 @@ def test_main_output_path_that_is_a_directory_fails_before_the_solve(tmp_path, c
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, out", [("run.csv", None), ("c.cfg", "c.cfg")],
+                         ids=["default_out", "explicit_out"])
+def test_main_output_path_that_is_the_config_fails_before_the_solve(tmp_path, capsys,
+                                                                   monkeypatch, name, out):
+    """The config is never replaced by its table: exit 2, and the file keeps its bytes."""
+    cfg_path = write_cfg(tmp_path, SMALL_CFG, name)
+    args = ["run", str(cfg_path)] + ([] if out is None else ["--out", str(tmp_path / out)])
+
+    def never(config, observer=None):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr(cli, "run_experiment_config", never)
+    assert main(args) == 2
+    assert capsys.readouterr().err.strip() == \
+        f"config error: cannot write {cfg_path}: it is the config file"
+    assert cfg_path.read_text() == SMALL_CFG
+
+
 def test_main_runtime_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg_path = write_cfg(tmp_path, SMALL_CFG)
 
