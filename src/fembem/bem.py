@@ -133,9 +133,18 @@ def _node_panel_geometry(x, p0, d, n, L):
     return s0, H, h, a, b, span, _safe_log(a * a + h * h), _safe_log(b * b + h * h)
 
 
-def _blocks(m: int, ns: int, budget: int = 1_000_000):
-    """Row-block ranges keeping (rows x ns) temporaries below ``budget``."""
-    step = max(1, budget // max(ns, 1))
+# entries of one row block, (Gauss nodes or points) x panels.  An assembly
+# block keeps about 16 temporaries of this size alive, 1 MB at 8 000 entries,
+# which stays in a 2 MB L2 cache.  In fresh runs (2-core Xeon VM, one BLAS
+# thread, median of 8) the fills of lshape_adaptive_a005 at 10 000 elements
+# took 0.20, 0.15, 0.14 and 0.17 s at 4 000, 8 000, 16 000 and 50 000 entries,
+# and lshape_gamma095 at 920 peaked at 59.2, 59.2, 59.9 and 61.0 MB
+_BLOCK_ENTRIES = 8_000
+
+
+def _blocks(m: int, width: int):
+    """Ranges of ``m`` rows of ``width`` entries: at most ``_BLOCK_ENTRIES``, or one row."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
     for i0 in range(0, m, step):
         yield i0, min(i0 + step, m)
 
@@ -197,8 +206,8 @@ def _wedge_double_integrals(e1, L1, e2, L2):
     width = np.diff(bounds, axis=1)
     s = lo[:, :, None] + 0.5 * (xi[None, None, :] + 1.0) * width[:, :, None]
     ws = 0.5 * w[None, None, :] * width[:, :, None]
-    s_flat = s.reshape(m, -1)
-    ws_flat = ws.reshape(m, -1)
+    s_flat = s.reshape(m, _WEDGE_PIECES * _WEDGE_NODES)
+    ws_flat = ws.reshape(m, _WEDGE_PIECES * _WEDGE_NODES)
 
     # inner integral over panel 2 at x = s * e1, minus cos * s * log s
     s0 = s_flat * cos[:, None]
@@ -215,23 +224,21 @@ def _wedge_double_integrals(e1, L1, e2, L2):
     return gauss + exact
 
 
-def _single_layer_from_gauss(Jr, Jc, rows, p0, p1, d, L, line, nxt):
+def _single_layer_from_gauss(Jr, Jc, rows, todo, p0, p1, d, L, line, nxt, prv):
     """Rows ``rows`` of the Galerkin single-layer matrix from its Gauss values.
 
     ``p0``, ``p1``, ``d``, ``L`` and the line ids ``line`` are given by
-    slot, and ``nxt[i]`` is the slot of the panel after panel i along
-    the walk.  ``Jr = J[rows, :]`` and
-    ``Jc = J[:, rows].T`` hold the outer-Gauss double integrals of the
-    pairs touching ``rows``.  These pairs are symmetrized, same-line
-    pairs (equal line ids) the mean of their closed forms in both orders
-    and corner pairs the graded wedge rule; every value depends on its
-    pair alone, so the rows equal those of the whole matrix (all
-    segments in ``rows``) bit for bit.  Exactly symmetric; positive
-    definite whenever diam(domain) < 1.
+    slot, and ``nxt[i]`` and ``prv[i]`` are the slots of the panels after
+    and before panel i along the walk.  On the columns ``todo``,
+    ``Jr = J[rows, :]`` and ``Jc = J[:, rows].T`` hold the outer-Gauss
+    double integrals of the pairs touching ``rows``; on the others ``Jr``
+    holds finished entries, which are returned as they are.  The pairs on
+    ``todo`` are symmetrized, same-line pairs (equal line ids) the mean of
+    their closed forms in both orders and corner pairs the graded wedge
+    rule; every value depends on its pair alone, so the rows equal those
+    of the whole matrix (all segments in ``rows``) bit for bit.  Exactly
+    symmetric; positive definite whenever diam(domain) < 1.
     """
-    ns = len(L)
-    at = np.full(ns, -1)
-    at[rows] = np.arange(len(rows))
     # S[a, j] is the symmetrized double integral of the pair (rows[a], j)
     S = 0.5 * (Jr + Jc)
 
@@ -239,20 +246,17 @@ def _single_layer_from_gauss(Jr, Jc, rows, p0, p1, d, L, line, nxt):
     def collinear(i, j):
         return _collinear_double_integral(_along(p0, p0, d, i, j), _along(p1, p0, d, i, j), L[i])
 
-    a, j = np.nonzero(line[rows, None] == line)
+    a, j = np.nonzero((line[rows, None] == line) & todo)
     S[a, j] = 0.5 * (collinear(rows[a], j) + collinear(j, rows[a]))
 
-    # panels meeting at a corner (consecutive along the walk, oblique)
-    pair = np.flatnonzero((at >= 0) | (at[nxt] >= 0))
-    kk = pair[line[pair] != line[nxt[pair]]]
-    if len(kk):
-        kn = nxt[kk]
-        vals = _wedge_double_integrals(-d[kk], L[kk], d[kn], L[kn])
-        for i, j in ((kk, kn), (kn, kk)):
-            m = at[i] >= 0
-            S[at[i[m]], j[m]] = vals[m]
+    # panels meeting at a corner: each row (a) with the panel (j) after and
+    # before it on the walk, the pair (kk, kn) in walk order, where the line turns
+    a, j = np.tile(np.arange(len(rows)), 2), np.concatenate([nxt[rows], prv[rows]])
+    kk, kn = np.concatenate([rows, prv[rows]]), np.concatenate([nxt[rows], rows])
+    m = (line[kk] != line[kn]) & todo[j]
+    S[a[m], j[m]] = _wedge_double_integrals(-d[kk[m]], L[kk[m]], d[kn[m]], L[kn[m]])
 
-    return -S / TWO_PI
+    return np.where(todo, -S / TWO_PI, Jr)
 
 
 # ----------------------------------------------------------------------------
@@ -292,14 +296,6 @@ def double_layer_pointwise(bmesh: BoundaryMesh, g: BoundaryTrace, points) -> np.
 
 # ----------------------------------------------------------------------------
 # operators of one boundary mesh
-
-# entries of one (Gauss nodes x panels) block of the assembly pass.  A block
-# keeps about 16 temporaries of this size alive, 1 MB at 8 000 entries, which
-# stays in a 2 MB L2 cache.  In fresh runs (2-core Xeon VM, one BLAS thread,
-# median of 8) the fills of lshape_adaptive_a005 at 10 000 elements took
-# 0.20, 0.15, 0.14 and 0.17 s at 4 000, 8 000, 16 000 and 50 000 entries, and
-# lshape_gamma095 at 920 peaked at 59.2, 59.2, 59.9 and 61.0 MB
-_BLOCK_ENTRIES = 8_000
 
 
 def _gauss_sum(w, block):
@@ -449,27 +445,26 @@ class BemOperators:
         for name in self._per_slot:
             self._widen(name, ns)
         self._width = ns
-        # the panel geometry by slot, and the slot of each panel's walk successor
+        # the panel geometry by slot, and the slots of each panel's walk neighbours
         o = self.order
         p0, p1, d, n, L = (a[o] for a in _panel_frames(self.bmesh))
         line = self.bmesh.line_ids[o]
-        nxt = self.slots[(o + 1) % ns]
+        nxt, prv = self.slots[(o + 1) % ns], self.slots[(o - 1) % ns]
         geometry = (p0, d, n, L, line, *(a[o] for a in self.bmesh.gauss_points(q)))
         rows = np.flatnonzero(new)
         # new rows meet every panel, kept rows the new panels
         self._fill_rows(geometry, rows, None)
         self._fill_rows(geometry, np.flatnonzero(~new), rows)
-        # V by blocks of new rows and their columns; the pairs with the new
-        # rows of later blocks keep their Gauss values, which those blocks read
-        V = self.V
-        for r0, r1 in _blocks(len(rows), ns, _BLOCK_ENTRIES):
-            r, later = rows[r0:r1], rows[r1:]
-            Jr, Jc = V[r], V[:, r].T
-            Vr = _single_layer_from_gauss(Jr, Jc, r, p0, p1, d, L, line, nxt)
-            Vr[:, later] = Jr[:, later]
+        # V by blocks of new rows and their columns: a block finishes every
+        # pair it meets but those with the new rows of earlier blocks, which
+        # it reads as those blocks finished them
+        V, todo = self.V, np.ones(ns, dtype=bool)
+        for r0, r1 in _blocks(len(rows), ns):
+            r = rows[r0:r1]
+            Vr = _single_layer_from_gauss(V[r], V[:, r].T, r, todo, p0, p1, d, L, line, nxt, prv)
             V[r] = Vr
-            Vr[:, later] = Jc[:, later]
             V[:, r] = Vr.T
+            todo[r] = False
         self._new = np.zeros(ns, dtype=bool)
         return True
 
@@ -482,7 +477,7 @@ class BemOperators:
         """
         old, buf = self._width, self._buffers[name]
         wide = buf.reshape(-1, ns)
-        for r0, r1 in reversed(list(_blocks(self._per_slot[name] * old, old, _BLOCK_ENTRIES))):
+        for r0, r1 in reversed(list(_blocks(self._per_slot[name] * old, old))):
             wide[r0:r1, :old] = buf[r0 * old:r1 * old].reshape(-1, old)
 
     def _fill_rows(self, geometry, segs, cols):
@@ -503,7 +498,7 @@ class BemOperators:
             else:
                 a[np.ix_(rows, cols)] = vals
 
-        for r0, r1 in _blocks(len(segs), len(cL) * q, _BLOCK_ENTRIES):
+        for r0, r1 in _blocks(len(segs), len(cL) * q):
             s = segs[r0:r1]
             w = weights[s]
             shape = (len(s), q, len(cL))

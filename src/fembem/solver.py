@@ -123,8 +123,8 @@ class JacobiPreconditioner:
 class _Level(_Derived):
     """One refinement of the hierarchy: the parents of its new vertices.
 
-    Its prolongation from the previous level is built on first read, so
-    a run that never folds (exact solves) builds none.
+    Its prolongation from the previous level is built when a fold reads
+    it and forgotten after; exact solves, which never fold, build none.
     """
 
     def __init__(self, new_vertex_parents, num_coarse: int):
@@ -203,10 +203,11 @@ class MeshHierarchy:
     Folding every level into one basis would let each row collect one
     entry per level it lies under, and re-multiply the whole basis by
     each P; blocks keep both the fill and the fold cost per level
-    bounded, while the operator stays the same additive sum.  Only the
-    finest level keeps its derived facts: :meth:`push` makes the refined
-    mesh forget them, and each fold those the fold before it derived
-    again; the coarser levels are kept for their elements alone.
+    bounded, while the operator stays the same additive sum.  A fold
+    reads a level's fine mesh and prolongation alone, and the level then
+    forgets its prolongation.  Only the finest mesh keeps its derived
+    facts: :meth:`push` makes the refined mesh forget them, and each fold
+    those the fold before it derived again.
     """
 
     def __init__(self, mesh: Mesh):
@@ -230,15 +231,16 @@ class MeshHierarchy:
 
     def preconditioner(self) -> LocalMultilevelDiagonal:
         for k in range(self._folded, len(self._levels)):
-            self._fold(self.meshes[k - 1], self.meshes[k], self._levels[k].prolongation)
+            self._fold(self.meshes[k], self._levels[k].prolongation)
+            self._levels[k].drop_derived()
             self.meshes[k - 1].drop_derived()
         self._folded = len(self._levels)
         return LocalMultilevelDiagonal(self._blocks, self._coarse_inverse)
 
-    def _fold(self, coarse: Mesh, fine: Mesh, prolongation) -> None:
+    def _fold(self, fine: Mesh, prolongation) -> None:
         active = np.zeros(fine.num_vertices, dtype=bool)
-        active[coarse.num_vertices:] = True
-        n_sons = np.bincount(fine.father, minlength=coarse.num_triangles)
+        active[prolongation.shape[1]:] = True
+        n_sons = np.bincount(fine.father)
         active[fine.triangles[n_sons[fine.father] > 1].ravel()] = True
         idx = np.flatnonzero(active)
         hats = sp.csr_matrix((np.ones(idx.size), (idx, np.arange(idx.size))),

@@ -552,19 +552,29 @@ def test_refine_follows_a_refinement_that_splits_no_segment(rng):
 MATRICES = ("V", "DL0", "DL1", "MK", "MV")
 
 
+def pointwise_double_layer_bytes(bm):
+    """Bytes of the pointwise double layer of one trace at the Gauss nodes of ``bm``."""
+    g = bem.BoundaryTrace(bm, np.cos(7.0 * bm.mesh.vertices[bm.boundary_vertices] @ [1.0, 0.3]))
+    return bem.double_layer_pointwise(bm, g, bm.gauss_points(4)[0].reshape(-1, 2)).tobytes()
+
+
 def matrices_along_a_refinement_chain(domain):
-    """Bytes of the matrices of a fresh build, of each fill of a chain, and of a fresh build at its end."""
+    """Bytes of the matrices of a fresh build, of each fill of a chain, and of a fresh build at its end.
+
+    Each entry of the chain also holds the pointwise double layer of its trace.
+    """
     rng = np.random.default_rng(11)
     mesh, bm, _ = uniform_refine_boundary(make_initial_mesh(domain), 3)
     ops = bem.BemOperators(bm)
-    out = [[getattr(ops, name).tobytes() for name in MATRICES]]
+    out = [[getattr(ops, name).tobytes() for name in MATRICES] + [pointwise_double_layer_bytes(bm)]]
     for kind in ("alternate", "random", "first", "last", "neighbours"):
         mesh, rel = refine_nvb(mesh, (), bmesh=bm,
                                marked_segments=boundary_marking(kind, bm.num_segments, rng))
         ops.refine(rel)
         bm = rel.fine_trace
         ops.fill()
-        out.append([getattr(ops, name).tobytes() for name in MATRICES])
+        out.append([getattr(ops, name).tobytes() for name in MATRICES]
+                   + [pointwise_double_layer_bytes(bm)])
     out.append([getattr(bem.BemOperators(bm), name).tobytes() for name in MATRICES])
     return out
 
@@ -575,6 +585,43 @@ def test_the_block_size_changes_no_bit(domain, monkeypatch):
     default = matrices_along_a_refinement_chain(domain)
     monkeypatch.setattr(bem, "_BLOCK_ENTRIES", 1)
     assert matrices_along_a_refinement_chain(domain) == default
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+def test_a_fresh_build_evaluates_each_same_line_and_corner_pair_once(domain, monkeypatch):
+    """With one segment a block, each pair of ``V`` is finished in one row.
+
+    Each unordered same-line pair, and each segment with itself, enters
+    the closed form once in each order of its mean: a side of the polygon
+    with n segments passes n (n + 1) entries.  Each corner of the walk
+    enters the wedge rule once.
+    """
+    monkeypatch.setattr(bem, "_BLOCK_ENTRIES", 1)
+    closed, wedges = [], []
+    plain_closed, plain_wedge = bem._collinear_double_integral, bem._wedge_double_integrals
+
+    def spy_closed(A2, B2, L1):
+        closed.append(len(L1))
+        return plain_closed(A2, B2, L1)
+
+    def spy_wedge(e1, L1, e2, L2):
+        wedges.append(len(L1))
+        return plain_wedge(e1, L1, e2, L2)
+
+    monkeypatch.setattr(bem, "_collinear_double_integral", spy_closed)
+    monkeypatch.setattr(bem, "_wedge_double_integrals", spy_wedge)
+    bm = random_zshape_trace(3) if domain == "zshape" else uniform_refine_boundary(
+        make_initial_mesh(domain), 2)[1]
+    bem.BemOperators(bm)
+    n = np.bincount(bm.line_ids)
+    assert len(n) >= 6 and sum(closed) == int((n * (n + 1)).sum())
+    line = bm.line_ids
+    assert sum(wedges) == np.count_nonzero(line != np.roll(line, -1)) == len(n)
+
+
+def test_the_wedge_rule_takes_an_empty_batch():
+    e, L = np.zeros((0, 2)), np.zeros(0)
+    assert bem._wedge_double_integrals(e, L, e, L).shape == (0,)
 
 
 @pytest.mark.parametrize("block", [None, 2_000], ids=["default", "2000"])

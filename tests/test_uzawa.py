@@ -12,11 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import assert_equal_to_a_fresh_build_by_slot, derived_facts, platform_signature
+from _helpers import assert_equal_to_a_fresh_build_by_slot, derived_facts, platform_signature, read_csv
 from fembem import bem
+from fembem.cli import write_csv
 from fembem.fem import h1_norm
-from fembem.model import ExactData, make_problem
+from fembem.model import EXAMPLES, ExactData, make_problem
 from fembem.solver import SolverBreakdownError
 from fembem.uzawa import (UzawaConfig, UzawaDriver, UzawaResult,
                           UzawaStepRecord, run_experiment_config)
@@ -247,6 +250,83 @@ def test_nonfinite_interface_datum_refines_nothing_after_the_flag(solver):
     assert res.mesh.num_triangles == 12
 
 
+STOP_REASONS = {"budget", "max_outer", "target", "nonfinite", "inner_budget"}
+FLAGS = {"gamma_clamped", "inner_budget_exceeded", "nonfinite", "pcg_maxiter"}
+# admissible configs, in bounded parts of the validated ranges where those
+# are open, so that each run takes well under a second
+RUN_VALUES = dict(
+    example=st.sampled_from(sorted(EXAMPLES)),
+    solver=st.sampled_from(["pcg", "exact"]),
+    theta=st.floats(0.05, 1.0),
+    gamma=st.floats(0.05, 0.99),
+    adaptive_gamma=st.booleans(),
+    alpha=st.floats(1e-3, 1.0),
+    c_bem=st.floats(0.05, 5.0),
+    c_fem=st.floats(0.05, 5.0),
+    budget_elements=st.integers(100, 400),
+)
+
+
+class InnerLoops:
+    """Observer keeping ``[phase, rounds, met]`` of each inner loop.
+
+    ``met`` tells whether the loop's last round so far met its tolerance
+    ``est^2 + alg^2 <= (c * eps)^2``, computed as the driver computes it.
+    """
+
+    def __init__(self):
+        self.loops = []
+
+    def __call__(self, driver, phase, payload):
+        est2 = payload["mu2"] if phase == "bem" else payload["eta2"]
+        c = driver.config.c_bem if phase == "bem" else driver.config.c_fem
+        if not self.loops or self.loops[-1][0] != phase:
+            self.loops.append([phase, 0, False])
+        self.loops[-1][1] += 1
+        self.loops[-1][2] = bool(est2.sum() + payload["alg2"] <= (c * driver.eps) ** 2)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(values=st.fixed_dictionaries(RUN_VALUES))
+def test_random_admissible_runs_keep_their_invariants(tmp_path_factory, values):
+    """Whole runs of random configs stop for a known reason and write reproducible tables.
+
+    ``nE`` never falls and reaches the budget on a budget stop.  Every
+    inner loop ends on a round that meets its tolerance, except in the
+    last step of a run stopped by a flag that says why.  A second run
+    writes the same CSV bytes, and the table reads back as schema 1.
+    """
+    config = UzawaConfig(**values)
+    loops = InnerLoops()
+    res = run_experiment_config(config, observer=loops)
+    assert res.stop_reason in STOP_REASONS
+    assert set(res.flags) <= FLAGS
+    assert all(set(r.flags) <= {"gamma_clamped"} for r in res.records)
+    n_elements = [r.num_elements for r in res.records]
+    assert n_elements == sorted(n_elements)
+    assert (res.stop_reason == "budget") <= (n_elements[-1] >= config.budget_elements)
+
+    # one BEM and one FEM loop per step, of the recorded round counts
+    assert [loop[:2] for loop in loops.loops] == [
+        [phase, k] for r in res.records for phase, k in (("bem", r.k_bem), ("fem", r.k_fem))]
+    unmet = [k for k, loop in enumerate(loops.loops) if not loop[2]]
+    if unmet:
+        assert unmet[0] >= len(loops.loops) - 2
+        assert res.stop_reason in ("nonfinite", "inner_budget")
+        assert {"nonfinite", "inner_budget_exceeded"} & set(res.flags)
+
+    tmp = tmp_path_factory.mktemp("run")
+    write_csv(res, config, tmp / "first.csv")
+    write_csv(run_experiment_config(config), config, tmp / "second.csv")
+    text = (tmp / "first.csv").read_text()
+    assert text.encode() == (tmp / "second.csv").read_bytes()
+    lines = text.splitlines()
+    assert lines[0] == "# fembem experiment table, schema 1"
+    assert lines[-1] == f"# stop: {res.stop_reason}"
+    assert [line[len("# flag: "):] for line in lines if line.startswith("# flag: ")] == list(res.flags)
+    assert read_csv(tmp / "first.csv")["nE"].tolist() == n_elements
+
+
 def test_negative_initial_energy_raises_breakdown():
     class NegatingPreconditioner:
         def apply(self, r):
@@ -420,13 +500,8 @@ def test_only_the_finest_mesh_keeps_derived_facts(solver):
     assert max(bem_rounds) >= 4       # Γ refined three times between two FEM rounds
 
 
-@pytest.mark.parametrize("cfg", [
-    UzawaConfig(example="nonlinear_zshape", alpha=0.07, adaptive_gamma=True, eps1=5.0,
-                c_bem=0.1, c_fem=0.3, solver="exact", budget_elements=600),
-    small_config(solver="pcg", budget_elements=600),
-], ids=["zshape_exact", "lshape_pcg"])
-def test_prolongations_are_built_only_when_a_fold_reads_them(monkeypatch, cfg):
-    """Exact solves build no prolongation; PCG builds each level's, with the bytes of its relation's."""
+def run_recording_prolongations(monkeypatch, cfg):
+    """Run ``cfg`` to its budget; return the driver, the relations pushed and the prolongations built."""
     import fembem.solver as solver
     from fembem.mesh import vertex_prolongation_matrix
 
@@ -446,11 +521,35 @@ def test_prolongations_are_built_only_when_a_fold_reads_them(monkeypatch, cfg):
     drv = UzawaDriver(make_problem(cfg.example), cfg)
     assert drv.run().stop_reason == "budget"
     assert len(relations) == len(drv.hierarchy._levels) - 1 > 3
+    return drv, relations, built
+
+
+@pytest.mark.parametrize("cfg", [
+    UzawaConfig(example="nonlinear_zshape", alpha=0.07, adaptive_gamma=True, eps1=5.0,
+                c_bem=0.1, c_fem=0.3, solver="exact", budget_elements=600),
+    small_config(solver="pcg", budget_elements=600),
+], ids=["zshape_exact", "lshape_pcg"])
+def test_prolongations_are_built_only_when_a_fold_reads_them(monkeypatch, cfg):
+    """Exact solves build no prolongation; PCG builds each level's once, in its fold."""
+    drv, relations, built = run_recording_prolongations(monkeypatch, cfg)
     if cfg.solver == "exact":
         assert built == []
         return
-    assert built
-    for level, rel in zip(drv.hierarchy._levels[1:], relations):
+    assert len(built) == len(relations)
+    for (parents, num_coarse), rel in zip(built, relations):
+        assert parents is rel.new_vertex_parents and num_coarse == rel.coarse.num_vertices
+
+
+def test_a_folded_level_forgets_its_prolongation(monkeypatch):
+    """After a PCG run no folded level holds a fact; read again, each prolongation has its relation's bytes."""
+    from fembem.mesh import vertex_prolongation_matrix
+
+    drv, relations, _ = run_recording_prolongations(monkeypatch, small_config(solver="pcg",
+                                                                              budget_elements=600))
+    levels = drv.hierarchy._levels[1:]
+    assert drv.hierarchy._folded == len(levels) + 1          # every level is folded
+    assert [derived_facts(level) for level in levels] == [[]] * len(levels)
+    for level, rel in zip(levels, relations):
         got = level.prolongation
         ref = vertex_prolongation_matrix(rel.new_vertex_parents, rel.coarse.num_vertices).tocsr()
         assert got.shape == ref.shape
