@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import _LINE_TOL, BoundaryMesh, gauss_legendre
+from .mesh import _LINE_TOL, BoundaryMesh, _blocks, gauss_legendre
 
 __all__ = [
     "BemDensity",
@@ -131,22 +131,6 @@ def _node_panel_geometry(x, p0, d, n, L):
     b = L[None, :] - s0
     span = _atan_span(h, L[None, :], a, b)
     return s0, H, h, a, b, span, _safe_log(a * a + h * h), _safe_log(b * b + h * h)
-
-
-# entries of one row block, (Gauss nodes or points) x panels.  An assembly
-# block keeps about 16 temporaries of this size alive, 1 MB at 8 000 entries,
-# which stays in a 2 MB L2 cache.  In fresh runs (2-core Xeon VM, one BLAS
-# thread, median of 8) the fills of lshape_adaptive_a005 at 10 000 elements
-# took 0.20, 0.15, 0.14 and 0.17 s at 4 000, 8 000, 16 000 and 50 000 entries,
-# and lshape_gamma095 at 920 peaked at 59.2, 59.2, 59.9 and 61.0 MB
-_BLOCK_ENTRIES = 8_000
-
-
-def _blocks(m: int, width: int):
-    """Ranges of ``m`` rows of ``width`` entries: at most ``_BLOCK_ENTRIES``, or one row."""
-    step = max(1, _BLOCK_ENTRIES // max(width, 1))
-    for i0 in range(0, m, step):
-        yield i0, min(i0 + step, m)
 
 
 # ----------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import bem
-from .fem import TRI_P5, FeFunction
-from .mesh import BoundaryMesh, Mesh
+from .fem import TRI_P5, FeFunction, _less_p1_blocks
+from .mesh import BoundaryMesh, Mesh, _blocks
 
 __all__ = [
     "eta_fem",
@@ -42,21 +42,24 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     bmesh.check_mesh(mesh)
     w.check_mesh(mesh, "w")
     u_prev.check_mesh(mesh, "u_prev")
-    area = mesh.areas()
-    dens = TRI_P5.values(mesh, f) - w.at_barycentric(TRI_P5.barycentric)
-    eta2 = area ** 2 * np.einsum("q,tq->t", TRI_P5.weights, dens ** 2)
-
     # total discrete flux, constant per element
     sigma = u_prev.flux(operator) + w.element_gradients()
 
+    # the interior-edge and element passes run in blocks, so that no
+    # temporary outgrows a block; only the sums per edge and per element
+    # span the mesh
     edges, tri2edge, _ = mesh.edge_structure()
     idx, left, right, elen, enormal = _interior_edges(mesh)
-    jump = np.einsum("ed,ed->e", sigma[left] - sigma[right], enormal)
-    contrib = np.zeros(len(edges))
-    contrib[idx] = elen * jump ** 2                    # int_E [..]^2 ds
-    per_tri_edges = contrib[tri2edge].sum(axis=1)      # boundary edges add zero
-    sqrt_area = np.sqrt(area)
-    eta2 = eta2 + sqrt_area * per_tri_edges
+    contrib = np.zeros(len(edges))                     # int_E [..]^2 ds, zero on the boundary
+    for e0, e1 in _blocks(len(idx), 2):
+        jump = np.einsum("ed,ed->e", sigma[left[e0:e1]] - sigma[right[e0:e1]], enormal[e0:e1])
+        contrib[idx[e0:e1]] = elen[e0:e1] * jump ** 2
+    area = mesh.areas()
+    eta2 = np.empty(mesh.num_triangles)
+    for t0, t1, dens in _less_p1_blocks(TRI_P5.values(mesh, f), w):
+        a = area[t0:t1]
+        eta2[t0:t1] = a ** 2 * np.einsum("q,tq->t", TRI_P5.weights, dens ** 2) \
+            + np.sqrt(a) * contrib[tri2edge[t0:t1]].sum(axis=1)
 
     # boundary edges: flux mismatch against the given interface data
     _, wts_b = bmesh.gauss_points(2)
@@ -64,7 +67,7 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
     rho = bmesh.gauss_values(phi0, 2) + bmesh.per_segment(phi_j, "phi_j")[:, None]
     rho = rho - np.einsum("sd,sqd->sq", sigma[bmesh.owner], nrm)
     per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
-    return eta2 + np.bincount(bmesh.owner, sqrt_area[bmesh.owner] * per_seg,
+    return eta2 + np.bincount(bmesh.owner, np.sqrt(area[bmesh.owner]) * per_seg,
                               minlength=mesh.num_triangles)
 
 

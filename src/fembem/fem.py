@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .mesh import BoundaryMesh, Mesh, RefinementRelation, _Derived, gauss_legendre
+from .mesh import BoundaryMesh, Mesh, RefinementRelation, _Derived, _blocks, gauss_legendre
 
 __all__ = [
     "FeFunction",
@@ -69,34 +69,42 @@ class FeFunction(_Derived):
         """
         return self._derive(("flux", operator), lambda: operator(self.element_gradients()))
 
-    def at_barycentric(self, lam: np.ndarray) -> np.ndarray:
-        """Values at barycentric points, shape (nt, nq)."""
-        return self.values[self.mesh.triangles] @ lam.T
-
 
 @dataclass(frozen=True, eq=False)
 class TriangleRule:
     """Quadrature rule in barycentric coordinates; weights sum to one.
 
-    Rules compare and hash by identity, so a mesh can keep the points of
-    each rule keyed by the rule itself.
+    Rules compare and hash by identity, so a mesh can keep the values of
+    a function at the points of each rule keyed by the rule itself.
     """
 
     barycentric: np.ndarray   # (nq, 3)
     weights: np.ndarray       # (nq,)
 
-    def points(self, mesh: Mesh) -> np.ndarray:
-        """Physical quadrature points, shape (nt, nq, 2), kept on the mesh."""
-        return mesh._derive(("points", self), lambda: self.barycentric @ mesh.corners())
-
     def values(self, mesh: Mesh, f) -> np.ndarray:
         """``f`` at the quadrature points, kept on the mesh per ``f``.
 
         Shape (nt, nq), or (nt, nq, d) for an ``f`` with values in R^d.
+        ``f`` is called on the (n, 2) points of one block of elements at a
+        time (:func:`~fembem.mesh._blocks`); the points themselves are not kept.
         """
         def build():
-            vals = f(self.points(mesh).reshape(-1, 2))
-            return vals.reshape(mesh.num_triangles, len(self.weights), *vals.shape[1:])
+            p, nq, nt = mesh.corners(), len(self.weights), mesh.num_triangles
+            # the linear map from an element's six corner coordinates to its
+            # 2 nq point coordinates: one BLAS product per block, with the
+            # bits of ``barycentric @ corners`` for blocks of two or more
+            to_points = np.zeros((6, 2 * nq))
+            to_points[0::2, 0::2] = to_points[1::2, 1::2] = self.barycentric.T
+            out = None
+            for t0, t1 in _blocks(nt, nq, 2):
+                vals = f((p[t0:t1].reshape(-1, 6) @ to_points).reshape(-1, 2))
+                vals = vals.reshape(t1 - t0, nq, *vals.shape[1:])
+                if t1 - t0 == nt:
+                    return vals               # one block: no copy
+                if out is None:
+                    out = np.empty((nt, *vals.shape[1:]), vals.dtype)
+                out[t0:t1] = vals
+            return out
         return mesh._derive(("values", self, f), build)
 
 
@@ -243,12 +251,32 @@ def prolongate(u: FeFunction, relation: RefinementRelation) -> FeFunction:
     return FeFunction(relation.fine, np.concatenate([old, new]))
 
 
+def _less_p1_blocks(values: np.ndarray, u: FeFunction):
+    """``(t0, t1, values[t0:t1] - u)`` per block of elements, ``u`` taken at the ``TRI_P5`` points.
+
+    ``values`` holds (nt, 7) values at the points of ``TRI_P5``.  No
+    block holds a single element: a one-row (1, 3) @ (3, 7) product takes
+    NumPy's matrix-vector path and rounds otherwise than the rows of a
+    taller product.
+    """
+    tri, lam = u.mesh.triangles, TRI_P5.barycentric.T
+    for t0, t1 in _blocks(len(tri), len(TRI_P5.weights), 2):
+        yield t0, t1, values[t0:t1] - u.values[tri[t0:t1]] @ lam
+
+
 def h1_error(u_h: FeFunction, u_exact, grad_exact) -> float:
-    """Full H^1 norm of ``u_exact - u_h`` by the triangle rule ``TRI_P5``."""
+    """Full H^1 norm of ``u_exact - u_h`` by the triangle rule ``TRI_P5``.
+
+    The (nt, 7) density is built block by block, then summed at once.
+    """
     mesh = u_h.mesh
-    du = TRI_P5.values(mesh, u_exact) - u_h.at_barycentric(TRI_P5.barycentric)
-    dg = TRI_P5.values(mesh, grad_exact) - u_h.element_gradients()[:, None, :]
-    dens = du ** 2 + (dg[..., 0] ** 2 + dg[..., 1] ** 2)
+    gq = TRI_P5.values(mesh, grad_exact)
+    grads = u_h.element_gradients()
+    dens = np.empty((mesh.num_triangles, len(TRI_P5.weights)))
+    for t0, t1, du in _less_p1_blocks(TRI_P5.values(mesh, u_exact), u_h):
+        dg = gq[t0:t1] - grads[t0:t1, None, :]
+        dg **= 2
+        np.add(du ** 2, dg[..., 0] + dg[..., 1], out=dens[t0:t1])
     total = np.einsum("t,q,tq->", mesh.areas(), TRI_P5.weights, dens)
     return float(np.sqrt(total))
 

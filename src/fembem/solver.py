@@ -280,9 +280,11 @@ def pcg(matrix, rhs, x0=None, preconditioner=None, rel_threshold=1e-12,
     abs_threshold)``; the recorded ``p_energies`` drive both stopping
     criteria of the inexact outer iteration.  A non-finite initial energy
     returns at once, unconverged and with that energy, since no iteration
-    can help.  ``matrix`` is a dense array or a sparse matrix;
-    ``preconditioner`` is any object with ``apply(r)``, the identity if
-    None.
+    can help.  An energy below ``eps^2 * (r0' P^{-1} r0)`` also returns,
+    unconverged: there the updated residual carries no digit of the true
+    one, and iterating on it underflows into a false breakdown.
+    ``matrix`` is a dense array or a sparse matrix; ``preconditioner`` is
+    any object with ``apply(r)``, the identity if None.
     """
     b = np.asarray(rhs, dtype=float)
     apply = preconditioner.apply if preconditioner is not None else (lambda v: v)
@@ -299,6 +301,7 @@ def pcg(matrix, rhs, x0=None, preconditioner=None, rel_threshold=1e-12,
     if rz == 0.0:
         return PcgResult(x, 0, energies, True, iterates)
     threshold = min(rel_threshold * rz, abs_threshold)
+    floor = np.finfo(float).eps ** 2 * rz
     p = z.copy()
     for k in range(1, max_iterations + 1):
         ap = matrix @ p
@@ -317,6 +320,8 @@ def pcg(matrix, rhs, x0=None, preconditioner=None, rel_threshold=1e-12,
             iterates.append(x.copy())
         if rz_new <= threshold:
             return PcgResult(x, k, energies, True, iterates)
+        if rz_new <= floor:
+            return PcgResult(x, k, energies, False, iterates)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return PcgResult(x, max_iterations, energies, False, iterates)

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite.
 
 Mesh builders and callbacks shared by the test modules; the API only
-the tests use (an 8th-degree triangle rule, mesh checks, the pointwise
-single-layer potential, boundary integrals, CSV reading, the platform
+the tests use (an 8th-degree triangle rule, the quadrature points of a
+rule and P1 values at them, mesh checks, the pointwise single-layer
+potential, boundary integrals, CSV reading, the platform
 signature that bit-level pins name when they fail); and the
 einsum / ``np.add.at`` forms of the FEM kernels, kept as references for
 the matmul / ``np.bincount`` code in ``fembem.fem`` and
@@ -17,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from fembem.bem import (TWO_PI, BemDensity, BemOperators, BoundaryTrace, _blocks, _frames,
+from fembem.bem import (TWO_PI, BemDensity, BemOperators, BoundaryTrace, _frames,
                         _node_panel_geometry, _panel_frames, double_layer_pointwise)
 from fembem.cli import CSV_COLUMNS
 from fembem.fem import FeFunction, TriangleRule, _hat_gradients, _scatter, _sym3
-from fembem.mesh import _LINE_TOL, boundary_trace, gauss_legendre, make_initial_mesh, refine_nvb
+from fembem.mesh import (_LINE_TOL, _blocks, boundary_trace, gauss_legendre, make_initial_mesh,
+                         refine_nvb)
 from fembem.solver import CholeskyFactor
 
 
@@ -260,6 +262,19 @@ def read_csv(path):
 # einsum / np.add.at forms of the FEM kernels
 
 
+def quadrature_points(rule, mesh):
+    """Physical points of ``rule`` on every element, (nt, nq, 2), one product per element.
+
+    ``rule.values`` evaluates at the same bits, one product per block.
+    """
+    return rule.barycentric @ mesh.corners()
+
+
+def at_barycentric(u, lam):
+    """Values of the P1 function ``u`` at the barycentric points ``lam`` (nq, 3), shape (nt, nq)."""
+    return u.values[u.mesh.triangles] @ lam.T
+
+
 def points_reference(rule, mesh):
     return np.einsum("qk,tkd->tqd", rule.barycentric, mesh.corners())
 
@@ -318,7 +333,7 @@ def apply_interior_operator_reference(operator, u):
 
 def h1_error_reference(u_h, u_exact, grad_exact, rule):
     mesh = u_h.mesh
-    du = rule.values(mesh, u_exact) - u_h.at_barycentric(rule.barycentric)
+    du = rule.values(mesh, u_exact) - at_barycentric(u_h, rule.barycentric)
     dg = rule.values(mesh, grad_exact) - _element_gradients_reference(u_h)[:, None, :]
     dens = du ** 2 + np.einsum("tqd,tqd->tq", dg, dg)
     return float(np.sqrt(np.einsum("t,q,tq->", mesh.areas(), rule.weights, dens)))
@@ -326,7 +341,7 @@ def h1_error_reference(u_h, u_exact, grad_exact, rule):
 
 def eta_fem_reference(mesh, bmesh, w, u_prev, f, phi0, phi_j, operator, rule, n_gauss=2):
     area = mesh.areas()
-    dens = rule.values(mesh, f) - w.at_barycentric(rule.barycentric)
+    dens = rule.values(mesh, f) - at_barycentric(w, rule.barycentric)
     eta2 = area ** 2 * np.einsum("q,tq->t", rule.weights, dens ** 2)
     sigma = operator(_element_gradients_reference(u_prev)) \
         + _element_gradients_reference(w)

@@ -13,6 +13,7 @@ from _helpers import (assert_equal_to_a_fresh_build_by_slot, collinear_coordinat
                       double_layer_derivative_closed_form, integrate_double_layer, integrate_trace, nodal_interpolate_u0,
                       panel_coordinates_reference, same_line_reference, single_layer_pointwise,
                       uniform_refine_boundary)
+import fembem.mesh
 from fembem import bem
 from fembem.mesh import Mesh, boundary_trace, make_initial_mesh, refine_nvb
 from fembem.model import EXAMPLES, make_problem
@@ -583,7 +584,7 @@ def matrices_along_a_refinement_chain(domain):
 def test_the_block_size_changes_no_bit(domain, monkeypatch):
     """One segment per block (and one row per move) gives every matrix the bits of the default blocks."""
     default = matrices_along_a_refinement_chain(domain)
-    monkeypatch.setattr(bem, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(fembem.mesh, "_BLOCK_ENTRIES", 1)
     assert matrices_along_a_refinement_chain(domain) == default
 
 
@@ -596,7 +597,7 @@ def test_a_fresh_build_evaluates_each_same_line_and_corner_pair_once(domain, mon
     with n segments passes n (n + 1) entries.  Each corner of the walk
     enters the wedge rule once.
     """
-    monkeypatch.setattr(bem, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(fembem.mesh, "_BLOCK_ENTRIES", 1)
     closed, wedges = [], []
     plain_closed, plain_wedge = bem._collinear_double_integral, bem._wedge_double_integrals
 
@@ -635,11 +636,11 @@ def test_a_fill_holds_one_copy_of_each_matrix_and_one_block_of_temporaries(monke
     nor a temporary of the size of ``V`` fits in that.
     """
     if block is not None:
-        monkeypatch.setattr(bem, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(fembem.mesh, "_BLOCK_ENTRIES", block)
     mesh, bm, _ = uniform_refine_boundary(make_initial_mesh("lshape"), 5)
     ns = bm.num_segments
     assert ns == 256
-    budget = 24 * 8 * bem._BLOCK_ENTRIES + 512 * ns
+    budget = 24 * 8 * fembem.mesh._BLOCK_ENTRIES + 512 * ns
     tracemalloc.start()
     try:
         ops = bem.BemOperators(bm)

@@ -1,13 +1,16 @@
 """P1 finite elements: assembly, prolongation, norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _helpers import (TRI_P8, apply_interior_operator_reference, boundary_load_reference,
-                      derived_facts, eta_fem_reference, f_one, h1_error_reference,
-                      phi0_zero, points_reference, random_nvb_mesh,
-                      riesz_diagonal_reference, riesz_reference, stiffness_reference,
-                      uniform_refine, volume_load_reference, zero_fe)
+from _helpers import (TRI_P8, apply_interior_operator_reference, at_barycentric,
+                      boundary_load_reference, derived_facts, eta_fem_reference, f_one,
+                      h1_error_reference, phi0_zero, points_reference, quadrature_points,
+                      random_nvb_mesh, riesz_diagonal_reference, riesz_reference,
+                      stiffness_reference, uniform_refine, volume_load_reference, zero_fe)
+import fembem.mesh
 from fembem.estimate import _interior_edges, eta_fem
 from fembem.fem import (TRI_P5, FeFunction, _hat_gradients, apply_interior_operator,
                         assemble_riesz, assemble_stiffness, assemble_w_rhs,
@@ -41,7 +44,7 @@ def test_triangle_rule_declared_exactness(rule, degree):
     assert np.allclose(rule.barycentric.sum(axis=1), 1.0, rtol=1e-13)
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]))
-    pts = rule.points(mesh).reshape(-1, 2)
+    pts = quadrature_points(rule, mesh).reshape(-1, 2)
     area = 0.5
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
@@ -244,32 +247,38 @@ def test_h1_error_quadrature_refinement_corner_solution():
 
 
 def test_h1_error_reads_exact_values_kept_on_the_mesh(rng):
-    """The exact solution and its gradient are evaluated once per mesh; the error keeps its bits."""
+    """The exact solution and its gradient are evaluated once per mesh; the error keeps its bits.
+
+    The mesh holds more than one block of quadrature points, so each
+    function is called once per block, on every point once.
+    """
     exact = make_problem("laplace_lshape").exact
-    mesh = random_nvb_mesh("lshape", 3)
+    mesh = uniform_refine(random_nvb_mesh("lshape", 3), 4)
     calls = []
 
     def u(points):
-        calls.append("u")
+        calls.append(("u", len(points)))
         return exact.u(points)
 
     def grad_u(points):
-        calls.append("grad_u")
+        calls.append(("grad_u", len(points)))
         return exact.grad_u(points)
 
-    flat = TRI_P5.points(mesh).reshape(-1, 2)
+    flat = quadrature_points(TRI_P5, mesh).reshape(-1, 2)
     grads = TRI_P5.values(mesh, grad_u)
     assert grads.shape == (mesh.num_triangles, 7, 2)
     assert grads.tobytes() == exact.grad_u(flat).tobytes()
     for _ in range(2):
         uh = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
-        du = exact.u(flat).reshape(mesh.num_triangles, -1) - uh.at_barycentric(TRI_P5.barycentric)
+        du = exact.u(flat).reshape(mesh.num_triangles, -1) - at_barycentric(uh, TRI_P5.barycentric)
         dg = exact.grad_u(flat).reshape(mesh.num_triangles, -1, 2) \
             - uh.element_gradients()[:, None, :]
         dens = du ** 2 + np.einsum("tqd,tqd->tq", dg, dg)
         ref = float(np.sqrt(np.einsum("t,q,tq->", mesh.areas(), TRI_P5.weights, dens)))
         assert h1_error(uh, u, grad_u) == ref
-    assert sorted(calls) == ["grad_u", "u"]
+    for name in ("u", "grad_u"):
+        sizes = [n for who, n in calls if who == name]
+        assert len(sizes) > 1 and sum(sizes) == 7 * mesh.num_triangles, name
 
 
 def test_h1_error_monotone_under_uniform_refinement(lshape):
@@ -289,7 +298,7 @@ def test_energy_identity(lshape, rng):
     R = assemble_riesz(mesh)
     energy = u.values @ (R @ u.values)
     area = mesh.areas()
-    uq = u.at_barycentric(TRI_P5.barycentric)
+    uq = at_barycentric(u, TRI_P5.barycentric)
     grads = u.element_gradients()
     quad = (area * (TRI_P5.weights * uq ** 2).sum(axis=1)).sum() \
         + (area * (grads ** 2).sum(axis=1)).sum()
@@ -319,8 +328,6 @@ MESH_FACTS = {
     "edge_structure": Mesh.edge_structure,
     "interior_edges": _interior_edges,
     "hat_gradients": _hat_gradients,
-    str(("points", TRI_P5)): TRI_P5.points,
-    str(("points", TRI_P8)): TRI_P8.points,
     str(("values", TRI_P5, load)): lambda mesh: TRI_P5.values(mesh, load),
     str(("values", TRI_P5, EXACT.u)): lambda mesh: TRI_P5.values(mesh, EXACT.u),
     str(("values", TRI_P5, EXACT.grad_u)): lambda mesh: TRI_P5.values(mesh, EXACT.grad_u),
@@ -359,8 +366,13 @@ def test_mesh_facts_are_kept_read_only_and_equal_a_fresh_build(domain, seed):
 
 
 def test_load_is_evaluated_once_per_mesh(rng):
-    """``volume_load`` and ``eta_fem`` of one mesh share the values of ``f``."""
-    mesh = random_nvb_mesh("lshape", 2)
+    """``volume_load`` and ``eta_fem`` of one mesh share the values of ``f``.
+
+    The mesh holds more than one block of quadrature points: ``f`` is
+    called once per block, on every point once, and not again while the
+    values are kept.
+    """
+    mesh = uniform_refine(random_nvb_mesh("lshape", 2), 4)
     bm = boundary_trace(mesh)
     calls = []
 
@@ -369,18 +381,25 @@ def test_load_is_evaluated_once_per_mesh(rng):
         return load(points)
 
     rhs = volume_load(mesh, f)
+    first = list(calls)
+    assert len(first) > 1 and sum(first) == 7 * mesh.num_triangles
     u = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
     eta2 = eta_fem(mesh, bm, u, u, f, phi0_zero, np.zeros(bm.num_segments), identity_flux)
-    assert calls == [7 * mesh.num_triangles]
-    assert TRI_P5.values(mesh, f).tobytes() == load(TRI_P5.points(mesh).reshape(-1, 2)).tobytes()
+    assert calls == first
+    points = quadrature_points(TRI_P5, mesh).reshape(-1, 2)
+    assert TRI_P5.values(mesh, f).tobytes() == load(points).tobytes()
     mesh.drop_derived()
     assert np.array_equal(volume_load(mesh, f), rhs)
     assert np.array_equal(eta_fem(mesh, bm, u, u, f, phi0_zero, np.zeros(bm.num_segments),
                                   identity_flux), eta2)
-    assert len(calls) == 2
+    assert calls == first + first
 
 
 NONLINEAR_OP = make_problem("nonlinear_zshape").operator
+
+
+def _points_themselves(points):
+    return points
 
 
 def positive_load(points):
@@ -420,7 +439,77 @@ def test_kernels_equal_their_einsum_and_add_at_forms(domain, seed):
     assert np.allclose(volume_load(mesh, positive_load),
                        volume_load_reference(mesh, positive_load, TRI_P5), rtol=1e-14, atol=0)
     for rule in (TRI_P5, TRI_P8):
-        assert np.allclose(rule.points(mesh), points_reference(rule, mesh), rtol=1e-14, atol=0)
+        points = rule.values(mesh, _points_themselves)
+        same_bits(points, quadrature_points(rule, mesh))
+        assert np.allclose(points, points_reference(rule, mesh), rtol=1e-14, atol=0)
+
+
+def element_pass_bytes(mesh):
+    """Bytes of the values of u, grad u and a load at the ``TRI_P5`` points of a bare copy of
+    ``mesh``, and of ``volume_load``, ``h1_error`` and ``eta_fem`` on it."""
+    mesh = Mesh(mesh.vertices, mesh.triangles, mesh.father)
+    bm = boundary_trace(mesh)
+    rng = np.random.default_rng(5)
+    u, w = (FeFunction(mesh, rng.standard_normal(mesh.num_vertices)) for _ in range(2))
+    psi = rng.standard_normal(bm.num_segments)
+    return [TRI_P5.values(mesh, f).tobytes() for f in (EXACT.u, EXACT.grad_u, load)] + [
+        volume_load(mesh, load).tobytes(),
+        np.float64(h1_error(u, EXACT.u, EXACT.grad_u)).tobytes(),
+        eta_fem(mesh, bm, w, u, load, EXACT.phi, psi, NONLINEAR_OP).tobytes()]
+
+
+@pytest.mark.parametrize("tail", [None, 1], ids=["two-elements", "tail-of-one"])
+def test_the_element_block_size_changes_no_bit(monkeypatch, tail):
+    """Blocks of two elements, or blocks that would leave one element over, keep every bit.
+
+    The mesh holds several blocks at the default budget.  A tail of one
+    element joins the block before it, so no block holds a single element.
+    """
+    mesh = uniform_refine(random_nvb_mesh("zshape", 1), 5)
+    nt = mesh.num_triangles
+    assert nt > 2 * (fembem.mesh._BLOCK_ENTRIES // 7)
+    default = element_pass_bytes(mesh)
+    step = 2 if tail is None else next(s for s in range(3, nt) if nt % s == tail)
+    monkeypatch.setattr(fembem.mesh, "_BLOCK_ENTRIES", 7 * step)
+    blocks = list(fembem.mesh._blocks(nt, 7, 2))
+    assert [t0 for t0, _ in blocks[1:]] == [t1 for _, t1 in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == nt
+    assert min(t1 - t0 for t0, t1 in blocks) >= 2 and len(blocks) > 2
+    assert element_pass_bytes(mesh) == default
+
+
+def test_element_passes_hold_one_density_and_a_few_blocks_of_temporaries(rng):
+    """Traced by tracemalloc, ``h1_error`` and ``eta_fem`` peak above what they leave alive by
+    at most one (nt, 7) density, one (nt,) array of indicators and 16 blocks of
+    ``_BLOCK_ENTRIES`` doubles.
+
+    ``h1_error`` evaluates the exact solution and its gradient afresh, and
+    ``eta_fem`` the load; the blocks hold the working set of such a
+    function on the points of one block.  The mesh holds 21 blocks, so a
+    second temporary of the size of the density does not fit.
+    """
+    mesh = uniform_refine(make_initial_mesh("lshape"), 11)
+    nt = mesh.num_triangles
+    assert nt >= 8 * (fembem.mesh._BLOCK_ENTRIES // 7)
+    bm = boundary_trace(mesh)
+    u, w = (FeFunction(mesh, rng.standard_normal(mesh.num_vertices)) for _ in range(2))
+    psi = rng.standard_normal(bm.num_segments)
+    # the facts that outlive both passes
+    mesh.corners(), mesh.areas(), _interior_edges(mesh), u.flux(NONLINEAR_OP)
+    w.element_gradients(), bm.gauss_values(EXACT.phi, 2)
+    budget = 8 * (7 * nt + nt) + 16 * 8 * fembem.mesh._BLOCK_ENTRIES
+    tracemalloc.start()
+    try:
+        h1_error(u, EXACT.u, EXACT.grad_u)
+        current, peak = tracemalloc.get_traced_memory()
+        assert peak - current <= budget
+        tracemalloc.reset_peak()
+        eta2 = eta_fem(mesh, bm, w, u, load, EXACT.phi, psi, NONLINEAR_OP)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eta2.shape == (nt,)
+    assert peak - current <= budget
 
 
 def test_flux_runs_once_per_function_and_operator(rng):

@@ -117,6 +117,21 @@ def test_pcg_breakdown_on_indefinite_preconditioner():
         pcg(np.eye(3), np.ones(3), preconditioner=NegatingPreconditioner())
 
 
+def test_pcg_stops_unconverged_once_rounding_ends_its_progress():
+    """A zero threshold ends PCG, unconverged, where the energy falls below eps^2 of its start.
+
+    Iterating on, the updated residual underflows: its energy reaches an
+    exact zero after many more steps and reports convergence, or a search
+    direction underflows to zero curvature and fakes a breakdown.
+    """
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((30, 30))
+    res = pcg(m @ m.T + 30 * np.eye(30), rng.standard_normal(30), rel_threshold=0.0)
+    floor = np.finfo(float).eps ** 2 * res.p_energies[0]
+    assert not res.converged and res.iterations <= 30
+    assert 0.0 < res.final_energy <= floor < res.p_energies[-2]
+
+
 def test_pcg_returns_at_once_on_nonfinite_start():
     res = pcg(np.eye(3), np.array([1.0, np.nan, 0.0]), max_iterations=50)
     assert res.iterations == 0 and not res.converged

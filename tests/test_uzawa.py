@@ -250,20 +250,36 @@ def test_nonfinite_interface_datum_refines_nothing_after_the_flag(solver):
     assert res.mesh.num_triangles == 12
 
 
+def test_a_tolerance_below_rounding_ends_at_the_inner_cap():
+    """``c_fem = 5e-324`` asks every FEM solve for a zero energy.
+
+    Each PCG run stops at the rounding floor, flagged, and the FEM loop
+    at the inner cap; PCG used to iterate into underflow and raise
+    ``SolverBreakdownError`` on a zero curvature.
+    """
+    config = UzawaConfig(example="laplace_lshape", c_fem=5e-324, budget_elements=100)
+    res = UzawaDriver(make_problem("laplace_lshape"), config).run()
+    assert res.stop_reason == "inner_budget"
+    assert {"pcg_maxiter", "inner_budget_exceeded"} <= set(res.flags)
+
+
 STOP_REASONS = {"budget", "max_outer", "target", "nonfinite", "inner_budget"}
 FLAGS = {"gamma_clamped", "inner_budget_exceeded", "nonfinite", "pcg_maxiter"}
-# admissible configs, in bounded parts of the validated ranges where those
-# are open, so that each run takes well under a second
+# admissible configs over the validated ranges, open ends included: the
+# factors in (0, 1] or (0, 1) from just above zero, and the positive ones
+# from just above zero up to 10
+_ABOVE_ZERO = dict(min_value=0.0, exclude_min=True)
 RUN_VALUES = dict(
     example=st.sampled_from(sorted(EXAMPLES)),
     solver=st.sampled_from(["pcg", "exact"]),
-    theta=st.floats(0.05, 1.0),
-    gamma=st.floats(0.05, 0.99),
+    theta=st.floats(max_value=1.0, **_ABOVE_ZERO),
+    gamma=st.floats(max_value=1.0, exclude_max=True, **_ABOVE_ZERO),
     adaptive_gamma=st.booleans(),
-    alpha=st.floats(1e-3, 1.0),
-    c_bem=st.floats(0.05, 5.0),
-    c_fem=st.floats(0.05, 5.0),
-    budget_elements=st.integers(100, 400),
+    alpha=st.floats(max_value=10.0, **_ABOVE_ZERO),
+    tau_rel=st.floats(max_value=1.0, exclude_max=True, **_ABOVE_ZERO),
+    c_bem=st.floats(max_value=10.0, **_ABOVE_ZERO),
+    c_fem=st.floats(max_value=10.0, **_ABOVE_ZERO),
+    budget_elements=st.integers(100, 600),
 )
 
 
