@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import assemble_riesz, riesz_diagonal
-from .mesh import Mesh, RefinementRelation, _Derived, vertex_prolongation_matrix
+from .mesh import Mesh, RefinementRelation, vertex_prolongation_matrix
 
 __all__ = [
     "NotSpdError",
@@ -68,13 +68,7 @@ class CholeskyFactor:
                 factor = sla.cho_factor(a, lower=True, check_finite=False)
             except sla.LinAlgError as exc:
                 raise NotSpdError("dense Cholesky failed") from exc
-
-            def potrs(b):   # solve with the lower factor, LAPACK ``potrs``
-                x, info = sla.lapack.dpotrs(factor[0], b, lower=True)
-                if info:
-                    raise ValueError(f"LAPACK potrs rejected argument {-info}")
-                return x
-            self._solve = potrs
+            self._solve = lambda b: sla.cho_solve(factor, b, check_finite=False)
 
     def solve(self, b):
         return self._solve(np.asarray(b, dtype=float))
@@ -120,11 +114,11 @@ class JacobiPreconditioner:
         return self.inverse_diagonal * r
 
 
-class _Level(_Derived):
+class _Level:
     """One refinement of the hierarchy: the parents of its new vertices.
 
-    Its prolongation from the previous level is built when a fold reads
-    it and forgotten after; exact solves, which never fold, build none.
+    It keeps no matrix: each read of :attr:`prolongation` builds the
+    prolongation from the previous level again.
     """
 
     def __init__(self, new_vertex_parents, num_coarse: int):
@@ -133,8 +127,7 @@ class _Level(_Derived):
 
     @property
     def prolongation(self) -> sp.csr_matrix:
-        return self._derive("prolongation", lambda: vertex_prolongation_matrix(
-            self._parents, self._num_coarse).tocsr())
+        return vertex_prolongation_matrix(self._parents, self._num_coarse).tocsr()
 
 
 # A level is folded into the last block while that block's basis holds at
@@ -189,11 +182,10 @@ class LocalMultilevelDiagonal:
 class MeshHierarchy:
     """Nested mesh sequence feeding the multilevel preconditioner.
 
-    :meth:`push` records each refinement's new vertices and fine mesh;
-    its prolongation P is built when a fold first reads it.
-    :meth:`preconditioner` folds the levels pushed since its last call
-    into the blocks and returns a preconditioner on them; a run that
-    never asks for one (exact solves) does no fold.
+    :meth:`push` records each refinement's new vertices and fine mesh
+    and folds the new level into the blocks at once;
+    :meth:`preconditioner` only wraps the blocks.  Exact solves need no
+    preconditioner, so only PCG runs push.
 
     Block 0 starts as the identity on level 0.  A level with active
     vertices ``I[:, active]`` and inverse Riesz diagonal d on them is
@@ -204,10 +196,9 @@ class MeshHierarchy:
     entry per level it lies under, and re-multiply the whole basis by
     each P; blocks keep both the fill and the fold cost per level
     bounded, while the operator stays the same additive sum.  A fold
-    reads a level's fine mesh and prolongation alone, and the level then
-    forgets its prolongation.  Only the finest mesh keeps its derived
-    facts: :meth:`push` makes the refined mesh forget them, and each fold
-    those the fold before it derived again.
+    reads the fine mesh and the level's prolongation P alone, which is
+    built for it and not kept.  Only the finest mesh keeps its derived
+    facts: :meth:`push` makes the refined mesh forget them.
     """
 
     def __init__(self, mesh: Mesh):
@@ -215,7 +206,6 @@ class MeshHierarchy:
         self._levels = [None]               # level 0 has no previous level
         self._coarse_inverse = _spd_inverse(assemble_riesz(mesh).toarray())
         self._blocks = [(sp.identity(mesh.num_vertices, format="csr"), np.zeros(0))]
-        self._folded = 1                   # levels already in the blocks
 
     @property
     def finest(self) -> Mesh:
@@ -225,16 +215,13 @@ class MeshHierarchy:
         if relation.coarse is not self.finest:
             raise ValueError("refinement does not start from the finest level")
         # the parents alone: the relation's fine trace would keep boundary facts alive
-        self._levels.append(_Level(relation.new_vertex_parents, relation.coarse.num_vertices))
+        level = _Level(relation.new_vertex_parents, relation.coarse.num_vertices)
+        self._levels.append(level)
         self.meshes.append(relation.fine)
         relation.coarse.drop_derived()
+        self._fold(relation.fine, level.prolongation)
 
     def preconditioner(self) -> LocalMultilevelDiagonal:
-        for k in range(self._folded, len(self._levels)):
-            self._fold(self.meshes[k], self._levels[k].prolongation)
-            self._levels[k].drop_derived()
-            self.meshes[k - 1].drop_derived()
-        self._folded = len(self._levels)
         return LocalMultilevelDiagonal(self._blocks, self._coarse_inverse)
 
     def _fold(self, fine: Mesh, prolongation) -> None:

@@ -15,8 +15,8 @@ may refine:
 The tolerances contract geometrically, either with a fixed factor or
 with the measured update-norm ratio (clamped below one).  Everything a
 later step reuses - the iterate, the latest update, the density - is
-carried through every refinement by prolongation, and the volume mesh
-hierarchy feeds the multilevel preconditioner.  The BEM operators are
+carried through every refinement by prolongation, and in PCG runs the
+volume mesh hierarchy feeds the multilevel preconditioner.  The BEM operators are
 built with the driver and follow every refinement, keeping each entry
 in its slot; a BEM round computes only the rows and columns of new
 segments and, if it computed any, rebuilds the solver of ``V``.
@@ -166,7 +166,8 @@ class UzawaDriver:
     def _refine(self, marked_tris=(), marked_segments=()):
         fine, rel = refine_nvb(self.mesh, marked_tris,
                                marked_segments=marked_segments, bmesh=self.bm)
-        self.hierarchy.push(rel)
+        if self.config.solver == "pcg":        # only PCG reads the hierarchy
+            self.hierarchy.push(rel)
         self.u = prolongate(self.u, rel)
         self.w_carry = prolongate(self.w_carry, rel)
         self.psi_vals = self.psi_vals[rel.seg_father]

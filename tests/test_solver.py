@@ -293,12 +293,8 @@ def _per_level_reference(meshes, relations, r):
     return z
 
 
-def _random_hierarchy(domain, fold_after=(1, 4)):
-    """Seven random levels of ``domain``, one refined only through boundary segments.
-
-    The pending levels are folded after each step in ``fold_after``; by
-    default in batches of 2, 3 and 2.
-    """
+def _random_hierarchy(domain):
+    """Seven random levels of ``domain``, one refined only through boundary segments."""
     rng = np.random.default_rng(11)
     mesh = make_initial_mesh(domain)
     bm = boundary_trace(mesh)
@@ -317,8 +313,6 @@ def _random_hierarchy(domain, fold_after=(1, 4)):
         hierarchy.push(rel)
         meshes.append(mesh)
         relations.append(rel)
-        if step in fold_after:
-            hierarchy.preconditioner()
     return hierarchy, meshes, relations
 
 
@@ -360,24 +354,26 @@ def test_one_block_apply_has_the_bits_of_the_composite_basis(domain):
         assert pre.apply(r).tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("block_fill", [None, 3], ids=["default", "small"])
-@pytest.mark.parametrize("fold_after", [range(1, 7, 2), range(2, 7, 3)],
-                         ids=["pairs", "triples"])
-def test_batched_folds_give_the_blocks_of_level_by_level_folds(fold_after, block_fill,
-                                                               monkeypatch):
-    if block_fill is not None:
-        monkeypatch.setattr(solver, "_BLOCK_FILL", block_fill)
-    stepwise, _, _ = _random_hierarchy("lshape", fold_after=range(7))
-    batched, _, _ = _random_hierarchy("lshape", fold_after=fold_after)
-    batched.preconditioner()
-    blocks = len(batched._blocks)
-    assert len(stepwise._blocks) == blocks
-    assert blocks == 1 if block_fill is None else blocks >= 3
-    for (b1, d1), (b2, d2) in zip(stepwise._blocks, batched._blocks):
-        assert b1.shape == b2.shape
-        for name in ("data", "indices", "indptr"):
-            assert getattr(b1, name).tobytes() == getattr(b2, name).tobytes(), name
-        assert d1.tobytes() == d2.tobytes()
+def test_push_folds_its_level_and_the_preconditioner_folds_nothing(lshape, monkeypatch):
+    folds = []
+    plain_fold = MeshHierarchy._fold
+
+    def fold(self, fine, prolongation):
+        folds.append(fine)
+        plain_fold(self, fine, prolongation)
+
+    monkeypatch.setattr(MeshHierarchy, "_fold", fold)
+    hierarchy = MeshHierarchy(lshape)
+    mesh = lshape
+    for k in range(1, 4):
+        mesh, rel = refine_nvb(mesh, np.arange(0, mesh.num_triangles, 3))
+        hierarchy.push(rel)
+        assert len(folds) == k and folds[-1] is mesh is hierarchy.finest
+        blocks = list(hierarchy._blocks)
+        hierarchy.preconditioner()
+        assert len(folds) == k
+        assert all(new is old for pair in zip(hierarchy._blocks, blocks)
+                   for new, old in zip(*pair))
 
 
 def test_multilevel_preconditioned_pcg_converges(lshape, rng):

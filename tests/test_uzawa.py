@@ -2,12 +2,14 @@
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +102,15 @@ def test_tiny_relaxation_gives_tiny_iterate():
 
 
 def test_second_step_extends_first_by_relaxed_update():
-    drv = UzawaDriver(make_problem("laplace_lshape"), small_config())
+    """Step 2 refines, so u1 reaches its mesh through the levels that step pushed."""
+    drv = UzawaDriver(make_problem("laplace_lshape"),
+                      small_config(solver="pcg", eps1=1.0, gamma=0.5))
     drv.step(1)
     u1 = drv.u.values.copy()
     level1 = len(drv.hierarchy._levels) - 1
     drv.step(2)
     level2 = len(drv.hierarchy._levels) - 1
+    assert level2 > level1
     carried = u1
     for level in drv.hierarchy._levels[level1 + 1:level2 + 1]:
         carried = level.prolongation @ carried
@@ -186,13 +191,21 @@ def test_adaptive_contraction_clamps_growing_updates():
 
 
 def test_budget_stop_and_nested_hierarchy():
-    drv = UzawaDriver(make_problem("laplace_lshape"), small_config())
-    res = drv.run()
-    assert res.stop_reason == "budget"
-    assert res.mesh.num_triangles >= 400
-    sizes = [m.num_vertices for m in drv.hierarchy.meshes]
-    assert all(b > a for a, b in zip(sizes, sizes[1:]))
-    assert drv.hierarchy.finest is res.mesh
+    """PCG runs push every mesh; exact runs keep the initial mesh alone."""
+    for solver in ("pcg", "exact"):
+        drv = UzawaDriver(make_problem("laplace_lshape"), small_config(solver=solver))
+        initial = drv.mesh
+        res = drv.run()
+        assert res.stop_reason == "budget"
+        assert res.mesh.num_triangles >= 400
+        if solver == "exact":
+            [kept] = drv.hierarchy.meshes
+            assert kept is initial
+            continue
+        sizes = [m.num_vertices for m in drv.hierarchy.meshes]
+        assert len(sizes) > 3
+        assert all(b > a for a, b in zip(sizes, sizes[1:]))
+        assert drv.hierarchy.finest is res.mesh
 
 
 def test_target_stop_after_single_cheap_step():
@@ -495,18 +508,31 @@ def test_carried_bem_operators_equal_a_fresh_build_in_every_round(monkeypatch, c
 
 @pytest.mark.parametrize("solver", ["pcg", "exact"])
 def test_only_the_finest_mesh_keeps_derived_facts(solver):
-    """The hierarchy keeps coarser meshes for their elements only, folds included."""
+    """A PCG hierarchy keeps coarser meshes for their elements only; exact runs keep none.
+
+    An exact run's hierarchy holds the initial mesh alone, so every mesh
+    between it and the current one is freed as soon as the driver moves on.
+    """
     bem_rounds = [0]      # BEM rounds before each FEM round; all but the last refine Γ
+    seen = []             # a weak reference to each mesh a round ran on
 
     def observer(driver, phase, payload):
+        if not seen or seen[-1]() is not driver.mesh:
+            seen.append(weakref.ref(driver.mesh))
+        if solver == "exact":
+            gc.collect()
+            assert [ref() is not None for ref in seen[1:-1]] == [False] * (len(seen) - 2)
+            [kept] = driver.hierarchy.meshes
+            assert kept is seen[0]()
         if phase == "bem":
             bem_rounds[-1] += 1
             return
         if bem_rounds[-1]:
             bem_rounds.append(0)
-        meshes = driver.hierarchy.meshes
-        assert meshes[-1] is driver.mesh
-        assert [derived_facts(m) for m in meshes[:-1]] == [[]] * (len(meshes) - 1)
+        if solver == "pcg":
+            meshes = driver.hierarchy.meshes
+            assert meshes[-1] is driver.mesh
+            assert [derived_facts(m) for m in meshes[:-1]] == [[]] * (len(meshes) - 1)
         assert "riesz" in derived_facts(driver.mesh)
 
     cfg = small_config(gamma=0.95, eps1=5.0, c_bem=0.1, solver=solver,
@@ -514,6 +540,7 @@ def test_only_the_finest_mesh_keeps_derived_facts(solver):
     res = run_experiment_config(cfg, observer=observer)
     assert res.stop_reason == "budget"
     assert max(bem_rounds) >= 4       # Γ refined three times between two FEM rounds
+    assert len(seen) > 3
 
 
 def run_recording_prolongations(monkeypatch, cfg):
@@ -526,7 +553,9 @@ def run_recording_prolongations(monkeypatch, cfg):
 
     def push(self, relation):
         relations.append(relation)
+        before = len(built)
         plain_push(self, relation)
+        assert len(built) == before + 1          # the pushed level's prolongation, once
 
     def build(*args):
         built.append(args)
@@ -536,7 +565,7 @@ def run_recording_prolongations(monkeypatch, cfg):
     monkeypatch.setattr(solver, "vertex_prolongation_matrix", build)
     drv = UzawaDriver(make_problem(cfg.example), cfg)
     assert drv.run().stop_reason == "budget"
-    assert len(relations) == len(drv.hierarchy._levels) - 1 > 3
+    assert len(relations) == len(drv.hierarchy._levels) - 1
     return drv, relations, built
 
 
@@ -546,31 +575,35 @@ def run_recording_prolongations(monkeypatch, cfg):
     small_config(solver="pcg", budget_elements=600),
 ], ids=["zshape_exact", "lshape_pcg"])
 def test_prolongations_are_built_only_when_a_fold_reads_them(monkeypatch, cfg):
-    """Exact solves build no prolongation; PCG builds each level's once, in its fold."""
+    """Exact runs push nothing; PCG builds each level's prolongation once, inside its push, for its fold."""
     drv, relations, built = run_recording_prolongations(monkeypatch, cfg)
     if cfg.solver == "exact":
-        assert built == []
+        assert relations == [] and built == []
+        assert len(drv.hierarchy.meshes) == 1 and len(drv.hierarchy._levels) == 1
         return
+    assert len(relations) > 3
     assert len(built) == len(relations)
     for (parents, num_coarse), rel in zip(built, relations):
         assert parents is rel.new_vertex_parents and num_coarse == rel.coarse.num_vertices
 
 
 def test_a_folded_level_forgets_its_prolongation(monkeypatch):
-    """After a PCG run no folded level holds a fact; read again, each prolongation has its relation's bytes."""
+    """After a PCG run a level holds its parents and coarse count, no matrix; read, each prolongation has its relation's bytes."""
     from fembem.mesh import vertex_prolongation_matrix
 
     drv, relations, _ = run_recording_prolongations(monkeypatch, small_config(solver="pcg",
                                                                               budget_elements=600))
     levels = drv.hierarchy._levels[1:]
-    assert drv.hierarchy._folded == len(levels) + 1          # every level is folded
-    assert [derived_facts(level) for level in levels] == [[]] * len(levels)
+    assert len(levels) == len(relations) > 3
     for level, rel in zip(levels, relations):
+        assert vars(level).keys() == {"_parents", "_num_coarse"}
+        assert level._parents is rel.new_vertex_parents
         got = level.prolongation
         ref = vertex_prolongation_matrix(rel.new_vertex_parents, rel.coarse.num_vertices).tocsr()
         assert got.shape == ref.shape
         for name in ("data", "indices", "indptr"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert vars(level).keys() == {"_parents", "_num_coarse"}     # the read kept nothing
 
 
 def test_interface_and_exact_data_evaluated_once_per_mesh():
@@ -701,10 +734,11 @@ def test_benchmark_hooks_find_every_wrapped_name(tmp_path):
 
     Installing its tracer fails with ``AttributeError`` as soon as one of
     those names is deleted or renamed.  One traced repetition of
-    ``perfbench/rep.py`` at a tiny budget then checks what the benchmark
-    reads from a run: the hierarchy's ``meshes``, and a multilevel apply
-    that the driver really calls (a wrapped name that is never called
-    would make its span read 0).
+    ``perfbench/rep.py`` per solver at a tiny budget then checks what the
+    benchmark reads from a run: the hierarchy's ``meshes``, one pushed
+    level per refinement of a PCG run and none of an exact run, and a
+    multilevel apply that the PCG driver really calls (a wrapped name
+    that is never called would make its span read 0).
     """
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -715,16 +749,25 @@ def test_benchmark_hooks_find_every_wrapped_name(tmp_path):
         cwd=root / "perfbench", env=env, capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "rep.py"),
-         "--config", str(root / "scripts" / "configs" / "lshape_gamma095.cfg"),
-         "--budget", "300", "--tol", "10", "--csv", str(tmp_path / "run.csv"),
-         "--trace"],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    layers = json.loads(proc.stdout)["layers"]
+
+    def traced_layers(config):
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "rep.py"),
+             "--config", str(root / "scripts" / "configs" / config),
+             "--budget", "300", "--tol", "10", "--csv", str(tmp_path / "run.csv"),
+             "--trace"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)["layers"]
+
+    layers = traced_layers("lshape_gamma095.cfg")
     assert layers["solver.levels"] >= 2
+    assert layers["solver.hierarchy_push.calls"] == layers["solver.levels"] - 1
     assert layers["solver.multilevel_apply.calls"] > 0
+    layers = traced_layers("zshape_nonlinear.cfg")
+    assert layers["solver.levels"] == 1
+    assert layers["solver.hierarchy_push.calls"] == 0
+    assert layers["mesh.refine_nvb.calls"] > 0
 
 
 # CSV sha256 of each benchmark workload at seed 0.  A change that moves a
