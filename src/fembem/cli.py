@@ -149,8 +149,9 @@ def run_experiment(config_path, out_path=None, budget_elements=None,
     result = run_experiment_config(config, observer=observer)
     if verbose:
         for r in result.records:
-            print(f"  j={r.j:3d} nE={r.num_elements:6d} errH1={r.err_h1:.4e} "
-                  f"estTOT={r.est_total:.4e} kB={r.k_bem} kF={r.k_fem}",
+            print(f"  j={r.j:3d} nE={r.num_elements:6d} nS={r.num_segments:5d} "
+                  f"errH1={r.err_h1:.4e} estTOT={r.est_total:.4e} w_norm={r.w_norm:.4e} "
+                  f"kB={r.k_bem} kF={r.k_fem} flags={','.join(r.flags) or '-'}",
                   file=sys.stderr)
     write_csv(result, config, out_path)
     return result

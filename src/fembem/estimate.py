@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bem
-from .fem import TRI_P5, FeFunction, _less_p1_blocks
+from .fem import P5_WEIGHTS, FeFunction, _less_p1_blocks, quadrature_values
 from .mesh import BoundaryMesh, Mesh, _blocks
 
 __all__ = [
@@ -35,9 +35,10 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
 
     For P1 functions the strong volume residual has no second-order
     part, and normal-flux jumps are constant along each edge; the volume
-    term uses ``TRI_P5``, the boundary term 2 Gauss nodes per segment.  ``w`` and
-    ``u_prev`` must live on ``mesh``, ``bmesh`` must be a trace of it, and
-    ``phi_j`` must hold one value per segment of ``bmesh`` (``ValueError`` otherwise).
+    term uses the degree-5 triangle rule, the boundary term 2 Gauss
+    nodes per segment.  ``w`` and ``u_prev`` must live on ``mesh``,
+    ``bmesh`` must be a trace of it, and ``phi_j`` must hold one value
+    per segment of ``bmesh`` (``ValueError`` otherwise).
     """
     bmesh.check_mesh(mesh)
     w.check_mesh(mesh, "w")
@@ -56,16 +57,16 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
         contrib[idx[e0:e1]] = elen[e0:e1] * jump ** 2
     area = mesh.areas()
     eta2 = np.empty(mesh.num_triangles)
-    for t0, t1, dens in _less_p1_blocks(TRI_P5.values(mesh, f), w):
+    for t0, t1, dens in _less_p1_blocks(quadrature_values(mesh, f), w):
         a = area[t0:t1]
-        eta2[t0:t1] = a ** 2 * np.einsum("q,tq->t", TRI_P5.weights, dens ** 2) \
+        eta2[t0:t1] = a ** 2 * np.einsum("q,tq->t", P5_WEIGHTS, dens ** 2) \
             + np.sqrt(a) * contrib[tri2edge[t0:t1]].sum(axis=1)
 
     # boundary edges: flux mismatch against the given interface data
     _, wts_b = bmesh.gauss_points(2)
-    nrm = np.repeat(bmesh.normals()[:, None, :], 2, axis=1)
     rho = bmesh.gauss_values(phi0, 2) + bmesh.per_segment(phi_j, "phi_j")[:, None]
-    rho = rho - np.einsum("sd,sqd->sq", sigma[bmesh.owner], nrm)
+    # the normal flux is constant along each segment
+    rho = rho - np.einsum("sd,sd->s", sigma[bmesh.owner], bmesh.normals())[:, None]
     per_seg = np.einsum("sq,sq->s", wts_b, rho ** 2)
     return eta2 + np.bincount(bmesh.owner, np.sqrt(area[bmesh.owner]) * per_seg,
                               minlength=mesh.num_triangles)

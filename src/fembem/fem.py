@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .mesh import BoundaryMesh, Mesh, RefinementRelation, _Derived, _blocks, gauss_legendre
+from .mesh import (BoundaryMesh, Mesh, RefinementRelation, _Derived, _blocks, _read_only,
+                   gauss_legendre)
 
 __all__ = [
     "FeFunction",
-    "TriangleRule",
-    "TRI_P5",
+    "P5_BARYCENTRIC",
+    "P5_WEIGHTS",
+    "quadrature_values",
     "assemble_riesz",
-    "assemble_stiffness",
     "riesz_diagonal",
     "volume_load",
     "boundary_load",
@@ -70,61 +71,50 @@ class FeFunction(_Derived):
         return self._derive(("flux", operator), lambda: operator(self.element_gradients()))
 
 
-@dataclass(frozen=True, eq=False)
-class TriangleRule:
-    """Quadrature rule in barycentric coordinates; weights sum to one.
-
-    Rules compare and hash by identity, so a mesh can keep the values of
-    a function at the points of each rule keyed by the rule itself.
-    """
-
-    barycentric: np.ndarray   # (nq, 3)
-    weights: np.ndarray       # (nq,)
-
-    def values(self, mesh: Mesh, f) -> np.ndarray:
-        """``f`` at the quadrature points, kept on the mesh per ``f``.
-
-        Shape (nt, nq), or (nt, nq, d) for an ``f`` with values in R^d.
-        ``f`` is called on the (n, 2) points of one block of elements at a
-        time (:func:`~fembem.mesh._blocks`); the points themselves are not kept.
-        """
-        def build():
-            p, nq, nt = mesh.corners(), len(self.weights), mesh.num_triangles
-            # the linear map from an element's six corner coordinates to its
-            # 2 nq point coordinates: one BLAS product per block, with the
-            # bits of ``barycentric @ corners`` for blocks of two or more
-            to_points = np.zeros((6, 2 * nq))
-            to_points[0::2, 0::2] = to_points[1::2, 1::2] = self.barycentric.T
-            out = None
-            for t0, t1 in _blocks(nt, nq, 2):
-                vals = f((p[t0:t1].reshape(-1, 6) @ to_points).reshape(-1, 2))
-                vals = vals.reshape(t1 - t0, nq, *vals.shape[1:])
-                if t1 - t0 == nt:
-                    return vals               # one block: no copy
-                if out is None:
-                    out = np.empty((nt, *vals.shape[1:]), vals.dtype)
-                out[t0:t1] = vals
-            return out
-        return mesh._derive(("values", self, f), build)
-
-
 def _sym3(a, w):
     return [(a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)], [w] * 3
 
 
-def _make_tri_p5() -> TriangleRule:
+def _make_p5():
     pts = [(1 / 3, 1 / 3, 1 / 3)]
     wts = [9 / 40]
-    p, w = _sym3(0.470142064105115, 0.132394152788506)
-    pts += p
-    wts += w
-    p, w = _sym3(0.101286507323456, 0.125939180544827)
-    pts += p
-    wts += w
-    return TriangleRule(np.array(pts), np.array(wts))
+    for a, w in ((0.470142064105115, 0.132394152788506),
+                 (0.101286507323456, 0.125939180544827)):
+        p, ww = _sym3(a, w)
+        pts += p
+        wts += ww
+    return _read_only((np.array(pts), np.array(wts)))
 
 
-TRI_P5 = _make_tri_p5()
+# the 7-point degree-5 triangle rule: barycentric points (7, 3), weights (7,) summing to one
+P5_BARYCENTRIC, P5_WEIGHTS = _make_p5()
+
+
+def quadrature_values(mesh: Mesh, f) -> np.ndarray:
+    """``f`` at the ``P5_BARYCENTRIC`` points of every element, kept on the mesh per ``f``.
+
+    Shape (nt, 7), or (nt, 7, d) for an ``f`` with values in R^d.  ``f``
+    is called on the (n, 2) points of one block of elements at a time
+    (:func:`~fembem.mesh._blocks`); the points themselves are not kept.
+    """
+    def build():
+        p, nq, nt = mesh.corners(), len(P5_WEIGHTS), mesh.num_triangles
+        # the linear map from an element's six corner coordinates to its
+        # 2 nq point coordinates: one BLAS product per block, with the
+        # bits of ``P5_BARYCENTRIC @ corners`` for blocks of two or more
+        to_points = np.zeros((6, 2 * nq))
+        to_points[0::2, 0::2] = to_points[1::2, 1::2] = P5_BARYCENTRIC.T
+        out = None
+        for t0, t1 in _blocks(nt, nq, 2):
+            vals = f((p[t0:t1].reshape(-1, 6) @ to_points).reshape(-1, 2))
+            vals = vals.reshape(t1 - t0, nq, *vals.shape[1:])
+            if t1 - t0 == nt:
+                return vals               # one block: no copy
+            if out is None:
+                out = np.empty((nt, *vals.shape[1:]), vals.dtype)
+            out[t0:t1] = vals
+        return out
+    return mesh._derive(("values", f), build)
 
 
 def _hat_gradients(mesh: Mesh) -> np.ndarray:
@@ -143,23 +133,14 @@ def _hat_gradients(mesh: Mesh) -> np.ndarray:
     return mesh._derive("hat_gradients", build)
 
 
-def _local_stiffness(mesh: Mesh) -> np.ndarray:
-    """(nt, 3, 3) element stiffness: the products of the hat gradients times the area."""
-    g = _hat_gradients(mesh)
-    gram = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
-    return gram * mesh.areas()[:, None, None]
-
-
-def assemble_stiffness(mesh: Mesh) -> csr_matrix:
-    """Exact P1 stiffness matrix (grad-grad part only)."""
-    return _scatter(mesh, _local_stiffness(mesh))
-
-
 def assemble_riesz(mesh: Mesh) -> csr_matrix:
     """Galerkin matrix of the H^1 inner product (stiffness + mass), kept read-only on the mesh."""
     def build():
+        g = _hat_gradients(mesh)
+        area = mesh.areas()[:, None, None]
+        gram = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
         mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        return _scatter(mesh, _local_stiffness(mesh) + mass * mesh.areas()[:, None, None])
+        return _scatter(mesh, gram * area + mass * area)
     return mesh._derive("riesz", build)
 
 
@@ -186,10 +167,10 @@ def _sum_to_vertices(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
 
 
 def volume_load(mesh: Mesh, f) -> np.ndarray:
-    """Vector of ``(f, hat_i)`` via the triangle rule ``TRI_P5``."""
-    fv = TRI_P5.values(mesh, f)
+    """Vector of ``(f, hat_i)`` via the degree-5 triangle rule."""
+    fv = quadrature_values(mesh, f)
     area = mesh.areas()
-    contrib = ((fv * TRI_P5.weights) @ TRI_P5.barycentric) * area[:, None]
+    contrib = ((fv * P5_WEIGHTS) @ P5_BARYCENTRIC) * area[:, None]
     return _sum_to_vertices(mesh, contrib)
 
 
@@ -252,32 +233,32 @@ def prolongate(u: FeFunction, relation: RefinementRelation) -> FeFunction:
 
 
 def _less_p1_blocks(values: np.ndarray, u: FeFunction):
-    """``(t0, t1, values[t0:t1] - u)`` per block of elements, ``u`` taken at the ``TRI_P5`` points.
+    """``(t0, t1, values[t0:t1] - u)`` per block of elements, ``u`` taken at the P5 points.
 
-    ``values`` holds (nt, 7) values at the points of ``TRI_P5``.  No
+    ``values`` holds (nt, 7) values at the points ``P5_BARYCENTRIC``.  No
     block holds a single element: a one-row (1, 3) @ (3, 7) product takes
     NumPy's matrix-vector path and rounds otherwise than the rows of a
     taller product.
     """
-    tri, lam = u.mesh.triangles, TRI_P5.barycentric.T
-    for t0, t1 in _blocks(len(tri), len(TRI_P5.weights), 2):
+    tri, lam = u.mesh.triangles, P5_BARYCENTRIC.T
+    for t0, t1 in _blocks(len(tri), len(P5_WEIGHTS), 2):
         yield t0, t1, values[t0:t1] - u.values[tri[t0:t1]] @ lam
 
 
 def h1_error(u_h: FeFunction, u_exact, grad_exact) -> float:
-    """Full H^1 norm of ``u_exact - u_h`` by the triangle rule ``TRI_P5``.
+    """Full H^1 norm of ``u_exact - u_h`` by the degree-5 triangle rule.
 
     The (nt, 7) density is built block by block, then summed at once.
     """
     mesh = u_h.mesh
-    gq = TRI_P5.values(mesh, grad_exact)
+    gq = quadrature_values(mesh, grad_exact)
     grads = u_h.element_gradients()
-    dens = np.empty((mesh.num_triangles, len(TRI_P5.weights)))
-    for t0, t1, du in _less_p1_blocks(TRI_P5.values(mesh, u_exact), u_h):
+    dens = np.empty((mesh.num_triangles, len(P5_WEIGHTS)))
+    for t0, t1, du in _less_p1_blocks(quadrature_values(mesh, u_exact), u_h):
         dg = gq[t0:t1] - grads[t0:t1, None, :]
         dg **= 2
         np.add(du ** 2, dg[..., 0] + dg[..., 1], out=dens[t0:t1])
-    total = np.einsum("t,q,tq->", mesh.areas(), TRI_P5.weights, dens)
+    total = np.einsum("t,q,tq->", mesh.areas(), P5_WEIGHTS, dens)
     return float(np.sqrt(total))
 
 

@@ -159,7 +159,6 @@ class UzawaDriver:
         self.eps = config.eps1
         self.prev_w_norm = None
         self.flags: set = set()
-        self._inner_cap = 4 * config.budget_elements
 
     # -- mesh motion ---------------------------------------------------------
 
@@ -209,8 +208,9 @@ class UzawaDriver:
         """Rounds of ``solve(tol) -> (est2, alg2, payload)`` until ``sum(est2) + alg2 <= tol^2``.
 
         A non-finite value (also one flagged earlier in the step) or a mesh
-        past the inner cap ends the loop with its flag; otherwise ``refine``
-        gets the Doerfler-marked indicators.  Returns ``(est2, alg2, rounds)``.
+        of more than four times the element budget ends the loop with its
+        flag; otherwise ``refine`` gets the Doerfler-marked indicators.
+        Returns ``(est2, alg2, rounds)``.
         """
         rounds = 0
         while True:
@@ -224,7 +224,7 @@ class UzawaDriver:
                 return est2, alg2, rounds
             if total <= tol ** 2:
                 return est2, alg2, rounds
-            if self.mesh.num_triangles > self._inner_cap:
+            if self.mesh.num_triangles > 4 * self.config.budget_elements:
                 self.flags.add("inner_budget_exceeded")
                 return est2, alg2, rounds
             refine(doerfler_mark(est2, self.config.theta))

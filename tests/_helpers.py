@@ -1,8 +1,9 @@
 """Shared helpers for the test suite.
 
 Mesh builders and callbacks shared by the test modules; the API only
-the tests use (an 8th-degree triangle rule, the quadrature points of a
-rule and P1 values at them, mesh checks, the pointwise single-layer
+the tests use (triangle rules as point/weight pairs, the 8th-degree
+rule among them, the quadrature points of a rule, values of a function
+and of a P1 function at them, mesh checks, the pointwise single-layer
 potential, boundary integrals, CSV reading, the platform
 signature that bit-level pins name when they fail); and the
 einsum / ``np.add.at`` forms of the FEM kernels, kept as references for
@@ -15,13 +16,15 @@ and the single-basis multilevel apply, the reference for a one-block
 
 import ctypes
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from fembem.bem import (TWO_PI, BemDensity, BemOperators, BoundaryTrace, _frames,
                         _node_panel_geometry, _panel_frames, double_layer_pointwise)
 from fembem.cli import CSV_COLUMNS
-from fembem.fem import FeFunction, TriangleRule, _hat_gradients, _scatter, _sym3
+from fembem.fem import (P5_BARYCENTRIC, P5_WEIGHTS, FeFunction, _hat_gradients, _scatter,
+                        _sym3)
 from fembem.mesh import (_LINE_TOL, _blocks, boundary_trace, gauss_legendre, make_initial_mesh,
                          refine_nvb)
 from fembem.solver import CholeskyFactor
@@ -143,12 +146,22 @@ def phi0_zero(points, normals):
 # API only the tests use
 
 
+class Rule(NamedTuple):
+    """Triangle rule in barycentric coordinates; weights sum to one."""
+
+    barycentric: np.ndarray   # (nq, 3)
+    weights: np.ndarray       # (nq,)
+
+
+TRI_P5 = Rule(P5_BARYCENTRIC, P5_WEIGHTS)
+
+
 def _perm6(a, b, w):
     c = 1 - a - b
     return [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)], [w] * 6
 
 
-def _make_tri_p8() -> TriangleRule:
+def _make_tri_p8() -> Rule:
     pts = [(1 / 3, 1 / 3, 1 / 3)]
     wts = [0.1443156076777871]
     for a, w in [
@@ -162,7 +175,7 @@ def _make_tri_p8() -> TriangleRule:
     p, ww = _perm6(0.2631128296346381, 0.0083947774099576, 0.0272303141744349)
     pts += p
     wts += ww
-    return TriangleRule(np.array(pts), np.array(wts))
+    return Rule(np.array(pts), np.array(wts))
 
 
 TRI_P8 = _make_tri_p8()
@@ -265,9 +278,20 @@ def read_csv(path):
 def quadrature_points(rule, mesh):
     """Physical points of ``rule`` on every element, (nt, nq, 2), one product per element.
 
-    ``rule.values`` evaluates at the same bits, one product per block.
+    ``fembem.fem.quadrature_values`` evaluates at the same bits of the
+    ``TRI_P5`` points, one product per block.
     """
     return rule.barycentric @ mesh.corners()
+
+
+def rule_values(rule, mesh, f):
+    """``f`` at the points of ``rule`` on every element, (nt, nq) or (nt, nq, d), in one call.
+
+    Nothing is kept: each call evaluates ``f`` afresh.
+    """
+    points = quadrature_points(rule, mesh)
+    vals = f(points.reshape(-1, 2))
+    return vals.reshape(*points.shape[:2], *vals.shape[1:])
 
 
 def at_barycentric(u, lam):
@@ -305,7 +329,7 @@ def riesz_diagonal_reference(mesh):
 
 
 def volume_load_reference(mesh, f, rule):
-    fv = rule.values(mesh, f)
+    fv = rule_values(rule, mesh, f)
     contrib = np.einsum("q,tq,qk->tk", rule.weights, fv, rule.barycentric) * mesh.areas()[:, None]
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.triangles.reshape(-1), contrib.reshape(-1))
@@ -333,15 +357,15 @@ def apply_interior_operator_reference(operator, u):
 
 def h1_error_reference(u_h, u_exact, grad_exact, rule):
     mesh = u_h.mesh
-    du = rule.values(mesh, u_exact) - at_barycentric(u_h, rule.barycentric)
-    dg = rule.values(mesh, grad_exact) - _element_gradients_reference(u_h)[:, None, :]
+    du = rule_values(rule, mesh, u_exact) - at_barycentric(u_h, rule.barycentric)
+    dg = rule_values(rule, mesh, grad_exact) - _element_gradients_reference(u_h)[:, None, :]
     dens = du ** 2 + np.einsum("tqd,tqd->tq", dg, dg)
     return float(np.sqrt(np.einsum("t,q,tq->", mesh.areas(), rule.weights, dens)))
 
 
 def eta_fem_reference(mesh, bmesh, w, u_prev, f, phi0, phi_j, operator, rule, n_gauss=2):
     area = mesh.areas()
-    dens = rule.values(mesh, f) - at_barycentric(w, rule.barycentric)
+    dens = rule_values(rule, mesh, f) - at_barycentric(w, rule.barycentric)
     eta2 = area ** 2 * np.einsum("q,tq->t", rule.weights, dens ** 2)
     sigma = operator(_element_gradients_reference(u_prev)) \
         + _element_gradients_reference(w)

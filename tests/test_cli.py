@@ -313,7 +313,8 @@ def test_main_verbose_reports_progress(tmp_path, capsys):
                  "--verbose"]) == 0
     captured = capsys.readouterr()
     assert "[bem]" in captured.err and "[fem]" in captured.err
-    assert "errH1=" in captured.err
+    for field in ("errH1=", "nS=", "w_norm=", "flags="):
+        assert field in captured.err, field
 
 
 def test_main_missing_file_is_config_error(tmp_path, capsys):

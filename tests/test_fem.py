@@ -5,16 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _helpers import (TRI_P8, apply_interior_operator_reference, at_barycentric,
+from _helpers import (TRI_P5, TRI_P8, apply_interior_operator_reference, at_barycentric,
                       boundary_load_reference, derived_facts, eta_fem_reference, f_one,
                       h1_error_reference, phi0_zero, points_reference, quadrature_points,
                       random_nvb_mesh, riesz_diagonal_reference, riesz_reference,
                       stiffness_reference, uniform_refine, volume_load_reference, zero_fe)
 import fembem.mesh
 from fembem.estimate import _interior_edges, eta_fem
-from fembem.fem import (TRI_P5, FeFunction, _hat_gradients, apply_interior_operator,
-                        assemble_riesz, assemble_stiffness, assemble_w_rhs,
-                        boundary_load, h1_error, h1_norm, prolongate,
+from fembem.fem import (P5_BARYCENTRIC, P5_WEIGHTS, FeFunction, _hat_gradients,
+                        apply_interior_operator, assemble_riesz, assemble_w_rhs,
+                        boundary_load, h1_error, h1_norm, prolongate, quadrature_values,
                         riesz_diagonal, volume_load)
 from fembem.mesh import (Mesh, boundary_trace, make_initial_mesh, refine_nvb,
                          vertex_prolongation_matrix)
@@ -52,6 +52,12 @@ def test_triangle_rule_declared_exactness(rule, degree):
             assert abs(approx - reference_triangle_moment(a, b)) < 1e-14
 
 
+def test_the_p5_rule_is_read_only():
+    for arr in (P5_BARYCENTRIC, P5_WEIGHTS):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -59,7 +65,7 @@ def test_triangle_rule_declared_exactness(rule, degree):
 def test_stiffness_unit_right_triangle_diagonal():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]))
-    S = assemble_stiffness(mesh).toarray()
+    S = stiffness_reference(mesh).toarray()
     # hat at the right-angle vertex: grad = (-1, -1), |grad|^2 |T| = 2 * 1/2
     assert abs(S[0, 0] - 1.0) < 1e-15
     assert abs(S[1, 1] - 0.5) < 1e-15
@@ -68,7 +74,7 @@ def test_stiffness_unit_right_triangle_diagonal():
 
 def test_constant_in_stiffness_kernel(lshape):
     mesh = uniform_refine(lshape, 2)
-    S = assemble_stiffness(mesh)
+    S = stiffness_reference(mesh)
     ones = np.ones(mesh.num_vertices)
     assert np.abs(S @ ones).max() < 1e-13
 
@@ -92,7 +98,7 @@ def test_galerkin_nesting_identity(lshape):
     coarse = uniform_refine(lshape, 1)
     fine, rel = refine_nvb(coarse, np.arange(coarse.num_triangles))
     P = vertex_prolongation_matrix(rel.new_vertex_parents, coarse.num_vertices)
-    for assemble in (assemble_riesz, assemble_stiffness):
+    for assemble in (assemble_riesz, stiffness_reference):
         Sc = assemble(coarse).toarray()
         Sf = assemble(fine).toarray()
         assert np.abs(P.T @ Sf @ P - Sc).max() < 1e-12
@@ -132,7 +138,7 @@ def test_w_rhs_is_residual_of_solved_system(lshape):
     x = CholeskyFactor(assemble_riesz(mesh)).solve(rhs)
     # with u_prev = solution, the operator term subtracts exactly K @ x
     resid = assemble_w_rhs(mesh, bm, f, phi0, psi, FeFunction(mesh, x), identity_flux)
-    expected = rhs - assemble_stiffness(mesh) @ x
+    expected = rhs - stiffness_reference(mesh) @ x
     assert np.abs(resid - expected).max() <= 1e-10 * np.linalg.norm(rhs)
 
 
@@ -265,7 +271,7 @@ def test_h1_error_reads_exact_values_kept_on_the_mesh(rng):
         return exact.grad_u(points)
 
     flat = quadrature_points(TRI_P5, mesh).reshape(-1, 2)
-    grads = TRI_P5.values(mesh, grad_u)
+    grads = quadrature_values(mesh, grad_u)
     assert grads.shape == (mesh.num_triangles, 7, 2)
     assert grads.tobytes() == exact.grad_u(flat).tobytes()
     for _ in range(2):
@@ -328,9 +334,9 @@ MESH_FACTS = {
     "edge_structure": Mesh.edge_structure,
     "interior_edges": _interior_edges,
     "hat_gradients": _hat_gradients,
-    str(("values", TRI_P5, load)): lambda mesh: TRI_P5.values(mesh, load),
-    str(("values", TRI_P5, EXACT.u)): lambda mesh: TRI_P5.values(mesh, EXACT.u),
-    str(("values", TRI_P5, EXACT.grad_u)): lambda mesh: TRI_P5.values(mesh, EXACT.grad_u),
+    str(("values", load)): lambda mesh: quadrature_values(mesh, load),
+    str(("values", EXACT.u)): lambda mesh: quadrature_values(mesh, EXACT.u),
+    str(("values", EXACT.grad_u)): lambda mesh: quadrature_values(mesh, EXACT.grad_u),
     "riesz": assemble_riesz,
 }
 
@@ -387,7 +393,7 @@ def test_load_is_evaluated_once_per_mesh(rng):
     eta2 = eta_fem(mesh, bm, u, u, f, phi0_zero, np.zeros(bm.num_segments), identity_flux)
     assert calls == first
     points = quadrature_points(TRI_P5, mesh).reshape(-1, 2)
-    assert TRI_P5.values(mesh, f).tobytes() == load(points).tobytes()
+    assert quadrature_values(mesh, f).tobytes() == load(points).tobytes()
     mesh.drop_derived()
     assert np.array_equal(volume_load(mesh, f), rhs)
     assert np.array_equal(eta_fem(mesh, bm, u, u, f, phi0_zero, np.zeros(bm.num_segments),
@@ -423,10 +429,9 @@ def test_kernels_equal_their_einsum_and_add_at_forms(domain, seed):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
-    for got, ref in ((assemble_riesz(mesh), riesz_reference(mesh)),
-                     (assemble_stiffness(mesh), stiffness_reference(mesh))):
-        for a, b in ((got.data, ref.data), (got.indices, ref.indices), (got.indptr, ref.indptr)):
-            same_bits(a, b)
+    got, ref = assemble_riesz(mesh), riesz_reference(mesh)
+    for a, b in ((got.data, ref.data), (got.indices, ref.indices), (got.indptr, ref.indptr)):
+        same_bits(a, b)
     same_bits(riesz_diagonal(mesh), riesz_diagonal_reference(mesh))
     for op in (identity_flux, NONLINEAR_OP):
         same_bits(apply_interior_operator(op, u), apply_interior_operator_reference(op, u))
@@ -438,21 +443,22 @@ def test_kernels_equal_their_einsum_and_add_at_forms(domain, seed):
               np.asarray(h1_error_reference(u, EXACT.u, EXACT.grad_u, TRI_P5)))
     assert np.allclose(volume_load(mesh, positive_load),
                        volume_load_reference(mesh, positive_load, TRI_P5), rtol=1e-14, atol=0)
+    points = quadrature_values(mesh, _points_themselves)
+    same_bits(points, quadrature_points(TRI_P5, mesh))
     for rule in (TRI_P5, TRI_P8):
-        points = rule.values(mesh, _points_themselves)
-        same_bits(points, quadrature_points(rule, mesh))
-        assert np.allclose(points, points_reference(rule, mesh), rtol=1e-14, atol=0)
+        assert np.allclose(quadrature_points(rule, mesh), points_reference(rule, mesh),
+                           rtol=1e-14, atol=0)
 
 
 def element_pass_bytes(mesh):
-    """Bytes of the values of u, grad u and a load at the ``TRI_P5`` points of a bare copy of
+    """Bytes of the values of u, grad u and a load at the P5 points of a bare copy of
     ``mesh``, and of ``volume_load``, ``h1_error`` and ``eta_fem`` on it."""
     mesh = Mesh(mesh.vertices, mesh.triangles, mesh.father)
     bm = boundary_trace(mesh)
     rng = np.random.default_rng(5)
     u, w = (FeFunction(mesh, rng.standard_normal(mesh.num_vertices)) for _ in range(2))
     psi = rng.standard_normal(bm.num_segments)
-    return [TRI_P5.values(mesh, f).tobytes() for f in (EXACT.u, EXACT.grad_u, load)] + [
+    return [quadrature_values(mesh, f).tobytes() for f in (EXACT.u, EXACT.grad_u, load)] + [
         volume_load(mesh, load).tobytes(),
         np.float64(h1_error(u, EXACT.u, EXACT.grad_u)).tobytes(),
         eta_fem(mesh, bm, w, u, load, EXACT.phi, psi, NONLINEAR_OP).tobytes()]

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from _helpers import uniform_refine
-from fembem.fem import FeFunction, apply_interior_operator, assemble_stiffness
+from _helpers import stiffness_reference, uniform_refine
+from fembem.fem import FeFunction, apply_interior_operator
 from fembem.mesh import boundary_trace, make_initial_mesh
 from fembem.model import EXAMPLES, chi, chi_prime, make_problem, monotonicity_probe
 
@@ -179,7 +179,7 @@ def test_registry_rejects_unknown_name():
 
 def test_apply_linear_operator_is_stiffness_action(lshape, rng):
     mesh = uniform_refine(lshape, 1)
-    K = assemble_stiffness(mesh)
+    K = stiffness_reference(mesh)
     vals = rng.standard_normal(mesh.num_vertices)
     for name, scale in (("laplace_lshape", 1.0), ("scaled_laplace_lshape", 0.1)):
         op = make_problem(name).operator
@@ -192,7 +192,7 @@ def test_apply_chi_operator_on_affine_function(zshape):
     op = make_problem("nonlinear_zshape").operator
     vals = 0.3 * mesh.vertices[:, 0] - 0.7 * mesh.vertices[:, 1] + 0.2
     out = apply_interior_operator(op, FeFunction(mesh, vals))
-    K = assemble_stiffness(mesh)
+    K = stiffness_reference(mesh)
     factor = float(chi(np.hypot(0.3, -0.7)))
     assert np.allclose(out, factor * (K @ vals), rtol=1e-12, atol=1e-15)
 
@@ -214,3 +214,30 @@ def test_monotonicity_probe_chi_operator(zshape):
                                 rng=np.random.default_rng(123))
     assert lo >= 1.0 - 1e-8
     assert hi <= 2.0 + 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_monotonicity_probe_equals_the_matrix_form_quotient(name):
+    """The probe's element sums give the quotient of the stiffness matrix and the operator form.
+
+    One trial per seed draws the pair ``v, w`` as the probe does; the
+    matrix form is ``(a(w) - a(v)) . d / d . K d`` with ``d = w - v``.
+    """
+    problem = make_problem(name)
+    mesh = uniform_refine(make_initial_mesh(problem.domain), 2)
+    K = stiffness_reference(mesh)
+    nv = mesh.num_vertices
+    for seed in range(20):
+        lo, hi = monotonicity_probe(problem.operator, mesh, trials=1,
+                                    rng=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        scale_v = 10.0 ** rng.uniform(-2, 2)
+        scale_w = 10.0 ** rng.uniform(-2, 2)
+        v = FeFunction(mesh, rng.standard_normal(nv) * scale_v)
+        w = FeFunction(mesh, rng.standard_normal(nv) * scale_w)
+        d = w.values - v.values
+        num = (apply_interior_operator(problem.operator, w)
+               - apply_interior_operator(problem.operator, v)) @ d
+        q = num / (d @ (K @ d))
+        assert lo == hi
+        assert abs(lo - q) <= 1e-12 * abs(q), seed
