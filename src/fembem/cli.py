@@ -139,20 +139,20 @@ def run_experiment(config_path, out_path=None, budget_elements=None,
         raise ConfigError(f"cannot write {out_path}: no directory {out_path.parent}")
     if out_path.exists() and out_path.samefile(config_path):
         raise ConfigError(f"cannot write {out_path}: it is the config file")
-    observer = None
+    observer = step_observer = None
     if verbose:
         def observer(driver, phase, payload):
             total = payload["eta2"].sum() if phase == "fem" else payload["mu2"].sum()
             print(f"    [{phase}] nE={driver.mesh.num_triangles} "
                   f"est2={total:.3e} alg2={payload['alg2']:.3e}",
                   file=sys.stderr)
-    result = run_experiment_config(config, observer=observer)
-    if verbose:
-        for r in result.records:
+
+        def step_observer(driver, r):
             print(f"  j={r.j:3d} nE={r.num_elements:6d} nS={r.num_segments:5d} "
                   f"errH1={r.err_h1:.4e} estTOT={r.est_total:.4e} w_norm={r.w_norm:.4e} "
                   f"kB={r.k_bem} kF={r.k_fem} flags={','.join(r.flags) or '-'}",
                   file=sys.stderr)
+    result = run_experiment_config(config, observer=observer, step_observer=step_observer)
     write_csv(result, config, out_path)
     return result
 

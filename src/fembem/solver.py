@@ -182,7 +182,7 @@ class LocalMultilevelDiagonal:
 class MeshHierarchy:
     """Nested mesh sequence feeding the multilevel preconditioner.
 
-    :meth:`push` records each refinement's new vertices and fine mesh
+    :meth:`push` records the parents of each refinement's new vertices
     and folds the new level into the blocks at once;
     :meth:`preconditioner` only wraps the blocks.  Exact solves need no
     preconditioner, so only PCG runs push.
@@ -197,19 +197,22 @@ class MeshHierarchy:
     each P; blocks keep both the fill and the fold cost per level
     bounded, while the operator stays the same additive sum.  A fold
     reads the fine mesh and the level's prolongation P alone, which is
-    built for it and not kept.  Only the finest mesh keeps its derived
-    facts: :meth:`push` makes the refined mesh forget them.
+    built for it and not kept.  The hierarchy holds the finest mesh
+    alone: :meth:`push` makes the refined mesh forget its derived facts
+    and lets it go, so it is freed once its caller moves on.
+    :attr:`meshes` has one slot per level, ``None`` for every coarser
+    level and the finest mesh last.
     """
 
     def __init__(self, mesh: Mesh):
-        self.meshes = [mesh]
+        self.finest = mesh
         self._levels = [None]               # level 0 has no previous level
         self._coarse_inverse = _spd_inverse(assemble_riesz(mesh).toarray())
         self._blocks = [(sp.identity(mesh.num_vertices, format="csr"), np.zeros(0))]
 
     @property
-    def finest(self) -> Mesh:
-        return self.meshes[-1]
+    def meshes(self) -> list:
+        return [None] * (len(self._levels) - 1) + [self.finest]
 
     def push(self, relation: RefinementRelation) -> None:
         if relation.coarse is not self.finest:
@@ -217,8 +220,8 @@ class MeshHierarchy:
         # the parents alone: the relation's fine trace would keep boundary facts alive
         level = _Level(relation.new_vertex_parents, relation.coarse.num_vertices)
         self._levels.append(level)
-        self.meshes.append(relation.fine)
         relation.coarse.drop_derived()
+        self.finest = relation.fine
         self._fold(relation.fine, level.prolongation)
 
     def preconditioner(self) -> LocalMultilevelDiagonal:

@@ -135,13 +135,20 @@ class UzawaResult:
 
 
 class UzawaDriver:
-    """Stateful outer iteration; create one per run."""
+    """Stateful outer iteration; create one per run.
+
+    ``observer(driver, phase, payload)`` is called after every inner
+    round, of phase ``"bem"`` or ``"fem"``; ``step_observer(driver,
+    record)`` after every outer step that :meth:`run` takes.
+    """
 
     def __init__(self, problem: ProblemSpec, config: UzawaConfig,
-                 observer: Optional[Callable] = None):
+                 observer: Optional[Callable] = None,
+                 step_observer: Optional[Callable] = None):
         self.problem = problem
         self.config = config
         self.observer = observer
+        self.step_observer = step_observer
         self.mesh = make_initial_mesh(self.problem.domain)
         self.bm = boundary_trace(self.mesh)
         corners = self.mesh.vertices[self.bm.boundary_vertices]
@@ -313,6 +320,8 @@ class UzawaDriver:
         for j in range(1, cfg.max_outer + 1):
             rec = self.step(j)
             records.append(rec)
+            if self.step_observer is not None:
+                self.step_observer(self, rec)
             if cfg.target_nu > 0.0 and rec.est_total <= cfg.target_nu:
                 reason = "target"
                 break
@@ -333,7 +342,8 @@ class UzawaDriver:
         )
 
 
-def run_experiment_config(config: UzawaConfig,
-                          observer: Optional[Callable] = None) -> UzawaResult:
+def run_experiment_config(config: UzawaConfig, observer: Optional[Callable] = None,
+                          step_observer: Optional[Callable] = None) -> UzawaResult:
     """Build the example named by the config and run the outer iteration."""
-    return UzawaDriver(make_problem(config.example), config, observer=observer).run()
+    return UzawaDriver(make_problem(config.example), config, observer=observer,
+                       step_observer=step_observer).run()

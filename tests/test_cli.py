@@ -317,6 +317,21 @@ def test_main_verbose_reports_progress(tmp_path, capsys):
         assert field in captured.err, field
 
 
+def test_main_verbose_streams_each_step_line_and_writes_the_same_csv(tmp_path, capsys):
+    """Each step's line is printed when the step ends, before the next step's first round."""
+    cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("150", "60"))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "quiet.csv")]) == 0
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "v.csv"), "--verbose"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    steps = [k for k, line in enumerate(lines) if line.startswith("  j=")]
+    assert len(steps) == len(read_csv(tmp_path / "v.csv")["nE"]) >= 2
+    assert lines[steps[0]].startswith("  j=  1 ")
+    for k in steps[:-1]:
+        assert lines[k - 1].startswith("    [fem]") and lines[k + 1].startswith("    [bem]")
+    assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
+
+
 def test_main_missing_file_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
@@ -409,7 +424,7 @@ def test_main_output_path_that_is_the_config_fails_before_the_solve(tmp_path, ca
 def test_main_runtime_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg_path = write_cfg(tmp_path, SMALL_CFG)
 
-    def boom(config, observer=None):
+    def boom(config, observer=None, step_observer=None):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "run_experiment_config", boom)

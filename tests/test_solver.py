@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _helpers import (FactorizedPreconditioner, composite_apply_reference,
+from _helpers import (FactorizedPreconditioner, composite_apply_reference, derived_facts,
                       stiffness_reference, uniform_refine)
 from fembem import solver
 from fembem.fem import assemble_riesz
@@ -367,7 +367,9 @@ def test_push_folds_its_level_and_the_preconditioner_folds_nothing(lshape, monke
     mesh = lshape
     for k in range(1, 4):
         mesh, rel = refine_nvb(mesh, np.arange(0, mesh.num_triangles, 3))
+        assert derived_facts(rel.coarse) != []
         hierarchy.push(rel)
+        assert derived_facts(rel.coarse) == []          # the refined mesh forgets its facts
         assert len(folds) == k and folds[-1] is mesh is hierarchy.finest
         blocks = list(hierarchy._blocks)
         hierarchy.preconditioner()

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -191,7 +192,7 @@ def test_adaptive_contraction_clamps_growing_updates():
 
 
 def test_budget_stop_and_nested_hierarchy():
-    """PCG runs push every mesh; exact runs keep the initial mesh alone."""
+    """PCG runs push a nested level per refinement; exact runs keep the initial mesh alone."""
     for solver in ("pcg", "exact"):
         drv = UzawaDriver(make_problem("laplace_lshape"), small_config(solver=solver))
         initial = drv.mesh
@@ -200,12 +201,28 @@ def test_budget_stop_and_nested_hierarchy():
         assert res.mesh.num_triangles >= 400
         if solver == "exact":
             [kept] = drv.hierarchy.meshes
-            assert kept is initial
+            assert kept is initial and drv.hierarchy._levels == [None]
             continue
-        sizes = [m.num_vertices for m in drv.hierarchy.meshes]
-        assert len(sizes) > 3
-        assert all(b > a for a, b in zip(sizes, sizes[1:]))
         assert drv.hierarchy.finest is res.mesh
+        # the vertex count of each level: the next level's coarse count, the finest mesh's last
+        levels = drv.hierarchy._levels[1:]
+        sizes = [level._num_coarse for level in levels] + [res.mesh.num_vertices]
+        assert len(sizes) > 3 and sizes[0] == initial.num_vertices
+        for level, coarse, fine in zip(levels, sizes, sizes[1:]):
+            assert fine == coarse + len(level._parents) > coarse
+            assert level.prolongation.shape == (fine, coarse)
+
+
+def test_step_observer_gets_each_record_before_the_next_step_runs():
+    """``observer`` sees the rounds of phases ``bem`` and ``fem``; ``step_observer`` each record as its step ends."""
+    events = []
+    res = run_experiment_config(
+        small_config(budget_elements=150),
+        observer=lambda driver, phase, payload: events.append(phase),
+        step_observer=lambda driver, record: events.append(record))
+    assert res.num_outer >= 2
+    assert events == [event for r in res.records
+                      for event in ["bem"] * r.k_bem + ["fem"] * r.k_fem + [r]]
 
 
 def test_target_stop_after_single_cheap_step():
@@ -508,10 +525,10 @@ def test_carried_bem_operators_equal_a_fresh_build_in_every_round(monkeypatch, c
 
 @pytest.mark.parametrize("solver", ["pcg", "exact"])
 def test_only_the_finest_mesh_keeps_derived_facts(solver):
-    """A PCG hierarchy keeps coarser meshes for their elements only; exact runs keep none.
+    """Every earlier mesh is freed as soon as the driver moves on.
 
-    An exact run's hierarchy holds the initial mesh alone, so every mesh
-    between it and the current one is freed as soon as the driver moves on.
+    A PCG hierarchy holds its finest mesh alone, the initial one not
+    excepted; an exact run's hierarchy holds the initial mesh alone.
     """
     bem_rounds = [0]      # BEM rounds before each FEM round; all but the last refine Γ
     seen = []             # a weak reference to each mesh a round ran on
@@ -519,20 +536,15 @@ def test_only_the_finest_mesh_keeps_derived_facts(solver):
     def observer(driver, phase, payload):
         if not seen or seen[-1]() is not driver.mesh:
             seen.append(weakref.ref(driver.mesh))
-        if solver == "exact":
-            gc.collect()
-            assert [ref() is not None for ref in seen[1:-1]] == [False] * (len(seen) - 2)
-            [kept] = driver.hierarchy.meshes
-            assert kept is seen[0]()
+        gc.collect()
+        earlier = seen[1:-1] if solver == "exact" else seen[:-1]
+        assert [ref() is not None for ref in earlier] == [False] * len(earlier)
+        assert driver.hierarchy.finest is (seen[0]() if solver == "exact" else driver.mesh)
         if phase == "bem":
             bem_rounds[-1] += 1
             return
         if bem_rounds[-1]:
             bem_rounds.append(0)
-        if solver == "pcg":
-            meshes = driver.hierarchy.meshes
-            assert meshes[-1] is driver.mesh
-            assert [derived_facts(m) for m in meshes[:-1]] == [[]] * (len(meshes) - 1)
         assert "riesz" in derived_facts(driver.mesh)
 
     cfg = small_config(gamma=0.95, eps1=5.0, c_bem=0.1, solver=solver,
@@ -541,6 +553,72 @@ def test_only_the_finest_mesh_keeps_derived_facts(solver):
     assert res.stop_reason == "budget"
     assert max(bem_rounds) >= 4       # Γ refined three times between two FEM rounds
     assert len(seen) > 3
+
+
+@pytest.mark.parametrize("solver", ["pcg", "exact"])
+def test_the_hierarchy_has_one_mesh_slot_per_level_and_holds_the_finest_alone(solver):
+    """The benchmark reports ``len(hierarchy.meshes)`` as ``solver.levels``.
+
+    So ``meshes`` keeps one slot per level: the finest mesh last, and
+    ``None`` in every coarser slot.
+    """
+    drv = UzawaDriver(make_problem("laplace_lshape"), small_config(solver=solver,
+                                                                   budget_elements=300))
+    drv.run()
+    hierarchy = drv.hierarchy
+    meshes = hierarchy.meshes
+    assert len(meshes) == len(hierarchy._levels)
+    assert meshes[-1] is hierarchy.finest
+    assert all(mesh is None for mesh in meshes[:-1])
+    if solver == "pcg":
+        assert hierarchy.finest is drv.mesh and len(meshes) > 3
+    else:
+        assert len(meshes) == 1
+
+
+def _fact_bytes(fact):
+    """Bytes of the arrays of a fact: an array, a tuple of facts or a CSR matrix."""
+    if isinstance(fact, np.ndarray):
+        return fact.nbytes
+    if isinstance(fact, tuple):
+        return sum(map(_fact_bytes, fact))
+    return fact.data.nbytes + fact.indices.nbytes + fact.indptr.nbytes
+
+
+def _bytes_with_facts(obj, *arrays):
+    """Bytes of the named arrays of a mesh or trace and of every fact it keeps."""
+    return (sum(getattr(obj, name).nbytes for name in arrays)
+            + sum(map(_fact_bytes, vars(obj).get("_facts", {}).values())))
+
+
+def test_a_pcg_run_leaves_alive_only_what_its_next_round_reads():
+    """Traced by tracemalloc, the bytes live after a PCG run fit a budget.
+
+    The budget is the five BEM matrices, the finest mesh and its trace
+    with their facts, the multilevel blocks with the coarse inverse, and
+    160 bytes an element for the rest: the iterate, the update and the
+    density, the parents of each level, the records.  The coarser meshes
+    of the run (their vertices, elements and fathers) would take about
+    230 bytes more per element here, and do not fit.
+    """
+    cfg = small_config(solver="pcg", budget_elements=3000)
+    tracemalloc.start()
+    try:
+        drv = UzawaDriver(make_problem(cfg.example), cfg)
+        res = drv.run()
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    hierarchy = drv.hierarchy
+    assert res.stop_reason == "budget" and len(hierarchy._levels) > 30
+    budget = (sum(getattr(drv.bem_ops, name).nbytes for name in ("V", "DL0", "DL1", "MK", "MV"))
+              + _bytes_with_facts(drv.mesh, "vertices", "triangles", "father")
+              + _bytes_with_facts(drv.bm, "segments", "owner", "owner_edge", "line_ids")
+              + sum(_fact_bytes(basis) + d.nbytes for basis, d in hierarchy._blocks)
+              + hierarchy._coarse_inverse.nbytes
+              + 160 * drv.mesh.num_triangles)
+    assert live <= budget, f"{live} bytes live after the run, over a budget of {budget}"
 
 
 def run_recording_prolongations(monkeypatch, cfg):
