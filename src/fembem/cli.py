@@ -144,7 +144,8 @@ def run_experiment(config_path, out_path=None, budget_elements=None,
         def observer(driver, phase, payload):
             total = payload["eta2"].sum() if phase == "fem" else payload["mu2"].sum()
             print(f"    [{phase}] nE={driver.mesh.num_triangles} "
-                  f"est2={total:.3e} alg2={payload['alg2']:.3e}",
+                  f"est2={total:.3e} alg2={payload['alg2']:.3e} "
+                  f"it={payload['iterations']} pc={payload['preconditioner']}",
                   file=sys.stderr)
 
         def step_observer(driver, r):

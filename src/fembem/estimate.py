@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bem
-from .fem import P5_WEIGHTS, FeFunction, _less_p1_blocks, quadrature_values
+from .fem import P5_WEIGHTS, FeFunction, _p1_at_points, quadrature_values
 from .mesh import BoundaryMesh, Mesh, _blocks
 
 __all__ = [
@@ -57,7 +57,9 @@ def eta_fem(mesh: Mesh, bmesh: BoundaryMesh, w: FeFunction, u_prev: FeFunction,
         contrib[idx[e0:e1]] = elen[e0:e1] * jump ** 2
     area = mesh.areas()
     eta2 = np.empty(mesh.num_triangles)
-    for t0, t1, dens in _less_p1_blocks(quadrature_values(mesh, f), w):
+    fv = quadrature_values(mesh, f)
+    for t0, t1 in _blocks(mesh.num_triangles, len(P5_WEIGHTS), 2):
+        dens = fv[t0:t1] - _p1_at_points(w, t0, t1)
         a = area[t0:t1]
         eta2[t0:t1] = a ** 2 * np.einsum("q,tq->t", P5_WEIGHTS, dens ** 2) \
             + np.sqrt(a) * contrib[tri2edge[t0:t1]].sum(axis=1)

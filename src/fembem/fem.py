@@ -90,24 +90,39 @@ def _make_p5():
 P5_BARYCENTRIC, P5_WEIGHTS = _make_p5()
 
 
+# the linear map from an element's six corner coordinates to its 14 point
+# coordinates: one BLAS product per block, with the bits of
+# ``P5_BARYCENTRIC @ corners`` for blocks of two or more elements
+_TO_POINTS = np.zeros((6, 2 * len(P5_WEIGHTS)))
+_TO_POINTS[0::2, 0::2] = _TO_POINTS[1::2, 1::2] = P5_BARYCENTRIC.T
+_TO_POINTS.setflags(write=False)
+
+
+def _block_points(mesh: Mesh):
+    """``(t0, t1, points)`` per block of elements: the (n, 2) ``P5_BARYCENTRIC`` points of t0:t1.
+
+    The blocks are those of :func:`~fembem.mesh._blocks`, of at least two
+    elements each; the points of each block are computed afresh and not kept.
+    """
+    p = mesh.corners()
+    for t0, t1 in _blocks(mesh.num_triangles, len(P5_WEIGHTS), 2):
+        yield t0, t1, (p[t0:t1].reshape(-1, 6) @ _TO_POINTS).reshape(-1, 2)
+
+
 def quadrature_values(mesh: Mesh, f) -> np.ndarray:
     """``f`` at the ``P5_BARYCENTRIC`` points of every element, kept on the mesh per ``f``.
 
     Shape (nt, 7), or (nt, 7, d) for an ``f`` with values in R^d.  ``f``
-    is called on the (n, 2) points of one block of elements at a time
-    (:func:`~fembem.mesh._blocks`); the points themselves are not kept.
+    is called on the points of one block of elements at a time
+    (:func:`_block_points`); the points themselves are not kept.  The
+    load is kept this way; :func:`h1_error` evaluates the exact solution
+    block by block and keeps nothing.
     """
     def build():
-        p, nq, nt = mesh.corners(), len(P5_WEIGHTS), mesh.num_triangles
-        # the linear map from an element's six corner coordinates to its
-        # 2 nq point coordinates: one BLAS product per block, with the
-        # bits of ``P5_BARYCENTRIC @ corners`` for blocks of two or more
-        to_points = np.zeros((6, 2 * nq))
-        to_points[0::2, 0::2] = to_points[1::2, 1::2] = P5_BARYCENTRIC.T
-        out = None
-        for t0, t1 in _blocks(nt, nq, 2):
-            vals = f((p[t0:t1].reshape(-1, 6) @ to_points).reshape(-1, 2))
-            vals = vals.reshape(t1 - t0, nq, *vals.shape[1:])
+        nt, out = mesh.num_triangles, None
+        for t0, t1, points in _block_points(mesh):
+            vals = f(points)
+            vals = vals.reshape(t1 - t0, len(P5_WEIGHTS), *vals.shape[1:])
             if t1 - t0 == nt:
                 return vals               # one block: no copy
             if out is None:
@@ -138,14 +153,20 @@ def assemble_riesz(mesh: Mesh) -> csr_matrix:
     def build():
         g = _hat_gradients(mesh)
         area = mesh.areas()[:, None, None]
-        gram = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
         mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        return _scatter(mesh, gram * area + mass * area)
+        # the local (nt, 3, 3) blocks, built in place
+        loc = g[:, :, None, 0] * g[:, None, :, 0]
+        loc += g[:, :, None, 1] * g[:, None, :, 1]
+        loc *= area
+        loc += mass * area
+        return _scatter(mesh, loc)
     return mesh._derive("riesz", build)
 
 
 def _scatter(mesh: Mesh, loc: np.ndarray) -> csr_matrix:
-    t = mesh.triangles
+    # int32, the index type SciPy picks for the matrix: int64 indices would
+    # be copied to int32 on the way into the COO matrix
+    t = mesh.triangles.astype(np.int32)
     rows = np.repeat(t, 3, axis=1).reshape(-1)
     cols = np.tile(t, (1, 3)).reshape(-1)
     n = mesh.num_vertices
@@ -232,30 +253,30 @@ def prolongate(u: FeFunction, relation: RefinementRelation) -> FeFunction:
     return FeFunction(relation.fine, np.concatenate([old, new]))
 
 
-def _less_p1_blocks(values: np.ndarray, u: FeFunction):
-    """``(t0, t1, values[t0:t1] - u)`` per block of elements, ``u`` taken at the P5 points.
+def _p1_at_points(u: FeFunction, t0: int, t1: int) -> np.ndarray:
+    """``u`` at the ``P5_BARYCENTRIC`` points of elements t0:t1, (t1 - t0, 7).
 
-    ``values`` holds (nt, 7) values at the points ``P5_BARYCENTRIC``.  No
-    block holds a single element: a one-row (1, 3) @ (3, 7) product takes
-    NumPy's matrix-vector path and rounds otherwise than the rows of a
-    taller product.
+    Called on blocks of two or more elements only: a one-row (1, 3) @ (3, 7)
+    product takes NumPy's matrix-vector path and rounds otherwise than the
+    rows of a taller product.
     """
-    tri, lam = u.mesh.triangles, P5_BARYCENTRIC.T
-    for t0, t1 in _blocks(len(tri), len(P5_WEIGHTS), 2):
-        yield t0, t1, values[t0:t1] - u.values[tri[t0:t1]] @ lam
+    return u.values[u.mesh.triangles[t0:t1]] @ P5_BARYCENTRIC.T
 
 
 def h1_error(u_h: FeFunction, u_exact, grad_exact) -> float:
     """Full H^1 norm of ``u_exact - u_h`` by the degree-5 triangle rule.
 
-    The (nt, 7) density is built block by block, then summed at once.
+    ``u_exact`` and ``grad_exact`` are evaluated block by block
+    (:func:`_block_points`) and nothing of them is kept; the (nt, 7)
+    density is built block by block, then summed at once.
     """
     mesh = u_h.mesh
-    gq = quadrature_values(mesh, grad_exact)
     grads = u_h.element_gradients()
-    dens = np.empty((mesh.num_triangles, len(P5_WEIGHTS)))
-    for t0, t1, du in _less_p1_blocks(quadrature_values(mesh, u_exact), u_h):
-        dg = gq[t0:t1] - grads[t0:t1, None, :]
+    nq = len(P5_WEIGHTS)
+    dens = np.empty((mesh.num_triangles, nq))
+    for t0, t1, points in _block_points(mesh):
+        du = u_exact(points).reshape(t1 - t0, nq) - _p1_at_points(u_h, t0, t1)
+        dg = grad_exact(points).reshape(t1 - t0, nq, 2) - grads[t0:t1, None, :]
         dg **= 2
         np.add(du ** 2, dg[..., 0] + dg[..., 1], out=dens[t0:t1])
     total = np.einsum("t,q,tq->", mesh.areas(), P5_WEIGHTS, dens)

@@ -110,10 +110,11 @@ class Mesh(_Derived):
 
     Facts derived from these arrays are built on first use and kept,
     read-only, on the mesh: corners, areas and the edge structure here,
-    the hat gradients, the values of a function at the points of a
-    quadrature rule and the Riesz matrix in :mod:`fembem.fem`, the
-    interior edges in :mod:`fembem.estimate`.  The quadrature points
-    themselves are not kept.
+    the hat gradients, the values of the load at the points of the
+    volume rule and the Riesz matrix in :mod:`fembem.fem`, the interior
+    edges in :mod:`fembem.estimate`.  The quadrature points themselves
+    are not kept, nor are the values of the exact solution, which
+    :func:`fembem.fem.h1_error` evaluates afresh in each call.
     :meth:`drop_derived` forgets all of them.
     """
 
@@ -159,28 +160,39 @@ class Mesh(_Derived):
         return self._derive("edge_structure", self._build_edge_structure)
 
     def _build_edge_structure(self):
+        # each temporary of 3 nt entries is released once it has been read
         t = self.triangles
         nv = self.num_vertices
-        raw = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
-        lo, hi = raw.min(axis=1), raw.max(axis=1)
+        hi = t[:, [1, 2, 0]]                        # local edge k = (t[k], t[(k+1)%3])
+        keys = np.minimum(t, hi)
+        np.maximum(t, hi, out=hi)
         # one integer per undirected edge; its order is the lexicographic order of (lo, hi)
-        keys = lo * nv + hi
+        keys *= nv
+        keys += hi
+        del hi
+        keys = keys.reshape(-1)
         # stable: the local edges of one edge stay in element order
         order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        run = np.diff(sorted_keys, prepend=-1) != 0     # where a run of one edge starts
+        keys = keys[order]
+        run = np.empty(len(keys), dtype=bool)       # where a run of one edge starts
+        run[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=run[1:])
         first = np.flatnonzero(run)
         last = np.append(first[1:], len(keys))
         counts = last - first
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: edge shared by more than two elements")
-        tri2edge = np.empty_like(order)
-        tri2edge[order] = np.cumsum(run) - 1
-        edges = np.stack([sorted_keys[first] // nv, sorted_keys[first] % nv], axis=1)
+        edges = np.stack([keys[first] // nv, keys[first] % nv], axis=1)
         edge2tri = np.full((len(first), 2), -1, dtype=np.int64)
         edge2tri[:, 0] = order[first] // 3
         has2 = counts == 2
         edge2tri[has2, 1] = order[last[has2] - 1] // 3
+        del first, last, counts, has2
+        np.cumsum(run, out=keys)                    # the edge id of each sorted local edge
+        keys -= 1
+        del run
+        tri2edge = np.empty_like(order)
+        tri2edge[order] = keys
         return edges, tri2edge.reshape(-1, 3), edge2tri
 
 

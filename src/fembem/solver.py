@@ -238,8 +238,12 @@ class MeshHierarchy:
         d = 1.0 / riesz_diagonal(fine)[idx]
         basis, d_last = self._blocks[-1]
         if basis.nnz <= _BLOCK_FILL * basis.shape[0]:
-            self._blocks[-1] = (sp.hstack([prolongation @ basis, hats], format="csr"),
-                                np.concatenate([d_last, d]))
+            # the old basis is freed before the grown one is stacked
+            del self._blocks[-1]
+            grown = prolongation @ basis
+            del basis
+            self._blocks.append((sp.hstack([grown, hats], format="csr"),
+                                 np.concatenate([d_last, d])))
         else:
             self._blocks.append((sp.hstack([prolongation, hats], format="csr"), d))
 

@@ -139,7 +139,11 @@ class UzawaDriver:
 
     ``observer(driver, phase, payload)`` is called after every inner
     round, of phase ``"bem"`` or ``"fem"``; ``step_observer(driver,
-    record)`` after every outer step that :meth:`run` takes.
+    record)`` after every outer step that :meth:`run` takes.  Besides
+    the round's estimators, energy and solution, a payload carries the
+    solve's ``iterations`` (0 for an exact solve) and its
+    ``preconditioner``: ``"jacobi"`` (BEM) or ``"multilevel"`` (FEM) for
+    PCG, ``"exact"`` otherwise.
     """
 
     def __init__(self, problem: ProblemSpec, config: UzawaConfig,
@@ -199,17 +203,22 @@ class UzawaDriver:
         Exact mode solves with ``precond``, a Cholesky factor of
         ``matrix``; otherwise PCG runs to the relative threshold but
         never returns with an algebraic energy that would by itself
-        exceed the inner stopping budget ``abs_cap``.
+        exceed the inner stopping budget ``abs_cap``.  Returns
+        ``(x, energy, iterations)``, with 0 iterations for an exact solve.
         """
         if self.config.solver == "exact":
-            return precond.solve(rhs), 0.0
+            return precond.solve(rhs), 0.0, 0
         res = pcg(matrix, rhs, x0=x0, preconditioner=precond,
                   rel_threshold=self.config.tau_rel ** 2,
                   abs_threshold=0.5 * abs_cap, max_iterations=2000)
         # a non-finite start returns unconverged; the caller's estimator test sees the NaN
         if not res.converged and np.isfinite(res.final_energy):
             self.flags.add("pcg_maxiter")
-        return res.x, res.final_energy
+        return res.x, res.final_energy, res.iterations
+
+    def _kind(self, pcg_kind: str) -> str:
+        """The preconditioner named in a round's payload: ``pcg_kind``, or ``"exact"``."""
+        return "exact" if self.config.solver == "exact" else pcg_kind
 
     def _adaptive_loop(self, phase: str, tol: float, solve, refine):
         """Rounds of ``solve(tol) -> (est2, alg2, payload)`` until ``sum(est2) + alg2 <= tol^2``.
@@ -243,12 +252,13 @@ class UzawaDriver:
             self.bem_precond = self._v_solver()
         g = self._interface_gap()
         # V and its right-hand side run by slot, the density along the walk
-        x, alg2 = self._solve_spd(ops.V, ops.dl_rhs(g), self.psi_vals[ops.order],
-                                  self.bem_precond, tol ** 2)
+        x, alg2, its = self._solve_spd(ops.V, ops.dl_rhs(g), self.psi_vals[ops.order],
+                                       self.bem_precond, tol ** 2)
         self.psi_vals = x[ops.slots]
         psi = bem.BemDensity(self.bm, self.psi_vals)
         mu2 = mu_bem(self.bm, psi, g, du0_ds=self.problem.du0_ds, operators=ops)
-        return mu2, alg2, dict(mu2=mu2, alg2=alg2, psi=psi, g=g)
+        return mu2, alg2, dict(mu2=mu2, alg2=alg2, psi=psi, g=g, iterations=its,
+                               preconditioner=self._kind("jacobi"))
 
     def _fem_round(self, tol: float):
         """A round of step [ii]: solve for the residual representer w, kept as ``w_carry``."""
@@ -257,14 +267,15 @@ class UzawaDriver:
                              self.problem.phi0, self.psi_vals, self.u,
                              self.problem.operator)
         # an exact factor is a temporary, freed before the estimator runs
-        w_vals, alg2 = self._solve_spd(
+        w_vals, alg2, its = self._solve_spd(
             R, rhs, self.w_carry.values,
             self.hierarchy.preconditioner() if self.config.solver == "pcg" else CholeskyFactor(R),
             tol ** 2)
         self.w_carry = w = FeFunction(self.mesh, w_vals)
         eta2 = eta_fem(self.mesh, self.bm, w, self.u, self.problem.f,
                        self.problem.phi0, self.psi_vals, self.problem.operator)
-        return eta2, alg2, dict(eta2=eta2, alg2=alg2, w=w)
+        return eta2, alg2, dict(eta2=eta2, alg2=alg2, w=w, iterations=its,
+                                preconditioner=self._kind("multilevel"))
 
     # -- outer loop ------------------------------------------------------------
 

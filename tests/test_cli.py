@@ -317,6 +317,17 @@ def test_main_verbose_reports_progress(tmp_path, capsys):
         assert field in captured.err, field
 
 
+def test_main_verbose_round_lines_name_iterations_and_preconditioner(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("150", "30").replace("exact", "pcg"))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "v.csv"), "--verbose"]) == 0
+    rounds = [line.split() for line in capsys.readouterr().err.splitlines()
+              if line.startswith("    [")]
+    assert rounds
+    kinds = {"[bem]": "pc=jacobi", "[fem]": "pc=multilevel"}
+    for words in rounds:
+        assert words[-1] == kinds[words[0]] and int(words[-2].removeprefix("it=")) > 0
+
+
 def test_main_verbose_streams_each_step_line_and_writes_the_same_csv(tmp_path, capsys):
     """Each step's line is printed when the step ends, before the next step's first round."""
     cfg_path = write_cfg(tmp_path, SMALL_CFG.replace("150", "60"))

@@ -19,7 +19,7 @@ from fembem.fem import (P5_BARYCENTRIC, P5_WEIGHTS, FeFunction, _hat_gradients,
 from fembem.mesh import (Mesh, boundary_trace, make_initial_mesh, refine_nvb,
                          vertex_prolongation_matrix)
 from fembem.model import make_problem
-from fembem.solver import CholeskyFactor
+from fembem.solver import CholeskyFactor, MeshHierarchy
 
 
 def identity_flux(grads):
@@ -252,11 +252,12 @@ def test_h1_error_quadrature_refinement_corner_solution():
     assert abs(e5 - e8) <= 1e-3 * e8
 
 
-def test_h1_error_reads_exact_values_kept_on_the_mesh(rng):
-    """The exact solution and its gradient are evaluated once per mesh; the error keeps its bits.
+def test_h1_error_evaluates_the_exact_solution_in_each_call_and_keeps_nothing(rng):
+    """Each call evaluates the exact solution and its gradient on every point once; the error
+    keeps its bits, and the mesh keeps no value of either.
 
     The mesh holds more than one block of quadrature points, so each
-    function is called once per block, on every point once.
+    function is called once per block.
     """
     exact = make_problem("laplace_lshape").exact
     mesh = uniform_refine(random_nvb_mesh("lshape", 3), 4)
@@ -271,9 +272,6 @@ def test_h1_error_reads_exact_values_kept_on_the_mesh(rng):
         return exact.grad_u(points)
 
     flat = quadrature_points(TRI_P5, mesh).reshape(-1, 2)
-    grads = quadrature_values(mesh, grad_u)
-    assert grads.shape == (mesh.num_triangles, 7, 2)
-    assert grads.tobytes() == exact.grad_u(flat).tobytes()
     for _ in range(2):
         uh = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
         du = exact.u(flat).reshape(mesh.num_triangles, -1) - at_barycentric(uh, TRI_P5.barycentric)
@@ -284,7 +282,8 @@ def test_h1_error_reads_exact_values_kept_on_the_mesh(rng):
         assert h1_error(uh, u, grad_u) == ref
     for name in ("u", "grad_u"):
         sizes = [n for who, n in calls if who == name]
-        assert len(sizes) > 1 and sum(sizes) == 7 * mesh.num_triangles, name
+        assert len(sizes) > 2 and sum(sizes) == 2 * 7 * mesh.num_triangles, name
+    assert not [key for key in derived_facts(mesh) if "values" in key]
 
 
 def test_h1_error_monotone_under_uniform_refinement(lshape):
@@ -484,38 +483,77 @@ def test_the_element_block_size_changes_no_bit(monkeypatch, tail):
     assert element_pass_bytes(mesh) == default
 
 
-def test_element_passes_hold_one_density_and_a_few_blocks_of_temporaries(rng):
-    """Traced by tracemalloc, ``h1_error`` and ``eta_fem`` peak above what they leave alive by
-    at most one (nt, 7) density, one (nt,) array of indicators and 16 blocks of
-    ``_BLOCK_ENTRIES`` doubles.
+def _traced(build):
+    """``build()`` under tracemalloc: (bytes it leaves alive, bytes its peak rises above them)."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    build()
+    current, peak = tracemalloc.get_traced_memory()
+    return current - before, peak - current
 
-    ``h1_error`` evaluates the exact solution and its gradient afresh, and
-    ``eta_fem`` the load; the blocks hold the working set of such a
-    function on the points of one block.  The mesh holds 21 blocks, so a
-    second temporary of the size of the density does not fit.
+
+def test_element_passes_hold_one_density_and_a_few_blocks_of_temporaries(rng):
+    """Traced by tracemalloc, each per-mesh pass peaks above what it leaves alive by a stated
+    budget, on an L-shape refined uniformly 11 times (24 576 elements).
+
+    - ``h1_error`` and ``eta_fem``: one (nt, 7) density, one (nt,) array of
+      indicators and 16 blocks of ``_BLOCK_ENTRIES`` doubles.  ``h1_error``
+      evaluates the exact solution and its gradient afresh and leaves no
+      array alive, ``eta_fem`` the load; the blocks hold the working set of
+      such a function on the points of one block.  The mesh holds 21
+      blocks, so a second temporary of the size of the density does not fit.
+    - ``assemble_riesz``: four (nt, 3, 3) arrays of doubles: the local
+      blocks, and the COO indices and the CSR copy that SciPy sorts them into.
+    - the first ``edge_structure``: five int64 arrays of one entry per
+      local edge, so the keys, their sorted copy and their order, and
+      the incidence it returns.
+    - a ``MeshHierarchy.push`` that folds the level into the last block:
+      twice the block it leaves (the grown basis and its stacked copy)
+      and 16 blocks, so the old basis is gone before the stacking.
     """
-    mesh = uniform_refine(make_initial_mesh("lshape"), 11)
+    meshes = [make_initial_mesh("lshape")]
+    relations = []
+    for _ in range(11):
+        fine, rel = refine_nvb(meshes[-1], np.arange(meshes[-1].num_triangles))
+        meshes.append(fine)
+        relations.append(rel)
+    mesh = meshes[-1]
     nt = mesh.num_triangles
     assert nt >= 8 * (fembem.mesh._BLOCK_ENTRIES // 7)
     bm = boundary_trace(mesh)
     u, w = (FeFunction(mesh, rng.standard_normal(mesh.num_vertices)) for _ in range(2))
     psi = rng.standard_normal(bm.num_segments)
-    # the facts that outlive both passes
+    bare = Mesh(mesh.vertices, mesh.triangles, mesh.father)
+    # the facts that outlive the passes
     mesh.corners(), mesh.areas(), _interior_edges(mesh), u.flux(NONLINEAR_OP)
-    w.element_gradients(), bm.gauss_values(EXACT.phi, 2)
-    budget = 8 * (7 * nt + nt) + 16 * 8 * fembem.mesh._BLOCK_ENTRIES
+    _hat_gradients(mesh), w.element_gradients(), bm.gauss_values(EXACT.phi, 2)
+    blocks = 16 * 8 * fembem.mesh._BLOCK_ENTRIES
+    budget = 8 * (7 * nt + nt) + blocks
+    hierarchy = MeshHierarchy(relations[0].fine)
+    for rel in relations[1:-2]:
+        hierarchy.push(rel)
+    eta2 = []
     tracemalloc.start()
     try:
-        h1_error(u, EXACT.u, EXACT.grad_u)
-        current, peak = tracemalloc.get_traced_memory()
-        assert peak - current <= budget
-        tracemalloc.reset_peak()
-        eta2 = eta_fem(mesh, bm, w, u, load, EXACT.phi, psi, NONLINEAR_OP)
-        current, peak = tracemalloc.get_traced_memory()
+        h1_kept, h1_rise = _traced(lambda: h1_error(u, EXACT.u, EXACT.grad_u))
+        _, eta_rise = _traced(lambda: eta2.append(eta_fem(mesh, bm, w, u, load, EXACT.phi,
+                                                          psi, NONLINEAR_OP)))
+        _, riesz_rise = _traced(lambda: assemble_riesz(mesh))
+        _, edges_rise = _traced(bare.edge_structure)
+        hierarchy.push(relations[-2])           # the block the last push grows is traced
+        num_blocks = len(hierarchy._blocks)
+        _, push_rise = _traced(lambda: hierarchy.push(relations[-1]))
     finally:
         tracemalloc.stop()
-    assert eta2.shape == (nt,)
-    assert peak - current <= budget
+    assert eta2[0].shape == (nt,)
+    assert h1_kept <= 1024 and h1_rise <= budget
+    assert eta_rise <= budget
+    assert riesz_rise <= 4 * 8 * 9 * nt
+    assert edges_rise <= 5 * 8 * 3 * nt
+    assert len(hierarchy._blocks) == num_blocks          # the push folded
+    basis = hierarchy._blocks[-1][0]
+    basis_bytes = basis.data.nbytes + basis.indices.nbytes + basis.indptr.nbytes
+    assert push_rise <= 2 * basis_bytes + blocks
 
 
 def test_flux_runs_once_per_function_and_operator(rng):

@@ -685,7 +685,8 @@ def test_a_folded_level_forgets_its_prolongation(monkeypatch):
 
 
 def test_interface_and_exact_data_evaluated_once_per_mesh():
-    """phi0, du0/ds, u0 and the exact density run once per boundary mesh and order, u once per mesh."""
+    """phi0, du0/ds, u0 and the exact density run once per boundary mesh and order; u and grad u
+    run once per step, in one ``h1_error`` block at this size, and are not kept."""
     problem = make_problem("laplace_lshape")
     calls = collections.Counter()
 
@@ -728,7 +729,7 @@ def test_interface_and_exact_data_evaluated_once_per_mesh():
     assert calls["u0"] == calls["du0_ds"] == len(seen["bem"])
     assert calls["phi0"] == 2 * len(seen["fem"])          # orders 4 and 2
     assert calls["exact.phi"] == len(seen["step"])
-    assert calls["exact.u"] == calls["exact.grad_u"] == len(seen["mesh"])
+    assert calls["exact.u"] == calls["exact.grad_u"] == rounds["step"]
     # every kind of data is asked for again on a mesh that has it already
     assert rounds["bem"] > len(seen["bem"]) and rounds["fem"] > len(seen["fem"])
     assert rounds["step"] > max(len(seen["step"]), len(seen["mesh"]))
@@ -755,6 +756,37 @@ def test_pcg_and_exact_solvers_agree_on_errors():
         err[solver] = res.records[-1].err_h1
     ratio = err["pcg"] / err["exact"]
     assert 0.5 <= ratio <= 2.0
+
+
+@pytest.mark.parametrize("solver", ["pcg", "exact"])
+def test_each_round_reports_its_solver_iterations_and_preconditioner(monkeypatch, solver):
+    """A PCG round reports the iterations of its own solve, over Jacobi (BEM) or the
+    multilevel diagonal (FEM); an exact round reports 0 and ``"exact"``."""
+    import fembem.uzawa as uzawa
+
+    solved = []
+
+    def counting_pcg(*args, **kwargs):
+        res = pcg(*args, **kwargs)
+        solved.append(res.iterations)
+        return res
+
+    pcg = uzawa.pcg
+    monkeypatch.setattr(uzawa, "pcg", counting_pcg)
+    reported = []
+    res = run_experiment_config(
+        small_config(solver=solver, budget_elements=200),
+        observer=lambda driver, phase, payload: reported.append(
+            (phase, payload["iterations"], payload["preconditioner"])))
+    assert res.num_outer > 1 and {phase for phase, _, _ in reported} == {"bem", "fem"}
+    if solver == "exact":
+        assert solved == []
+        assert all(its == 0 and kind == "exact" for _, its, kind in reported)
+    else:
+        assert [its for _, its, _ in reported] == solved
+        assert all(its > 0 for its in solved)
+        kinds = {"bem": "jacobi", "fem": "multilevel"}
+        assert all(kind == kinds[phase] for phase, _, kind in reported)
 
 
 _SOLVERS_LOADED = """
